@@ -214,15 +214,26 @@ def cmd_simulate(args, config) -> int:
         print(f"malformed barrier file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    if isinstance(barrier, bs.GshBarrier):
+    gsh = isinstance(barrier, bs.GshBarrier)
+    if gsh:
         u0 = args.u0 if args.u0 is not None else max(1000.0, barrier.margins.get("recommended_u0", 1000.0))
         u1 = args.u1 if args.u1 is not None else u0 + 50.0
         n = args.samples if args.samples is not None else 20000
-        try:
-            profile = sim.gsh_simulate(barrier, u0, u1, n)
-        except sim.SimulationError as exc:
-            print(f"verification failed: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION
+    else:
+        gam = min(zz.gamma for zz in barrier.zeros)
+        u0 = args.u0 if args.u0 is not None else 50.0
+        u1 = args.u1 if args.u1 is not None else u0 + 10.0 * 2.0 * math.pi / gam
+        n = args.samples if args.samples is not None else 10**5
+    try:
+        profile = (sim.gsh_simulate if gsh else sim.simulate)(barrier, u0, u1, n)
+    except sim.SimulationInputError as exc:
+        print(f"simulation rejected: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except sim.SimulationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
+
+    if gsh:
         print(f"samples: {len(profile.u)}, regime-2: {int(profile.regime2.sum())}, "
               f"controlled: {profile.controlled_total}")
         print(f"excluded-ordering raw occurrences: {profile.excluded_raw}")
@@ -230,15 +241,6 @@ def cmd_simulate(args, config) -> int:
         print(f"tail constant C: {profile.tail_constant:.6g}")
         ok = profile.excluded_raw == 0
     else:
-        gam = min(zz.gamma for zz in barrier.zeros)
-        u0 = args.u0 if args.u0 is not None else 50.0
-        u1 = args.u1 if args.u1 is not None else u0 + 10.0 * 2.0 * math.pi / gam
-        n = args.samples if args.samples is not None else 10**5
-        try:
-            profile = sim.simulate(barrier, u0, u1, n)
-        except sim.SimulationError as exc:
-            print(f"simulation rejected: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
         x, y, z = profile.excluded_ordering
         print(f"samples: {len(profile.u)} on [{u0}, {u1}]")
         print(f"excluded ordering pi({x}) > pi({y}) > pi({z}):")
@@ -255,7 +257,7 @@ def cmd_simulate(args, config) -> int:
         first = None
         import numpy as np
 
-        if not isinstance(barrier, bs.GshBarrier):
+        if not gsh:
             slack = np.minimum(profile.d1, profile.d2)
             idx = np.flatnonzero(slack > (profile.remainder or 0.0))
             if idx.size:

@@ -26,7 +26,11 @@ TWO_PI_ = 2.0 * math.pi
 
 
 class SimulationError(ValueError):
-    pass
+    """A simulation found a configuration that fails its verification."""
+
+
+class SimulationInputError(SimulationError):
+    """Arguments or a barrier that a simulation rejects before evaluating it."""
 
 
 @dataclass(frozen=True)
@@ -63,20 +67,32 @@ def main_term_pair_diff(config: MainTermConfig, a: int, b: int, u: float) -> flo
 
 def pair_diff_grid(config: MainTermConfig, a: int, b: int, us: np.ndarray) -> np.ndarray:
     """Vectorized main term over a u grid (leading f term only, normalized)."""
+    return pair_diff_grids(config, ((a, b),), us)[0]
+
+
+def pair_diff_grids(config: MainTermConfig, pairs, us: np.ndarray) -> list[np.ndarray]:
+    """Main terms of several residue pairs over one u grid.
+
+    Each distinct rho's exp, cos and sin are evaluated once and shared by every
+    pair with a nonzero coefficient there.  Rhos are visited in the order they
+    first appear in ``config.zeros``, so each output receives the same float
+    operations in the same order as a pair-by-pair evaluation.  Only one rho's
+    arrays are held at a time: the workspace is O(len(us)).
+    """
     us = np.asarray(us, dtype=float)
-    out = np.zeros_like(us)
-    if a == b:
-        return out
-    coeffs = config.pair_coefficients(a, b)
-    for rho, c in coeffs.items():
-        if c == 0:
+    outs = [np.zeros_like(us) for _ in pairs]
+    coeffs = [config.pair_coefficients(a, b) if a != b else {} for a, b in pairs]
+    for rho in dict.fromkeys(rho for _, rho, _ in config.zeros):
+        terms = [(out, c[rho] / rho) for out, c in zip(outs, coeffs) if c.get(rho, 0) != 0]
+        if not terms:
             continue
         # -2 Re [ c * e^{(rho - sigma_max) u} / rho ]
-        expo = (rho.real - config.sigma_max) * us
+        amp = -2.0 * np.exp((rho.real - config.sigma_max) * us)
         phase = rho.imag * us
-        z = c / rho
-        out += -2.0 * np.exp(expo) * (z.real * np.cos(phase) - z.imag * np.sin(phase))
-    return out
+        cos, sin = np.cos(phase), np.sin(phase)
+        for out, z in terms:
+            out += amp * (z.real * cos - z.imag * sin)
+    return outs
 
 
 def remainder_bound(config: MainTermConfig, a: int, b: int, u: float) -> float:
@@ -89,8 +105,12 @@ def remainder_bound(config: MainTermConfig, a: int, b: int, u: float) -> float:
     """
     if a == b:
         return 0.0
+    return _remainder_bound(config, config.pair_coefficients(a, b), u)
+
+
+def _remainder_bound(config: MainTermConfig, coeffs: dict[complex, complex], u: float) -> float:
     total = 0.0
-    for rho, c in config.pair_coefficients(a, b).items():
+    for rho, c in coeffs.items():
         mag = abs(c)
         if mag == 0.0:
             continue
@@ -108,12 +128,15 @@ def remainder_sup(config: MainTermConfig, a: int, b: int, u0: float, u1: float) 
     Each piece is monotone except the ceiling term u^2 e^((beta1 - sigma_max) u),
     whose interior maximum sits at u = 2 / (sigma_max - beta1).
     """
+    if a == b:
+        return 0.0
     us = [u0, u1]
     if config.sigma_max > config.beta1:
         critical = 2.0 / (config.sigma_max - config.beta1)
         if u0 < critical < u1:
             us.append(critical)
-    return max(remainder_bound(config, a, b, u) for u in us)
+    coeffs = config.pair_coefficients(a, b)
+    return max(_remainder_bound(config, coeffs, u) for u in us)
 
 
 @dataclass
@@ -128,7 +151,8 @@ class RaceProfile:
     excluded_ordering: tuple | None = None
     excluded_raw: int = 0
     excluded_robust: int = 0
-    ordering_codes: np.ndarray | None = None
+    ordering_codes: np.ndarray | None = None  # int8 per sample: index into ordering_labels, -1 tie
+    ordering_labels: tuple = ()
 
     @property
     def sample_count(self) -> int:
@@ -147,30 +171,51 @@ class RaceProfile:
         return self.remainder is not None and self.excluded_robust == 0
 
 
-def _classify(triple, dab, dbc, dac):
-    """Ordering tuples (largest first) per sample from pairwise signs.
+@lru_cache(maxsize=4096)
+def _ordering_table(triple: tuple) -> tuple[tuple, np.ndarray]:
+    """Ordering labels of a triple and the int8 lookup from sign codes to them.
+
+    A sign code packs the strict signs of (ab, bc, ac) as bits 0, 1, 2 (set when
+    the difference is positive).  Each code is ranked by pairwise wins, largest
+    first; a sign cycle, where no ranking fits the wins, maps to -1.
+    """
+    a, b, c = triple
+    ranked = {}
+    for code in range(8):
+        x, y, z = (code >> bit & 1 for bit in range(3))
+        wins = {a: x + z, b: (1 - x) + y, c: (1 - y) + (1 - z)}
+        if sorted(wins.values()) == [0, 1, 2]:
+            ranked[code] = tuple(sorted(wins, key=wins.get, reverse=True))
+    labels = tuple(sorted(ranked.values()))
+    table = np.full(8, -1, dtype=np.int8)
+    for code, order in ranked.items():
+        table[code] = labels.index(order)
+    table.setflags(write=False)
+    return labels, table
+
+
+def classify_orderings(triple, dab, dbc, dac) -> tuple[np.ndarray, tuple]:
+    """Ordering code per sample from pairwise signs, and the labels it indexes.
 
     Each difference is taken as computed (no cocycle), because the pairwise
     coefficients can cancel exactly for one pair, leaving a term many orders
-    of magnitude below the others.  Any zero sign, or a sign cycle from
-    float noise, counts as a tie.
+    of magnitude below the others.  A difference that is not strictly positive
+    or strictly negative (0, -0.0, NaN), or a sign cycle from float noise,
+    gives the tie code -1.
     """
-    a, b, c = triple
-    orders = []
-    for x, y, z in zip(dab, dbc, dac):
-        if x == 0 or y == 0 or z == 0:
-            orders.append(None)
-            continue
-        wins = {
-            a: int(x > 0) + int(z > 0),
-            b: int(x < 0) + int(y > 0),
-            c: int(y < 0) + int(z < 0),
-        }
-        if tuple(sorted(wins.values())) != (0, 1, 2):
-            orders.append(None)
-            continue
-        orders.append(tuple(sorted(wins, key=wins.get, reverse=True)))
-    return orders
+    labels, table = _ordering_table(tuple(triple))
+    x, y, z = (np.asarray(d) for d in (dab, dbc, dac))
+    bits = [(d > 0).view(np.uint8) for d in (x, y, z)]
+    codes = table[bits[0] | (bits[1] << 1) | (bits[2] << 2)]
+    codes[~((np.abs(x) > 0) & (np.abs(y) > 0) & (np.abs(z) > 0))] = -1
+    return codes, labels
+
+
+def ordering_histogram(codes: np.ndarray, labels: tuple) -> tuple[dict[tuple, int], int]:
+    """Occurrences per observed ordering, and the number of ties."""
+    counts = np.bincount(codes[codes >= 0], minlength=len(labels))
+    histogram = {label: int(k) for label, k in zip(labels, counts) if k}
+    return histogram, int((codes < 0).sum())
 
 
 def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -> RaceProfile:
@@ -181,35 +226,24 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
     remainder bound.
     """
     if n < 2:
-        raise SimulationError("need at least 2 samples")
+        raise SimulationInputError("need at least 2 samples")
     if u1 <= u0:
-        raise SimulationError("empty u range")
+        raise SimulationInputError("empty u range")
     triple = tuple(barrier.relabeled_triple)
     zeros = list(barrier.zeros)
     if not zeros and not allow_empty:
-        raise SimulationError("empty zero configuration")
+        raise SimulationInputError("empty zero configuration")
     config = MainTermConfig.from_zeros(barrier.q, zeros, beta1=barrier.beta1)
     gmax = config.max_gamma()
     floor = max(10.0, math.log(gmax) if gmax > 0 else 0.0)
     if u0 < floor:
-        raise SimulationError(f"u0={u0} below admissible floor {floor:.3f}")
+        raise SimulationInputError(f"u0={u0} below admissible floor {floor:.3f}")
 
     us = np.linspace(u0, u1, n)
     a, b, c = triple
-    dab = pair_diff_grid(config, a, b, us)
-    dbc = pair_diff_grid(config, b, c, us)
-    dac = pair_diff_grid(config, a, c, us)
-
-    histogram: dict[tuple, int] = {}
-    ties = 0
-    codes = []
-    for o in _classify(triple, dab, dbc, dac):
-        if o is None:
-            ties += 1
-            codes.append("tie")
-        else:
-            histogram[o] = histogram.get(o, 0) + 1
-            codes.append(">".join(str(r) for r in o))
+    dab, dbc, dac = pair_diff_grids(config, ((a, b), (b, c), (a, c)), us)
+    codes, labels = classify_orderings(triple, dab, dbc, dac)
+    histogram, ties = ordering_histogram(codes, labels)
 
     diffs = {(a, b): dab, (b, a): -dab, (b, c): dbc, (c, b): -dbc, (a, c): dac, (c, a): -dac}
     x, y, z = barrier.excluded_ordering
@@ -227,6 +261,7 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
         excluded_raw=int((slack > 0).sum()),
         excluded_robust=int((slack > rem).sum()),
         ordering_codes=codes,
+        ordering_labels=labels,
     )
     return profile
 
@@ -333,6 +368,8 @@ class GshProfile:
     controlled_positive: int
     controlled_total: int
     dominance_violations: int
+    ordering_codes: np.ndarray  # int8 per sample: index into ordering_labels, -1 tie
+    ordering_labels: tuple
 
 
 def _nearest_int_dist(x):
@@ -352,18 +389,18 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     asserted.
     """
     if u1 <= u0:
-        raise SimulationError("empty u range")
+        raise SimulationInputError("empty u range")
     if n < 2:
-        raise SimulationError("need at least 2 samples")
+        raise SimulationInputError("need at least 2 samples")
     t = gsh.t
     if gsh.truncation < u1 ** 0.4:
-        raise SimulationError(
+        raise SimulationInputError(
             f"truncation J={gsh.truncation} too small for u1={u1} (need >= u1^0.4)"
         )
     gam = np.asarray(gsh.gammas)
     del_ = np.asarray(gsh.deltas)
     if u0 < max(10.0, math.log(gam.max())):
-        raise SimulationError("u0 below admissible floor for the truncated family")
+        raise SimulationInputError("u0 below admissible floor for the truncated family")
 
     us = np.linspace(u0, u1, n)
     if include_lock_points:
@@ -438,13 +475,8 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     d_a1a2 = d1 * np.exp((sigma2 - sigma1) * us)  # common x^{sigma1} scale
     d_a3a2 = d2
     d_a1a3 = d_a1a2 - d_a3a2
-    histogram: dict[tuple, int] = {}
-    ties = 0
-    for o in _classify((a1, a2, a3), d_a1a2, -d_a3a2, d_a1a3):
-        if o is None:
-            ties += 1
-        else:
-            histogram[o] = histogram.get(o, 0) + 1
+    codes, labels = classify_orderings((a1, a2, a3), d_a1a2, -d_a3a2, d_a1a3)
+    histogram, ties = ordering_histogram(codes, labels)
     x_, y_, z_ = gsh.excluded_ordering
     dmap = {
         (a1, a2): d_a1a2, (a2, a1): -d_a1a2,
@@ -475,6 +507,7 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
         phase_bound_max=phase_bound_max, tail_constant=tail_c,
         controlled_positive=ctrl_pos, controlled_total=ctrl_tot,
         dominance_violations=dom_viol,
+        ordering_codes=codes, ordering_labels=labels,
     )
 
 
@@ -528,13 +561,17 @@ def independence_scenario(q: int, sigma: float, gammas: dict, u0: float = 50.0,
 
 
 def write_profile(profile, path) -> None:
-    """Delimited text: header, then u, D1, D2, ordering code per sample."""
+    """Delimited text: header, then u, D1, D2 and the ordering per sample.
+
+    The ordering is written largest first as ``a>b>c``, or ``tie``.
+    """
     a_cols = profile.d1 is not None and profile.d2 is not None
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["u", "D1", "D2", "ordering"])
         if not a_cols:
             return
-        codes = getattr(profile, "ordering_codes", None) or ["?"] * len(profile.u)
-        for u, x, y, code in zip(profile.u, profile.d1, profile.d2, codes):
-            wr.writerow([format(u, ".15g"), format(x, ".15g"), format(y, ".15g"), code])
+        # the tie code -1 picks the last entry
+        names = [">".join(map(str, o)) for o in profile.ordering_labels] + ["tie"]
+        for u, x, y, code in zip(profile.u, profile.d1, profile.d2, profile.ordering_codes):
+            wr.writerow([format(u, ".15g"), format(x, ".15g"), format(y, ".15g"), names[code]])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -116,6 +117,14 @@ class TestBarrierCommand:
         assert json.loads(out_file.read_text())["parameters"]["t"] == 8000.0
 
 
+def _labels(barrier_file):
+    """Ordering column values a verified profile of the barrier may contain."""
+    data = json.loads(barrier_file.read_text())
+    orders = set(itertools.permutations(data["relabeled_triple"]))
+    orders.remove(tuple(data["excluded_ordering"]))
+    return {">".join(map(str, o)) for o in orders} | {"tie"}
+
+
 class TestSimulateCommand:
     @pytest.fixture()
     def barrier_file(self, tmp_path, capsys):
@@ -159,6 +168,27 @@ class TestSimulateCommand:
     def test_missing_file(self, capsys):
         code, _, err = run(["simulate", "/nonexistent/barrier.json"], capsys)
         assert code == 1
+
+    def test_u0_below_floor_rejected(self, capsys, barrier_file):
+        code, _, err = run(["simulate", str(barrier_file), "--u0", "5"], capsys)
+        assert code == 1 and "rejected" in err and "floor" in err
+
+    def test_empty_range_rejected(self, capsys, barrier_file):
+        code, _, err = run(
+            ["simulate", str(barrier_file), "--u0", "200000", "--u1", "200000"], capsys
+        )
+        assert code == 1 and "empty u range" in err
+
+    def test_profile_ordering_column(self, capsys, barrier_file, tmp_path):
+        prof = tmp_path / "profile.csv"
+        code, _, _ = run(
+            ["simulate", str(barrier_file), "--u0", "200000", "--u1", "200000.07",
+             "--samples", "500", "--out", str(prof)],
+            capsys,
+        )
+        assert code == 0
+        orderings = {row.split(",")[3] for row in prof.read_text().splitlines()[1:]}
+        assert orderings and orderings <= _labels(barrier_file)
 
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -214,3 +244,38 @@ class TestGshCommand:
     def test_inapplicable(self, capsys):
         code, _, err = run(["gsh", "29", "1", "16", "24"], capsys)
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def gsh_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("gsh") / "g.json"
+    assert main(["gsh", "7", "1", "2", "5", "--truncation", "2000", "--out", str(path)]) == 0
+    return path
+
+
+class TestSimulateGshCommand:
+    def test_u0_below_floor_rejected(self, capsys, gsh_file):
+        capsys.readouterr()
+        code, _, err = run(["simulate", str(gsh_file), "--u0", "5"], capsys)
+        assert code == 1 and "rejected" in err and "floor" in err
+
+    def test_truncation_too_small_rejected(self, capsys, gsh_file):
+        capsys.readouterr()
+        code, _, err = run(
+            ["simulate", str(gsh_file), "--u0", "1e9", "--u1", "2e9", "--samples", "10"], capsys
+        )
+        assert code == 1 and "truncation" in err
+
+    def test_profile_ordering_column(self, capsys, gsh_file, tmp_path):
+        capsys.readouterr()
+        prof = tmp_path / "profile.csv"
+        code, _, _ = run(
+            ["simulate", str(gsh_file), "--u0", "1000", "--u1", "1004", "--samples", "300",
+             "--out", str(prof)],
+            capsys,
+        )
+        assert code == 0
+        rows = prof.read_text().splitlines()
+        assert rows[0] == "u,D1,D2,ordering" and len(rows) > 300
+        orderings = {row.split(",")[3] for row in rows[1:]}
+        assert orderings and orderings <= _labels(gsh_file)

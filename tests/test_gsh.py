@@ -16,7 +16,7 @@ from racebarrier.barrier_search import (
     find_gsh_characters,
 )
 from racebarrier.characters import nonprincipal_characters
-from racebarrier.race_simulator import SimulationError, gsh_simulate
+from racebarrier.race_simulator import SimulationError, SimulationInputError, gsh_simulate
 
 
 @pytest.fixture(scope="module")
@@ -118,12 +118,20 @@ class TestSimulation:
         assert np.all(tails <= prof.tail_constant * us ** -0.75 + 1e-18)
 
     def test_truncation_guard(self, gsh7):
-        with pytest.raises(SimulationError):
-            gsh_simulate(gsh7, 1e9, 2e9, 100)
+        # J = 10^4 is below u1^0.4 only for u1 > 10^10
+        with pytest.raises(SimulationInputError, match="truncation"):
+            gsh_simulate(gsh7, 1e10, 2e10, 100)
 
     def test_floor_guard(self, gsh7):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationInputError, match="floor"):
             gsh_simulate(gsh7, 12.0, 14.0, 100)
+
+    def test_failed_certificate_is_not_an_input_error(self, gsh7):
+        """Far beyond its window the truncated family loses positivity: a
+        verification failure, reported as SimulationError proper."""
+        with pytest.raises(SimulationError) as info:
+            gsh_simulate(gsh7, 1e9, 2e9, 100)
+        assert not isinstance(info.value, SimulationInputError)
 
 
 class TestGshSerialization:

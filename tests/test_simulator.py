@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -11,15 +13,20 @@ from racebarrier.characters import DirichletCharacter, nonprincipal_characters
 from racebarrier.race_simulator import (
     MainTermConfig,
     SimulationError,
+    SimulationInputError,
+    classify_orderings,
     envelope3_max,
     envelope_h,
     envelope_min,
     main_term_pair_diff,
+    ordering_histogram,
     pair_diff_grid,
+    pair_diff_grids,
     remainder_bound,
     simulate,
     v_lambda,
     verify_exclusion,
+    write_profile,
 )
 
 
@@ -204,7 +211,7 @@ class _EmptyBarrier:
 
 class TestSimulate:
     def test_rejects_empty(self, barrier7):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationInputError):
             simulate(_EmptyBarrier(barrier7), 50.0, 51.0, 100)
 
     def test_empty_allowed_gives_ties(self, barrier7):
@@ -212,7 +219,7 @@ class TestSimulate:
         assert prof.ties == 100 and not prof.ordering_histogram
 
     def test_u0_floor(self, barrier7):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationInputError):
             simulate(barrier7, 5.0, 6.0, 10)
 
     def test_histogram_totals(self, barrier7):
@@ -250,6 +257,183 @@ class TestSimulate:
         locks = np.array([base + k * math.pi / t for k in range(k0, k0 + 2000)])
         vals = pair_diff_grid(cfg, b1, b2, locks)
         assert np.all(vals > 0) or np.all(vals < 0)
+
+
+class TestRejectedInput:
+    def test_input_errors_are_simulation_errors(self):
+        assert issubclass(SimulationInputError, SimulationError)
+
+    @pytest.mark.parametrize("u0, u1, n", [(2e5, 2e5, 100), (2e5, 2e5 + 1.0, 1)])
+    def test_range_and_sample_count(self, barrier7, u0, u1, n):
+        with pytest.raises(SimulationInputError):
+            simulate(barrier7, u0, u1, n)
+
+
+def _classify(triple, dab, dbc, dac):
+    """Per-sample ordering classifier the table-driven one replaced (oracle)."""
+    a, b, c = triple
+    orders = []
+    for x, y, z in zip(dab, dbc, dac):
+        if x == 0 or y == 0 or z == 0:
+            orders.append(None)
+            continue
+        wins = {
+            a: int(x > 0) + int(z > 0),
+            b: int(x < 0) + int(y > 0),
+            c: int(y < 0) + int(z < 0),
+        }
+        if tuple(sorted(wins.values())) != (0, 1, 2):
+            orders.append(None)
+            continue
+        orders.append(tuple(sorted(wins, key=wins.get, reverse=True)))
+    return orders
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0, 5e-324, -5e-324, math.inf, -math.inf])
+_MAGNITUDE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+# strict signs (+, +, -) or (-, -, +) on (ab, bc, ac) are the two sign cycles
+_CYCLE = st.builds(
+    lambda signs, mags: tuple(s * m for s, m in zip(signs, mags)),
+    st.sampled_from([(1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)]),
+    st.tuples(_MAGNITUDE, _MAGNITUDE, _MAGNITUDE),
+)
+_VALUE = st.one_of(st.floats(), _SPECIAL)
+_ROWS = st.lists(st.one_of(st.tuples(_VALUE, _VALUE, _VALUE), _CYCLE), max_size=60)
+
+
+class TestOrderingClassifier:
+    @given(
+        st.lists(st.integers(1, 200), min_size=3, max_size=3, unique=True),
+        _ROWS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_per_sample_oracle(self, triple, rows):
+        dab, dbc, dac = (np.array([r[i] for r in rows], dtype=float) for i in range(3))
+        codes, labels = classify_orderings(triple, dab, dbc, dac)
+        assert codes.dtype == np.int8 and len(codes) == len(rows)
+        want = _classify(triple, dab, dbc, dac)
+        assert [labels[k] if k >= 0 else None for k in codes] == want
+        histogram, ties = ordering_histogram(codes, labels)
+        want_hist = {}
+        for o in want:
+            if o is not None:
+                want_hist[o] = want_hist.get(o, 0) + 1
+        assert histogram == want_hist
+        assert ties == want.count(None)
+
+    def test_labels_are_the_six_orderings(self):
+        codes, labels = classify_orderings((3, 1, 2), [1.0], [1.0], [1.0])
+        assert sorted(labels) == sorted(itertools.permutations((3, 1, 2)))
+        assert labels[codes[0]] == (3, 1, 2)
+
+
+def _reference_pair_diff(config, a, b, us):
+    """Pair-by-pair main term, one exp/cos/sin evaluation per pair and rho."""
+    out = np.zeros_like(us)
+    if a == b:
+        return out
+    for rho, c in config.pair_coefficients(a, b).items():
+        if c == 0:
+            continue
+        expo = (rho.real - config.sigma_max) * us
+        phase = rho.imag * us
+        z = c / rho
+        out += -2.0 * np.exp(expo) * (z.real * np.cos(phase) - z.imag * np.sin(phase))
+    return out
+
+
+def _window(barrier, n=2000):
+    gam = min(z.gamma for z in barrier.zeros)
+    return 2e5, 2e5 + 10 * 2 * math.pi / gam, n
+
+
+# verdict fields of simulate(barrier, *_window(barrier)) recorded before the
+# shared kernel and the table-driven classifier replaced the per-pair and
+# per-sample code; the kernel must reproduce them exactly
+_PINNED = {
+    (7, 1, 2, 5): (
+        "I",
+        {(2, 1, 5): 500, (1, 2, 5): 500, (5, 2, 1): 500, (5, 1, 2): 500},
+        0, 2.5252244550264366e-06, 1.5968061868255866e-07, 0, 0,
+    ),
+    (23, 2, 3, 4): (
+        "II",
+        {(2, 4, 3): 160, (4, 2, 3): 470, (4, 3, 2): 309, (3, 4, 2): 530, (2, 3, 4): 531},
+        0, 0.0005007393887252842, 2.6592917075254156e-07, 0, 0,
+    ),
+    (19, 2, 3, 14): (
+        "III",
+        {(3, 2, 14): 500, (3, 14, 2): 262, (14, 3, 2): 477, (14, 2, 3): 261, (2, 14, 3): 500},
+        0, 0.9979711534845032, 0.00011972624494033265, 0, 0,
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_PINNED), ids=lambda t: "q%d_%d_%d_%d" % t)
+def pinned_barrier(request):
+    return request.param, rb.find_barrier(rb.RaceTriple(*request.param))
+
+
+def _verdict(profile):
+    return (profile.ordering_histogram, profile.ties, profile.margin, profile.remainder,
+            profile.excluded_raw, profile.excluded_robust)
+
+
+class TestPairKernel:
+    def test_bit_identical_to_per_pair_loop(self, pinned_barrier):
+        _, barrier = pinned_barrier
+        cfg = MainTermConfig.from_zeros(barrier.q, barrier.zeros, beta1=barrier.beta1)
+        a, b, c = barrier.relabeled_triple
+        us = np.linspace(*_window(barrier))
+        pairs = ((a, b), (b, c), (a, c))
+        got = pair_diff_grids(cfg, pairs, us)
+        for (x, y), d in zip(pairs, got):
+            want = _reference_pair_diff(cfg, x, y, us)
+            assert np.array_equal(d, want)
+            assert np.array_equal(pair_diff_grid(cfg, x, y, us), want)
+
+    def test_equal_pair_is_zero(self, barrier7):
+        cfg = MainTermConfig.from_zeros(barrier7.q, barrier7.zeros, beta1=barrier7.beta1)
+        us = np.linspace(2e5, 2e5 + 1.0, 10)
+        same, other = pair_diff_grids(cfg, ((2, 2), (1, 2)), us)
+        assert not same.any() and other.any()
+
+    def test_verdict_unchanged(self, pinned_barrier):
+        triple, barrier = pinned_barrier
+        construction, *verdict = _PINNED[triple]
+        assert barrier.construction == construction
+        assert _verdict(simulate(barrier, *_window(barrier))) == tuple(verdict)
+
+    def test_mutant_verdict_unchanged(self, barrier7):
+        """The character flip the CLI's tampering test makes, still caught."""
+        z0 = barrier7.zeros[0]
+        flipped = dataclasses.replace(z0, character=DirichletCharacter(7, (1,)))
+        mutant = dataclasses.replace(barrier7, zeros=(flipped,) + tuple(barrier7.zeros[1:]))
+        prof = simulate(mutant, *_window(barrier7))
+        assert _verdict(prof) == (
+            {(5, 1, 2): 501, (1, 5, 2): 333, (1, 2, 5): 167, (2, 1, 5): 499, (2, 5, 1): 334,
+             (5, 2, 1): 166},
+            0, -0.0013072176651708109, 1.5968061868255863e-07, 333, 333,
+        )
+
+
+class TestWriteProfile:
+    def test_ordering_column(self, barrier7, tmp_path):
+        prof = simulate(barrier7, 2e5, 2e5 + 0.01, 50)
+        path = tmp_path / "p.csv"
+        write_profile(prof, path)
+        rows = path.read_text().splitlines()
+        assert rows[0] == "u,D1,D2,ordering"
+        names = [row.split(",")[3] for row in rows[1:]]
+        want = [">".join(map(str, prof.ordering_labels[k])) if k >= 0 else "tie"
+                for k in prof.ordering_codes]
+        assert names == want and len(names) == 50
+
+    def test_ties_written_as_tie(self, barrier7, tmp_path):
+        prof = simulate(_EmptyBarrier(barrier7), 50.0, 51.0, 5, allow_empty=True)
+        path = tmp_path / "p.csv"
+        write_profile(prof, path)
+        assert [row.split(",")[3] for row in path.read_text().splitlines()[1:]] == ["tie"] * 5
 
 
 class TestIndependenceScenario:
