@@ -24,7 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,13 +32,14 @@ from .characters import (
     DirichletCharacter,
     character_group,
     character_pair_constraint,
+    character_table,
     nonprincipal_characters,
 )
-from .cyclotomic import angles_to_counts, reduce_root_sum
 from .goodness import spacing_ok, witness_for
 from .residue_group import (
     check_modulus,
     check_residue,
+    factorize,
     mod_div,
     multiplicative_order,
     unit_group_structure,
@@ -48,7 +48,6 @@ from .residue_group import (
 TWO_PI = 2.0 * math.pi
 B_SNAP = 1e-12  # treat the phase offset as exactly zero below this
 NE_SLACK = 1e-9  # float slack before escalating an (in)equality to high precision
-SUBSET_CAP_PHI = 17  # full subset enumeration allowed while phi(q) <= this
 
 
 class ConstructionError(RuntimeError):
@@ -179,22 +178,6 @@ class BarrierParams:
 
 
 # ---------------------------------------------------------------------------
-# fast integer-angle tables
-
-
-@lru_cache(maxsize=None)
-def _angle_tables(q: int):
-    """per-character integer angles: tables[ci][a] = k with chi(a) = e(k/n)."""
-    group = unit_group_structure(q)
-    n = group.exponent
-    chars = character_group(q)
-    tables = []
-    for chi in chars:
-        tables.append({a: chi.angle_numerator(a) for a in group.units})
-    return chars, tables, n
-
-
-# ---------------------------------------------------------------------------
 # first construction: search
 
 
@@ -217,33 +200,37 @@ def _relabelings(D: RaceTriple):
         yield perm, tuple(res[i] for i in perm)
 
 
-def _first_separating_character(q: int, a1: int, a2: int) -> DirichletCharacter:
-    chars, tables, n = _angle_tables(q)
-    for ci, chi in enumerate(chars):
-        if chi.is_principal:
-            continue
-        if tables[ci][a1] != tables[ci][a2]:
-            return chi
-    raise ConstructionError(f"no character separates {a1} and {a2} mod {q}")
+def _first_separating_character(D: RaceTriple, cols, i: int, j: int) -> DirichletCharacter:
+    """First non-principal character with different values at D's residues
+    i and j; cols holds the table columns of D's residues."""
+    x, y = cols[i], cols[j]
+    for ci in range(1, len(x)):  # row 0 is the principal character
+        if x[ci] != y[ci]:
+            return character_group(D.q)[ci]
+    raise ConstructionError(
+        f"no character separates {D.residues[i]} and {D.residues[j]} mod {D.q}"
+    )
 
 
 def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
     """Character set S with equal value sums on two residues, different on the third.
 
     Family priority: primitive-root shortcut, singletons, conjugate pairs,
-    power families (which subsume the even-power variant), then full subset
-    enumeration while phi(q) <= 17.  First success in deterministic order wins.
-    Also returns a character separating the first two relabeled residues.
+    power families (which subsume the even-power variant).  First success in
+    deterministic order wins; None when no family applies.  These families
+    decide every triple whose modulus has phi(q) <= 17, so no search over
+    arbitrary subsets is made.  Also returns a character separating the
+    first two relabeled residues.
     """
     q = D.q
-    chars, tables, n = _angle_tables(q)
+    chars = character_group(q)
     group = unit_group_structure(q)
+    n = group.exponent
+    cols = character_table(q).columns(D.residues)
 
     def package(perm, triple, family, char_list):
-        sums = tuple(
-            sum(chi.value(a) for chi in char_list) for a in triple
-        )
-        chi2 = _first_separating_character(q, triple[0], triple[1])
+        sums = tuple(sum(chi.value(a) for chi in char_list) for a in triple)
+        chi2 = _first_separating_character(D, cols, perm[0], perm[1])
         return EqualSumSet(perm, triple, family, tuple(char_list), chi2, sums)
 
     # primitive-root shortcut: cyclic group, second ratio outside <a2/a1>
@@ -258,74 +245,36 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
                 assert chi.evaluate(b1) == chi.evaluate(b2) != chi.evaluate(b3)
                 return package(perm, (b1, b2, b3), "primitive-root", [chi])
 
-    nonprinc = [ci for ci, chi in enumerate(chars) if not chi.is_principal]
+    nonprinc = range(1, len(chars))  # row 0 is the principal character
 
     # singletons
     for perm, triple in _relabelings(D):
+        c1, c2, c3 = (cols[i] for i in perm)
         for ci in nonprinc:
-            t = tables[ci]
-            k1, k2, k3 = t[triple[0]], t[triple[1]], t[triple[2]]
-            if k1 == k2 != k3:
+            if c1[ci] == c2[ci] != c3[ci]:
                 return package(perm, triple, "singleton", [chars[ci]])
 
     # conjugate pairs: sums are 2 cos(2 pi k / n)
     for perm, triple in _relabelings(D):
+        c1, c2, c3 = (cols[i] for i in perm)
         for ci in nonprinc:
             if chars[ci].order <= 2:
                 continue
-            t = tables[ci]
-            k1, k2, k3 = t[triple[0]], t[triple[1]], t[triple[2]]
+            k1, k2, k3 = c1[ci], c2[ci], c3[ci]
             if (k1 == k2 or (k1 + k2) % n == 0) and k3 != k1 and (k1 + k3) % n != 0:
                 pair = [chars[ci], chars[ci].conjugate()]
                 return package(perm, triple, "conjugate-pair", pair)
 
     # power families {chi, ..., chi^(ord-1)}: sums depend only on chi(a) = 1 or not
     for perm, triple in _relabelings(D):
+        c1, c2, c3 = (cols[i] for i in perm)
         for ci in nonprinc:
-            t = tables[ci]
-            z1, z2, z3 = t[triple[0]] == 0, t[triple[1]] == 0, t[triple[2]] == 0
+            z1, z2, z3 = c1[ci] == 0, c2[ci] == 0, c3[ci] == 0
             if z1 == z2 != z3:
                 chi = chars[ci]
                 fam = [chi**i for i in range(1, chi.order)]
                 return package(perm, triple, "power", fam)
-
-    # full subsets with a float screen and exact cyclotomic confirmation
-    if group.phi <= SUBSET_CAP_PHI:
-        res = D.residues
-        vals = [
-            [cmath.exp(TWO_PI * 1j * tables[ci][a] / n) for a in res] for ci in nonprinc
-        ]
-        kvecs = [[tables[ci][a] for a in res] for ci in nonprinc]
-        m_count = len(nonprinc)
-        for mask in range(1, 1 << m_count):
-            s = [0j, 0j, 0j]
-            mm = mask
-            while mm:
-                b = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                v = vals[b]
-                s[0] += v[0]
-                s[1] += v[1]
-                s[2] += v[2]
-            for perm in _PERMS:
-                i, j, k = perm
-                # float screen on the equality only; the exact cyclotomic
-                # check decides both the equality and the difference
-                if abs(s[i] - s[j]) < NE_SLACK:
-                    members = [b for b in range(m_count) if mask >> b & 1]
-                    if _subset_exact_ok(kvecs, members, perm, n):
-                        triple = tuple(res[p] for p in perm)
-                        fam = [chars[nonprinc[b]] for b in members]
-                        return package(perm, triple, "subset", fam)
     return None
-
-
-def _subset_exact_ok(kvecs, members, perm, n) -> bool:
-    i, j, k = perm
-    si = reduce_root_sum(angles_to_counts([kvecs[b][i] for b in members], n), n)
-    sj = reduce_root_sum(angles_to_counts([kvecs[b][j] for b in members], n), n)
-    sk = reduce_root_sum(angles_to_counts([kvecs[b][k] for b in members], n), n)
-    return si == sj and si != sk
 
 
 # ---------------------------------------------------------------------------
@@ -425,28 +374,6 @@ class CaseIDeferral:
 _SMALL_PRIME_SET = frozenset((3, 7, 13))
 
 
-def _prime_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def multiplicities_for(d1: Fraction, d2: Fraction) -> tuple[int, int]:
     if d1 > Fraction(1, 3):
         return (1, 2)
@@ -471,11 +398,10 @@ def find_spacing_character(D: RaceTriple):
         s1 = multiplicative_order(q, mod_div(q, b2, b1))
         s2 = multiplicative_order(q, mod_div(q, b3, b2))
         s3 = multiplicative_order(q, mod_div(q, b1, b3))
-        for p in _prime_factors(s1):
-            w = _prime_valuation(s1, p)
+        for p, w in factorize(s1):
             if p**w in _SMALL_PRIME_SET:
                 continue
-            if _prime_valuation(s2, p) > w or _prime_valuation(s3, p) > w:
+            if s2 % p ** (w + 1) == 0 or s3 % p ** (w + 1) == 0:
                 continue
             return _spacing_from_route(D, perm, (b1, b2, b3), p**w, p)
     # the {39, 91, 273} route
@@ -498,11 +424,7 @@ def _spacing_from_route(D: RaceTriple, perm, triple, r: int, p: int | None):
     if p is not None:
         # reduce to chi2 with chi2(b2/b1) = e(1/m), m = p or p^2
         u_exp = 2 if p in _SMALL_PRIME_SET else 1
-        w = r
-        e = 0
-        while w % p == 0:
-            w //= p
-            e += 1
+        [(_, e)] = factorize(r)  # r = p^e
         chi2 = chi1 ** (p ** (e - u_exp))
         m = p**u_exp
     else:
@@ -887,7 +809,8 @@ def _equal_sum_from_deferral(D: RaceTriple, deferral: CaseIDeferral) -> EqualSum
         if vals[i] == vals[j] != vals[kk]:
             triple = (b[i], b[j], b[kk])
             perm = tuple(D.residues.index(a) for a in triple)
-            chi2 = _first_separating_character(D.q, triple[0], triple[1])
+            cols = character_table(D.q).columns(D.residues)
+            chi2 = _first_separating_character(D, cols, perm[0], perm[1])
             sums = tuple(chi.value(a) for a in triple)
             return EqualSumSet(perm, triple, "deferral-singleton", (chi,), chi2, sums)
     raise ConstructionError("deferral character has no coinciding value pair")
@@ -928,29 +851,23 @@ def find_gsh_characters(D: RaceTriple, sigma1: float = 0.6, t: float = 1000.0):
     the slow-drift values 0 and 1/2 is chosen, so the window checks carry
     information at moderate heights; ties resolve to the canonical first.
     """
-    q = D.q
-    chars, tables, n = _angle_tables(q)
-    nonprinc = [ci for ci, chi in enumerate(chars) if not chi.is_principal]
+    chars = character_group(D.q)
+    cols = character_table(D.q).columns(D.residues)
     best = None
     best_score = -1.0
     for perm, (b1, b2, b3) in _relabelings(D):
-        for ci in nonprinc:
-            t_ang = tables[ci]
-            if not (t_ang[b1] == t_ang[b2] != t_ang[b3]):
+        c1, c2, c3 = (cols[i] for i in perm)
+        for ci in range(1, len(chars)):  # row 0 is the principal character
+            if not (c1[ci] == c2[ci] != c3[ci]):
                 continue
             chi1 = chars[ci]
             z = chi1.value(b2).conjugate() - chi1.value(b3).conjugate()
             alpha = -(math.atan(sigma1 / t) + cmath.phase(z)) / math.pi
             score = _phase_quality(alpha)
             if score > best_score + 1e-12:
-                chi2 = None
-                for cj in nonprinc:
-                    if tables[cj][b1] != tables[cj][b2]:
-                        chi2 = chars[cj]
-                        break
-                if chi2 is not None:
-                    best = (perm, (b1, b2, b3), chi1, chi2)
-                    best_score = score
+                chi2 = _first_separating_character(D, cols, perm[0], perm[1])
+                best = (perm, (b1, b2, b3), chi1, chi2)
+                best_score = score
     return best
 
 

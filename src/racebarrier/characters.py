@@ -2,25 +2,28 @@
 
 A character is its exponent vector (h_1..h_t) over the canonical generators:
 chi(g_i) = e(h_i / s_i).  Values on units are exact fractions of a turn;
-complex numbers are materialized only at the simulator boundary.
+complex numbers are materialized only at the simulator boundary.  Every value
+is read from one integer table per modulus (`character_table`).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+
+import numpy as np
 
 from .cyclotomic import angles_to_counts, reduce_root_sum
 from .residue_group import (
     check_modulus,
     check_residue,
     dlog_vector,
+    factorize,
     multiplicative_order,
     unit_group_structure,
+    vector_order,
 )
 
 RationalAngle = Fraction  # value e(angle), angle reduced into [0, 1)
@@ -48,8 +51,7 @@ class DirichletCharacter:
 
     @cached_property
     def order(self) -> int:
-        orders = self.group.orders
-        return lcm(*(s // gcd(h, s) for h, s in zip(self.exponents, orders))) if orders else 1
+        return vector_order(self.exponents, self.group.orders)
 
     def evaluate(self, a: int) -> RationalAngle:
         """Exact angle of chi(a) as a fraction of a turn in [0, 1)."""
@@ -57,11 +59,9 @@ class DirichletCharacter:
 
     def angle_numerator(self, a: int) -> int:
         """Angle as integer k with chi(a) = e(k / exponent)."""
-        a = check_residue(self.q, a)
-        f = dlog_vector(self.q, a)
-        g = self.group
-        n = g.exponent
-        return sum(h * fi * (n // s) for h, fi, s in zip(self.exponents, f, g.orders)) % n
+        table = character_table(self.q)
+        col = table.column.item(check_residue(self.q, a))
+        return table.angles.item(self._row, col)
 
     def value(self, a: int) -> complex:
         return _roots_of_unity(self.group.exponent)[self.angle_numerator(a)]
@@ -85,6 +85,10 @@ class DirichletCharacter:
 
     def index(self) -> int:
         """Canonical position: row-major over the generator orders."""
+        return self._row
+
+    @cached_property
+    def _row(self) -> int:
         idx = 0
         for h, s in zip(self.exponents, self.group.orders):
             idx = idx * s + h
@@ -122,6 +126,49 @@ def character_group(q: int) -> tuple[DirichletCharacter, ...]:
     return tuple(chars)
 
 
+@dataclass(frozen=True)
+class CharacterTable:
+    """Every character value mod q as an integer angle numerator.
+
+    chi(a) = e(angles[chi.index(), column[a]] / exponent); rows follow
+    `character_group`, columns the units in ascending order, and column[a]
+    is -1 for a non-unit a.  The columns are contiguous, so one residue's
+    values over all characters are read in one slice.
+    """
+
+    q: int
+    exponent: int
+    angles: np.ndarray = field(repr=False, compare=False)
+    column: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def roots(self) -> tuple[complex, ...]:
+        """roots[k] = e(k / exponent), the complex value of angle numerator k."""
+        return _roots_of_unity(self.exponent)
+
+    def columns(self, residues) -> list[list[int]]:
+        """Per residue, its angle numerators over all characters in row order."""
+        by_unit = self.angles.T
+        return [by_unit[self.column.item(check_residue(self.q, a))].tolist() for a in residues]
+
+
+@lru_cache(maxsize=None)
+def character_table(q: int) -> CharacterTable:
+    """One product: the dlog vectors times the exponents scaled by n / s_i, mod n."""
+    group = unit_group_structure(check_modulus(q))
+    n = group.exponent
+    units = group.units
+    exps = np.array([chi.exponents for chi in character_group(q)], dtype=np.int64)
+    scaled = exps * np.array([n // s for s in group.orders], dtype=np.int64)
+    dlogs = np.array([group.dlog[a] for a in units], dtype=np.int64)
+    angles = dlogs @ scaled.T
+    angles %= n
+    column = np.full(q, -1, dtype=np.int64)
+    column[units] = np.arange(len(units))
+    angles.flags.writeable = column.flags.writeable = False  # shared by every caller
+    return CharacterTable(q, n, angles.T, column)
+
+
 def principal_character(q: int) -> DirichletCharacter:
     group = unit_group_structure(q)
     return DirichletCharacter(q, (0,) * len(group.orders))
@@ -131,35 +178,22 @@ def nonprincipal_characters(q: int) -> tuple[DirichletCharacter, ...]:
     return tuple(ch for ch in character_group(q) if not ch.is_principal)
 
 
-def char_order(chi: DirichletCharacter) -> int:
-    return chi.order
-
-
-def evaluate(chi: DirichletCharacter, a: int) -> RationalAngle:
-    return chi.evaluate(a)
-
-
 def character_with_unit_value(q: int, b: int) -> DirichletCharacter:
     """A character with chi(b) = e(1/m), m the order of b mod q.
 
-    Solves sum_i h_i * (f_i' m / s_i') ≡ 1 (mod m) over the generator basis;
-    the gcd of m and those t numbers is 1, so the congruence is solvable.
+    Solves sum_i h_i * (f_i m / s_i) ≡ 1 (mod m) over the generator basis,
+    f the dlog vector of b; each f_i m / s_i is an integer because
+    s_i / gcd(f_i, s_i) divides m, and the gcd of m and those t numbers is 1,
+    so the congruence is solvable.
     """
     q = check_modulus(q)
     b = check_residue(q, b)
-    group = unit_group_structure(q)
+    orders = unit_group_structure(q).orders
     f = dlog_vector(q, b)
-    orders = group.orders
-    s_red = []  # s_i' = order of g_i^{f_i}
-    f_red = []  # f_i' = f_i / gcd(f_i, s_i)
-    for fi, s in zip(f, orders):
-        d = gcd(fi, s)
-        s_red.append(s // d)
-        f_red.append(fi // d)
-    m = lcm(*s_red) if s_red else 1
+    m = vector_order(f, orders)
     if m == 1:
         return principal_character(q)
-    coefs = [fp * (m // sp) for fp, sp in zip(f_red, s_red)]
+    coefs = [fi * m // s for fi, s in zip(f, orders)]
     h = _solve_unit_combination(m, coefs)
     exps = tuple(hi % s for hi, s in zip(h, orders))
     chi = DirichletCharacter(q, exps)
@@ -213,7 +247,7 @@ def character_pair_constraint(q: int, b: int, c: int, r: int) -> DirichletCharac
     if s1 % r != 0:
         raise ValueError(f"r={r} does not divide ord({b}) = {s1}")
     s2 = multiplicative_order(q, c)
-    for p, a in _factorize(r):
+    for p, a in factorize(r):
         if s2 % p ** (a + 1) == 0:
             raise ValueError(
                 f"prime power {p}^{a} || r={r} but {p}^{a + 1} divides ord({c}) = {s2}"
@@ -222,7 +256,7 @@ def character_pair_constraint(q: int, b: int, c: int, r: int) -> DirichletCharac
         return principal_character(q)
     # split s2 = v*u with v collecting the primes of r (so v | r) and u coprime to r
     v = 1
-    for p, _ in _factorize(r):
+    for p, _ in factorize(r):
         while s2 % (v * p) == 0:
             v *= p
     u = s2 // v
@@ -233,22 +267,6 @@ def character_pair_constraint(q: int, b: int, c: int, r: int) -> DirichletCharac
     assert chi.evaluate(b) == Fraction(1, r)
     assert (r * chi.evaluate(c)) % 1 == 0
     return chi
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def character_sum_reduced(chars, a: int):

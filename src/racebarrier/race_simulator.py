@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, character_table, nonprincipal_characters
+from .residue_group import unit_group_structure
 
 LN2 = math.log(2.0)
 TWO_PI_ = 2.0 * math.pi
@@ -53,9 +54,13 @@ class MainTermConfig:
 
     def pair_coefficients(self, a: int, b: int) -> dict[complex, complex]:
         """Per-distinct-rho coefficient sum_chi n(rho,chi)(conj chi(a) - conj chi(b))."""
+        table = character_table(self.q)
+        roots = table.roots
+        ka, kb = table.columns((a, b))
         coeffs: dict[complex, complex] = {}
         for chi, rho, mult in self.zeros:
-            w = (chi.value(a).conjugate() - chi.value(b).conjugate()) * mult
+            row = chi.index()
+            w = (roots[ka[row]].conjugate() - roots[kb[row]].conjugate()) * mult
             coeffs[rho] = coeffs.get(rho, 0j) + w
         return coeffs
 
@@ -523,9 +528,6 @@ def independence_scenario(q: int, sigma: float, gammas: dict, u0: float = 50.0,
     functions is expected to appear eventually; the census reports what a
     finite grid sees and asserts nothing.
     """
-    from .characters import nonprincipal_characters
-    from .residue_group import unit_group_structure
-
     chars = nonprincipal_characters(q)
     if set(gammas) != set(chars):
         raise ValueError("need exactly one ordinate per non-principal character")
@@ -533,7 +535,9 @@ def independence_scenario(q: int, sigma: float, gammas: dict, u0: float = 50.0,
     if any(abs(x - y) < 1e-12 for x, y in zip(vals, vals[1:])):
         raise ValueError("ordinates must be pairwise distinct")
 
-    units = unit_group_structure(q).units
+    units = unit_group_structure(q).units  # the table's column order
+    table = character_table(q)
+    roots = table.roots
     us = np.linspace(u0, u1, n)
     v = np.zeros((len(units), n))
     for chi in chars:
@@ -541,8 +545,8 @@ def independence_scenario(q: int, sigma: float, gammas: dict, u0: float = 50.0,
         rho = complex(sigma, g)
         ph = g * us
         cosp, sinp = np.cos(ph), np.sin(ph)
-        for ai, a in enumerate(units):
-            w = chi.value(a).conjugate() / rho
+        for ai, k in enumerate(table.angles[chi.index()].tolist()):
+            w = roots[k].conjugate() / rho
             v[ai] += -2.0 * (w.real * cosp - w.imag * sinp)
 
     order_idx = np.argsort(-v, axis=0, kind="stable")

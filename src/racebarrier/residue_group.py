@@ -147,15 +147,15 @@ def unit_group_structure(q: int) -> UnitGroupStructure:
     return UnitGroupStructure(q, tuple(gens), tuple(orders), exponent, dlog)
 
 
+def vector_order(vec: tuple[int, ...], orders: tuple[int, ...]) -> int:
+    """Order of the element with exponent vector vec: lcm of s_i / gcd(f_i, s_i)."""
+    return lcm(*(s // gcd(f, s) for f, s in zip(vec, orders))) if orders else 1
+
+
 def multiplicative_order(q: int, b: int) -> int:
-    """Smallest m >= 1 with b^m ≡ 1 (mod q)."""
+    """Smallest m >= 1 with b^m ≡ 1 (mod q), from the dlog vector of b."""
     q = check_modulus(q)
-    b = check_residue(q, b)
-    m, x = 1, b
-    while x != 1:
-        x = x * b % q
-        m += 1
-    return m
+    return vector_order(dlog_vector(q, b), unit_group_structure(q).orders)
 
 
 def dlog_vector(q: int, b: int) -> tuple[int, ...]:

@@ -132,6 +132,20 @@ class TestFindEqualSumSet:
                     break
             assert (found is not None) == oracle_hit
 
+    def test_families_decide_every_triple_with_phi_at_most_17(self):
+        """Every ordered triple of the 27 moduli with phi(q) <= 17 (5 through
+        60) is decided by a structured family, so no search over arbitrary
+        character subsets is needed."""
+        moduli = [q for q in range(5, 201) if q != 6 and unit_group_structure(q).phi <= 17]
+        assert len(moduli) == 27 and max(moduli) == 60
+        count = 0
+        for q in moduli:
+            for triple in itertools.permutations(unit_group_structure(q).units, 3):
+                found = find_equal_sum_set(RaceTriple(q, *triple))
+                assert found is not None and found.family != "subset", (q, triple)
+                count += 1
+        assert count == 31_776
+
 
 class TestConstructionOne:
     def test_q7_structure(self):

@@ -12,12 +12,13 @@ from racebarrier.characters import (
     character_group,
     character_pair_constraint,
     character_sum_reduced,
+    character_table,
     character_with_unit_value,
     nonprincipal_characters,
     principal_character,
 )
 from racebarrier.cyclotomic import angles_to_counts, reduce_root_sum
-from racebarrier.residue_group import unit_group_structure
+from racebarrier.residue_group import check_modulus, dlog_vector, unit_group_structure
 
 SMALL_Q = st.one_of(st.just(5), st.integers(min_value=7, max_value=60))
 
@@ -71,6 +72,55 @@ class TestEvaluate:
             for chi in character_group(q):
                 for a in units_of(q):
                     assert Fraction(chi.angle_numerator(a), n) % 1 == chi.evaluate(a)
+
+
+class TestCharacterTable:
+    @staticmethod
+    def per_generator_angle(chi, a):
+        """Reference: sum_i h_i f_i (n / s_i) mod n over the dlog vector f of a."""
+        group = unit_group_structure(chi.q)
+        n = group.exponent
+        f = dlog_vector(chi.q, a)
+        return sum(h * fi * (n // s) for h, fi, s in zip(chi.exponents, f, group.orders)) % n
+
+    def test_matches_per_generator_formula_for_every_q_up_to_200(self):
+        for q in range(5, 201):
+            try:
+                check_modulus(q)
+            except ValueError:
+                continue
+            group = unit_group_structure(q)
+            units = group.units
+            table = character_table(q)
+            assert table.exponent == group.exponent
+            assert table.angles.shape == (group.phi, group.phi)
+            assert not (table.angles.flags.writeable or table.column.flags.writeable)
+            assert table.column[units].tolist() == list(range(group.phi))
+            assert (table.column == -1).sum() == q - group.phi
+            for chi, row in zip(character_group(q), table.angles.tolist()):
+                assert row == [self.per_generator_angle(chi, a) for a in units], (q, chi)
+
+    def test_reads_agree_with_the_table(self):
+        q = 24
+        table = character_table(q)
+        units = units_of(q)
+        cols = table.columns(units)
+        n = table.exponent
+        for chi in character_group(q):
+            for a, col in zip(units, cols):
+                k = chi.angle_numerator(a)
+                assert type(k) is int and k == col[chi.index()]
+                assert chi.angle_numerator(a + 5 * q) == k
+                assert chi.evaluate(a) == Fraction(k, n)
+                assert chi.value(a) == table.roots[k] == angle_to_complex(Fraction(k, n))
+
+    @pytest.mark.parametrize("a", [0, 2, 3, 12, -4, 30])
+    def test_non_unit_rejected_on_every_read(self, a):
+        chi = character_group(12)[1]
+        for read in (chi.angle_numerator, chi.value, chi.evaluate,
+                     lambda a: character_table(12).columns((1, a))):
+            with pytest.raises(ValueError, match="not coprime"):
+                read(a)
 
 
 class TestCharOrder:
