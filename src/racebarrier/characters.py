@@ -8,7 +8,9 @@ is read from one integer table per modulus (`character_table`).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -59,12 +61,10 @@ class DirichletCharacter:
 
     def angle_numerator(self, a: int) -> int:
         """Angle as integer k with chi(a) = e(k / exponent)."""
-        table = character_table(self.q)
-        col = table.column.item(check_residue(self.q, a))
-        return table.angles.item(self._row, col)
+        return character_table(self.q).angle(self.index, a)
 
     def value(self, a: int) -> complex:
-        return _roots_of_unity(self.group.exponent)[self.angle_numerator(a)]
+        return character_table(self.q).roots[self.angle_numerator(a)]
 
     def conjugate(self) -> "DirichletCharacter":
         orders = self.group.orders
@@ -83,12 +83,9 @@ class DirichletCharacter:
         orders = self.group.orders
         return DirichletCharacter(self.q, tuple((h * k) % s for h, s in zip(self.exponents, orders)))
 
+    @cached_property
     def index(self) -> int:
         """Canonical position: row-major over the generator orders."""
-        return self._row
-
-    @cached_property
-    def _row(self) -> int:
         idx = 0
         for h, s in zip(self.exponents, self.group.orders):
             idx = idx * s + h
@@ -110,63 +107,67 @@ def _roots_of_unity(n: int) -> tuple[complex, ...]:
 @lru_cache(maxsize=None)
 def character_group(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters in canonical (row-major exponent) order."""
-    group = unit_group_structure(check_modulus(q))
-    chars = []
-    vec = [0] * len(group.orders)
-    total = 1
-    for s in group.orders:
-        total *= s
-    for _ in range(total):
-        chars.append(DirichletCharacter(q, tuple(vec)))
-        for i in range(len(vec) - 1, -1, -1):
-            vec[i] += 1
-            if vec[i] < group.orders[i]:
-                break
-            vec[i] = 0
-    return tuple(chars)
+    orders = unit_group_structure(check_modulus(q)).orders
+    return tuple(DirichletCharacter(q, vec) for vec in itertools.product(*map(range, orders)))
 
 
 @dataclass(frozen=True)
 class CharacterTable:
     """Every character value mod q as an integer angle numerator.
 
-    chi(a) = e(angles[chi.index(), column[a]] / exponent); rows follow
-    `character_group`, columns the units in ascending order, and column[a]
-    is -1 for a non-unit a.  The columns are contiguous, so one residue's
-    values over all characters are read in one slice.
+    chi(a) = e(k / exponent) with k = scaled[chi.index] . dlog(a) mod
+    exponent, where scaled is the characters' exponent matrix (rows in
+    `character_group` order) times exponent / s_i.  Nothing phi(q)^2 is
+    stored: one value costs O(t), and one residue's column (its numerators
+    over all characters) O(phi(q) t), computed when first asked for and then
+    cached.
     """
 
     q: int
     exponent: int
-    angles: np.ndarray = field(repr=False, compare=False)
-    column: np.ndarray = field(repr=False, compare=False)
+    scaled: np.ndarray = field(repr=False, compare=False)
+    _columns: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def roots(self) -> tuple[complex, ...]:
         """roots[k] = e(k / exponent), the complex value of angle numerator k."""
         return _roots_of_unity(self.exponent)
 
+    def angle(self, row: int, a: int) -> int:
+        """Angle numerator of the character in `row` at a.
+
+        Read from a's column when a search has cached it; otherwise one row
+        times the dlog vector, so a loop over residues builds no columns.
+        """
+        col = self._columns.get(a % self.q)
+        if col is not None:
+            return col.item(row)
+        f = dlog_vector(self.q, a)
+        return sum(map(operator.mul, self.scaled[row].tolist(), f)) % self.exponent
+
+    def column(self, a: int) -> np.ndarray:
+        """Angle numerators of a over all characters, in row order (read-only)."""
+        col = self._columns.get(a % self.q)
+        if col is None:
+            col = self.scaled @ dlog_vector(self.q, a) % self.exponent
+            col.flags.writeable = False  # shared by every caller
+            self._columns[a % self.q] = col
+        return col
+
     def columns(self, residues) -> list[list[int]]:
         """Per residue, its angle numerators over all characters in row order."""
-        by_unit = self.angles.T
-        return [by_unit[self.column.item(check_residue(self.q, a))].tolist() for a in residues]
+        return [self.column(a).tolist() for a in residues]
 
 
 @lru_cache(maxsize=None)
 def character_table(q: int) -> CharacterTable:
-    """One product: the dlog vectors times the exponents scaled by n / s_i, mod n."""
+    """The exponent matrix, rows row-major over the generator orders, scaled by n / s_i."""
     group = unit_group_structure(check_modulus(q))
     n = group.exponent
-    units = group.units
-    exps = np.array([chi.exponents for chi in character_group(q)], dtype=np.int64)
+    exps = np.indices(group.orders, dtype=np.int64).reshape(len(group.orders), -1).T
     scaled = exps * np.array([n // s for s in group.orders], dtype=np.int64)
-    dlogs = np.array([group.dlog[a] for a in units], dtype=np.int64)
-    angles = dlogs @ scaled.T
-    angles %= n
-    column = np.full(q, -1, dtype=np.int64)
-    column[units] = np.arange(len(units))
-    angles.flags.writeable = column.flags.writeable = False  # shared by every caller
-    return CharacterTable(q, n, angles.T, column)
+    scaled.flags.writeable = False
+    return CharacterTable(q, n, scaled)
 
 
 def principal_character(q: int) -> DirichletCharacter:

@@ -120,7 +120,7 @@ def cmd_chars(args, config) -> int:
     print(f"q = {q}: {len(chars)} characters (index: exponents, order)")
     for chi in chars:
         tag = " principal" if chi.is_principal else ""
-        print(f"  {chi.index():3d}: {list(chi.exponents)} order {chi.order}{tag}")
+        print(f"  {chi.index:3d}: {list(chi.exponents)} order {chi.order}{tag}")
     return EXIT_OK
 
 

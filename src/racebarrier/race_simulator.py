@@ -59,7 +59,7 @@ class MainTermConfig:
         ka, kb = table.columns((a, b))
         coeffs: dict[complex, complex] = {}
         for chi, rho, mult in self.zeros:
-            row = chi.index()
+            row = chi.index
             w = (roots[ka[row]].conjugate() - roots[kb[row]].conjugate()) * mult
             coeffs[rho] = coeffs.get(rho, 0j) + w
         return coeffs
@@ -535,9 +535,10 @@ def independence_scenario(q: int, sigma: float, gammas: dict, u0: float = 50.0,
     if any(abs(x - y) < 1e-12 for x, y in zip(vals, vals[1:])):
         raise ValueError("ordinates must be pairwise distinct")
 
-    units = unit_group_structure(q).units  # the table's column order
+    units = unit_group_structure(q).units
     table = character_table(q)
     roots = table.roots
+    cols = table.columns(units)
     us = np.linspace(u0, u1, n)
     v = np.zeros((len(units), n))
     for chi in chars:
@@ -545,8 +546,9 @@ def independence_scenario(q: int, sigma: float, gammas: dict, u0: float = 50.0,
         rho = complex(sigma, g)
         ph = g * us
         cosp, sinp = np.cos(ph), np.sin(ph)
-        for ai, k in enumerate(table.angles[chi.index()].tolist()):
-            w = roots[k].conjugate() / rho
+        row = chi.index
+        for ai, col in enumerate(cols):
+            w = roots[col[row]].conjugate() / rho
             v[ai] += -2.0 * (w.real * cosp - w.imag * sinp)
 
     order_idx = np.argsort(-v, axis=0, kind="stable")

@@ -110,8 +110,8 @@ class TestFindEqualSumSet:
         assert found.chi2.evaluate(b1) != found.chi2.evaluate(b2)
 
     def test_structured_failure_matches_subset_oracle(self):
-        """For phi(q) <= 16, search (which includes subsets) returns None only
-        when a float-screened exhaustive subset scan also finds nothing."""
+        """For phi(q) <= 16, the structured families return None only when a
+        float-screened exhaustive subset scan also finds nothing."""
         q = 16
         units = unit_group_structure(q).units
         chars = nonprincipal_characters(q)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racebarrier.characters import (
+    CharacterTable,
     DirichletCharacter,
     angle_to_complex,
     character_group,
@@ -18,7 +20,12 @@ from racebarrier.characters import (
     principal_character,
 )
 from racebarrier.cyclotomic import angles_to_counts, reduce_root_sum
-from racebarrier.residue_group import check_modulus, dlog_vector, unit_group_structure
+from racebarrier.residue_group import (
+    check_modulus,
+    dlog_vector,
+    multiplicative_order,
+    unit_group_structure,
+)
 
 SMALL_Q = st.one_of(st.just(5), st.integers(min_value=7, max_value=60))
 
@@ -93,12 +100,35 @@ class TestCharacterTable:
             units = group.units
             table = character_table(q)
             assert table.exponent == group.exponent
-            assert table.angles.shape == (group.phi, group.phi)
-            assert not (table.angles.flags.writeable or table.column.flags.writeable)
-            assert table.column[units].tolist() == list(range(group.phi))
-            assert (table.column == -1).sum() == q - group.phi
-            for chi, row in zip(character_group(q), table.angles.tolist()):
-                assert row == [self.per_generator_angle(chi, a) for a in units], (q, chi)
+            assert table.scaled.shape == (group.phi, len(group.orders))
+            assert not (table.scaled.flags.writeable or table.column(units[-1]).flags.writeable)
+            uncached = CharacterTable(q, table.exponent, table.scaled)
+            cols = table.columns(units)
+            for row, chi in enumerate(character_group(q)):
+                expected = [self.per_generator_angle(chi, a) for a in units]
+                assert [col[row] for col in cols] == expected, (q, chi)
+                assert [table.angle(row, a) for a in units] == expected, (q, chi)
+                assert [uncached.angle(row, a) for a in units] == expected, (q, chi)
+            assert not uncached._columns  # single reads build no column
+
+    def test_one_read_at_a_large_modulus_stays_small(self):
+        """A single value costs O(t) and a column O(phi); nothing phi^2 is built
+        (the full table at q = 100003 would take 80 GB)."""
+        q = 100003
+        unit_group_structure(q)  # the dlog table is not the character table's cost
+        tracemalloc.start()
+        try:
+            chi = DirichletCharacter(q, (1,))
+            k = chi.angle_numerator(2)
+            assert chi.evaluate(2) == Fraction(k, q - 1)
+            assert character_with_unit_value(q, 2).evaluate(2) == Fraction(
+                1, multiplicative_order(q, 2))
+            k = chi.angle_numerator(3)
+            assert character_table(q).column(3)[1] == k == chi.angle_numerator(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
     def test_reads_agree_with_the_table(self):
         q = 24
@@ -109,7 +139,7 @@ class TestCharacterTable:
         for chi in character_group(q):
             for a, col in zip(units, cols):
                 k = chi.angle_numerator(a)
-                assert type(k) is int and k == col[chi.index()]
+                assert type(k) is int and k == col[chi.index]
                 assert chi.angle_numerator(a + 5 * q) == k
                 assert chi.evaluate(a) == Fraction(k, n)
                 assert chi.value(a) == table.roots[k] == angle_to_complex(Fraction(k, n))
@@ -160,7 +190,7 @@ class TestCharacterGroup:
     def test_canonical_index(self, q):
         chars = character_group(q)
         for i, chi in enumerate(chars):
-            assert chi.index() == i
+            assert chi.index == i
 
     @given(SMALL_Q, st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
