@@ -393,11 +393,18 @@ def find_spacing_character(D: RaceTriple):
     goodness witness to land the gaps in the admissible spacing set.
     Returns None exactly when every s_i lies in {3, 7, 13, 21}.
     """
-    q = D.q
+    q, res = D.q, D.residues
+    # ord(x) = ord(1/x): a triple has three ratio orders, shared by every relabeling
+    order = {}
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        order[i, j] = order[j, i] = multiplicative_order(q, mod_div(q, res[j], res[i]))
+
+    def ratio_orders(perm):
+        i, j, k = perm
+        return order[i, j], order[j, k], order[k, i]
+
     for perm, (b1, b2, b3) in _relabelings(D):
-        s1 = multiplicative_order(q, mod_div(q, b2, b1))
-        s2 = multiplicative_order(q, mod_div(q, b3, b2))
-        s3 = multiplicative_order(q, mod_div(q, b1, b3))
+        s1, s2, s3 = ratio_orders(perm)
         for p, w in factorize(s1):
             if p**w in _SMALL_PRIME_SET:
                 continue
@@ -406,9 +413,7 @@ def find_spacing_character(D: RaceTriple):
             return _spacing_from_route(D, perm, (b1, b2, b3), p**w, p)
     # the {39, 91, 273} route
     for perm, (b1, b2, b3) in _relabelings(D):
-        s1 = multiplicative_order(q, mod_div(q, b2, b1))
-        s2 = multiplicative_order(q, mod_div(q, b3, b2))
-        s3 = multiplicative_order(q, mod_div(q, b1, b3))
+        s1, s2, s3 = ratio_orders(perm)
         if s1 in (39, 91, 273) and 273 % s2 == 0 and 273 % s3 == 0:
             return _spacing_from_route(D, perm, (b1, b2, b3), s1, None)
     return None
@@ -878,7 +883,8 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
     sigma1, sigma2, beta = p.gsh_sigma1, p.gsh_sigma2, p.gsh_beta
     if not 0.5 <= beta < sigma2 < sigma1:
         raise ConstructionError("need 1/2 <= beta < sigma2 < sigma1")
-    found = find_gsh_characters(D, sigma1=sigma1, t=max(p.t, 2.0 * p.tau, 1000.0))
+    t = max(p.t, 2.0 * p.tau, 1000.0)
+    found = find_gsh_characters(D, sigma1=sigma1, t=t)
     if found is None:
         raise ConstructionError(f"no character pair satisfies the phase conditions for {D}")
     perm, triple, chi1, chi2 = found
@@ -889,7 +895,6 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
     w = chi2.value(b2).conjugate() - chi2.value(b1).conjugate()
     assert abs(z) > 0 and abs(w) > 0
 
-    t = max(p.t, 2.0 * p.tau, 1000.0)
     for _ in range(64):
         alpha = -(math.atan(sigma1 / t) + cmath.phase(z)) / math.pi
         dist = abs(alpha - round(alpha))
@@ -904,20 +909,32 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
         frac = hs * alpha + beta_phase
         return np.abs(frac - np.round(frac)) <= 0.2
 
-    h_values = []
-    in_h_flags = []
-    for j in range(1, j_max + 1):
-        window = np.arange(j * j, j * j + j + 1, dtype=np.int64)
-        hits = np.flatnonzero(in_h_set(window))
-        if hits.size:
-            h_values.append(int(window[hits[0]]))
-            in_h_flags.append(True)
-        else:
-            if j >= 10.0 * t:
-                # a window of j+1 >= 10t+1 consecutive integers must meet H
-                raise ConstructionError(f"window at j={j} missed H; gap property broken")
-            h_values.append(int(window[0]))
-            in_h_flags.append(False)
+    # first member of H in each window [j^2, j^2 + j]: probe offsets
+    # [lo, lo + width) of every window with no hit yet at once, doubling the
+    # width each round, in blocks of at most 2^16 elements
+    js = np.arange(1, j_max + 1, dtype=np.int64)
+    first = np.full(j_max, -1, dtype=np.int64)  # offset of the first hit, -1 for none
+    unresolved = js - 1
+    lo, width = 0, 8
+    while unresolved.size:
+        offsets = np.arange(lo, lo + width, dtype=np.int64)
+        rows = max(1, (1 << 16) // width)
+        for s in range(0, unresolved.size, rows):
+            idx = unresolved[s:s + rows]
+            jj = js[idx, None]
+            hits = in_h_set(jj * jj + offsets) & (offsets <= jj)
+            hit = hits.any(axis=1)
+            first[idx[hit]] = lo + hits[hit].argmax(axis=1)
+        lo += width
+        width = min(2 * width, 1 << 16)
+        unresolved = unresolved[(first[unresolved] < 0) & (js[unresolved] >= lo)]
+    in_h = first >= 0
+    missed = np.flatnonzero(~in_h & (js >= 10.0 * t))
+    if missed.size:
+        # a window of j+1 >= 10t+1 consecutive integers must meet H
+        raise ConstructionError(f"window at j={missed[0] + 1} missed H; gap property broken")
+    h_values = (js * js + np.maximum(first, 0)).tolist()
+    in_h_flags = in_h.tolist()
 
     # decay exponents of order j^-3, clipped inside the allowed strip
     c_delta = 8.0 * (sigma2 - beta)

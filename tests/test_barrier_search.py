@@ -218,6 +218,25 @@ class TestFindSpacingCharacter:
         assert result.base_modulus == 39 and result.chi.order == 39
         assert construction_two(D, result, BarrierParams()).size == 3
 
+    @pytest.mark.parametrize("triple, construction", [
+        ((19, 2, 3, 14), "III"),  # every relabeling and both routes fail
+        ((23, 2, 3, 4), "II"),
+    ])
+    def test_three_ratio_orders_per_triple(self, monkeypatch, triple, construction):
+        """ord(x) = ord(1/x), so the six relabelings share three ratio orders."""
+        from racebarrier import barrier_search
+
+        calls = []
+        order = barrier_search.multiplicative_order
+
+        def counted(q, b):
+            calls.append(b)
+            return order(q, b)
+
+        monkeypatch.setattr(barrier_search, "multiplicative_order", counted)
+        assert find_barrier(RaceTriple(*triple)).construction == construction
+        assert len(calls) == 3
+
     def test_declared_gaps_match_values(self):
         for q, triple in [(11, (1, 4, 5)), (23, (2, 3, 4)), (47, (2, 3, 4))]:
             result = find_spacing_character(RaceTriple(q, *triple))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,46 @@ class TestConstruction:
         b1, b2, b3 = gsh7.relabeled_triple
         assert gsh7.chi1.evaluate(b1) == gsh7.chi1.evaluate(b2) != gsh7.chi1.evaluate(b3)
         assert gsh7.chi2.evaluate(b1) != gsh7.chi2.evaluate(b2)
+
+
+def per_window_h_set(gsh):
+    """The H-set search as one numpy call per window [j^2, j^2 + j]."""
+
+    def in_h_set(hs):
+        frac = hs * gsh.alpha + gsh.beta_phase
+        return np.abs(frac - np.round(frac)) <= 0.2
+
+    h_values, in_h = [], []
+    for j in range(1, gsh.truncation + 1):
+        window = np.arange(j * j, j * j + j + 1, dtype=np.int64)
+        hits = np.flatnonzero(in_h_set(window))
+        h_values.append(int(window[hits[0]]) if hits.size else j * j)
+        in_h.append(bool(hits.size))
+    return tuple(h_values), tuple(in_h)
+
+
+class TestHSetSearch:
+    def test_fast_drift_matches_per_window_search(self, gsh7):
+        assert (gsh7.h_values, gsh7.in_h) == per_window_h_set(gsh7)
+
+    def test_slow_drift_matches_per_window_search(self):
+        # alpha is 2e-4 from an integer: H comes in runs with gaps of 3143, so
+        # windows below j = 3143 can miss and first hits lie deep in a window
+        gsh = construction_gsh(RaceTriple(5, 1, 2, 3), BarrierParams(truncation=4000))
+        assert (gsh.h_values, gsh.in_h) == per_window_h_set(gsh)
+        assert not all(gsh.in_h)
+        assert max(h - j * j for j, h in enumerate(gsh.h_values, 1)) > 1000
+
+    def test_peak_memory(self):
+        # the 10^6-point gap check peaks near 32 MiB; the window probes are
+        # blocked so they stay under it
+        tracemalloc.start()
+        try:
+            construction_gsh(RaceTriple(5, 1, 2, 3), BarrierParams(truncation=10_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestSimulation:
