@@ -35,7 +35,7 @@ from .characters import (
     character_table,
     nonprincipal_characters,
 )
-from .goodness import spacing_ok, witness_for
+from .goodness import gaps_ok, witness_for
 from .residue_group import (
     check_modulus,
     check_residue,
@@ -192,12 +192,46 @@ class EqualSumSet:
 
 
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
+# Every family condition of find_equal_sum_set is symmetric in the first two
+# labels, so of the relabelings (i, j, k) and (j, i, k) only the one that comes
+# first in _PERMS can be the first to succeed.
+_PAIR_PERMS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
-def _relabelings(D: RaceTriple):
-    res = D.residues
-    for perm in _PERMS:
-        yield perm, tuple(res[i] for i in perm)
+def _primitive_root_row(group, b1: int, b2: int, b3: int) -> int | None:
+    """In a cyclic group, the row of a character with chi(b1) = chi(b2) != chi(b3).
+
+    With discrete logs l and d = gcd(l2 - l1, phi), chi(g^x) = e(x / d) is 1
+    on <b2/b1> and not on b3/b2 when d does not divide l3 - l2.  Otherwise
+    b3/b2 lies in <b2/b1>, every character equal on b1 and b2 is equal on b3
+    too, and None is returned: no such character exists.
+    """
+    phi = group.phi
+    l1, l2, l3 = (group.dlog[b][0] for b in (b1, b2, b3))
+    d = math.gcd((l2 - l1) % phi, phi)
+    return phi // d if (l3 - l2) % phi % d else None
+
+
+def _in_subgroup(group, b: int, c: int) -> bool:
+    """Whether the unit b lies in the cyclic subgroup generated by c.
+
+    In a cyclic group, g^x lies in <g^y> exactly when gcd(y, phi) divides x;
+    otherwise the powers of c are walked, at most ord(c) of them.
+    """
+    if len(group.orders) == 1:
+        return group.dlog[b][0] % math.gcd(group.dlog[c][0], group.phi) == 0
+    x = c
+    while x != b and x != 1:
+        x = x * c % group.q
+    return x == b
+
+
+def _power(chars, chi: DirichletCharacter, i: int) -> DirichletCharacter:
+    """chi**i, taken from the character group instead of built anew."""
+    row = 0
+    for h, s in zip(chi.exponents, chi.group.orders):
+        row = row * s + h * i % s
+    return chars[row]
 
 
 def _first_separating_character(D: RaceTriple, cols, i: int, j: int) -> DirichletCharacter:
@@ -223,57 +257,58 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
     first two relabeled residues.
     """
     q = D.q
+    res = D.residues
     chars = character_group(q)
     group = unit_group_structure(q)
-    n = group.exponent
-    cols = character_table(q).columns(D.residues)
-
-    def package(perm, triple, family, char_list):
-        sums = tuple(sum(chi.value(a) for chi in char_list) for a in triple)
-        chi2 = _first_separating_character(D, cols, perm[0], perm[1])
-        return EqualSumSet(perm, triple, family, tuple(char_list), chi2, sums)
-
-    # primitive-root shortcut: cyclic group, second ratio outside <a2/a1>
-    if len(group.generators) == 1:
-        phi = group.phi
-        for perm, (b1, b2, b3) in _relabelings(D):
-            f = group.dlog[mod_div(q, b2, b1)][0]
-            d = math.gcd(f, phi)
-            e = group.dlog[mod_div(q, b3, b2)][0]
-            if e % d != 0:
-                chi = DirichletCharacter(q, (phi // d,))
-                assert chi.evaluate(b1) == chi.evaluate(b2) != chi.evaluate(b3)
-                return package(perm, (b1, b2, b3), "primitive-root", [chi])
-
+    table = character_table(q)
+    n, roots = table.exponent, table.roots
+    cols = table.columns(res)
     nonprinc = range(1, len(chars))  # row 0 is the principal character
 
-    # singletons
-    for perm, triple in _relabelings(D):
-        c1, c2, c3 = (cols[i] for i in perm)
-        for ci in nonprinc:
-            if c1[ci] == c2[ci] != c3[ci]:
-                return package(perm, triple, "singleton", [chars[ci]])
+    def package(perm, family, row, powers):
+        # members chi^i, i in powers, with chi^i(a) = roots[i k % n] for chi(a) = roots[k]
+        sums = tuple(sum(roots[i * k % n] for i in powers) for k in (cols[j][row] for j in perm))
+        members = tuple(_power(chars, chars[row], i) for i in powers)
+        chi2 = _first_separating_character(D, cols, perm[0], perm[1])
+        return EqualSumSet(perm, tuple(res[j] for j in perm), family, members, chi2, sums)
+
+    if len(group.generators) == 1:
+        # primitive-root shortcut; it finds a singleton whenever one exists,
+        # so in a cyclic group no singleton scan follows a failed pass
+        for perm in _PAIR_PERMS:
+            row = _primitive_root_row(group, *(res[i] for i in perm))
+            if row is not None:
+                k1, k2, k3 = (cols[i][row] for i in perm)
+                assert k1 == k2 != k3
+                return package(perm, "primitive-root", row, (1,))
+    else:
+        for perm in _PAIR_PERMS:
+            c1, c2, c3 = (cols[i] for i in perm)
+            for ci in nonprinc:
+                if c1[ci] == c2[ci] != c3[ci]:
+                    return package(perm, "singleton", ci, (1,))
 
     # conjugate pairs: sums are 2 cos(2 pi k / n)
-    for perm, triple in _relabelings(D):
+    for perm in _PAIR_PERMS:
         c1, c2, c3 = (cols[i] for i in perm)
         for ci in nonprinc:
-            if chars[ci].order <= 2:
-                continue
             k1, k2, k3 = c1[ci], c2[ci], c3[ci]
-            if (k1 == k2 or (k1 + k2) % n == 0) and k3 != k1 and (k1 + k3) % n != 0:
-                pair = [chars[ci], chars[ci].conjugate()]
-                return package(perm, triple, "conjugate-pair", pair)
+            if ((k1 == k2 or (k1 + k2) % n == 0) and k3 != k1 and (k1 + k3) % n != 0
+                    and chars[ci].order > 2):
+                return package(perm, "conjugate-pair", ci, (1, -1))
 
-    # power families {chi, ..., chi^(ord-1)}: sums depend only on chi(a) = 1 or not
-    for perm, triple in _relabelings(D):
+    # power families {chi, ..., chi^(ord-1)}: sums depend only on chi(a) = 1 or
+    # not.  No singleton exists, so no character is 1 on b1 and b2 but not on
+    # b3; a member is 1 on b3 only, and one exists exactly when neither b1 nor
+    # b2 lies in <b3> (a character of G/<b3> nontrivial on both images).
+    for perm in _PAIR_PERMS:
+        b1, b2, b3 = (res[i] for i in perm)
+        if _in_subgroup(group, b1, b3) or _in_subgroup(group, b2, b3):
+            continue
         c1, c2, c3 = (cols[i] for i in perm)
         for ci in nonprinc:
-            z1, z2, z3 = c1[ci] == 0, c2[ci] == 0, c3[ci] == 0
-            if z1 == z2 != z3:
-                chi = chars[ci]
-                fam = [chi**i for i in range(1, chi.order)]
-                return package(perm, triple, "power", fam)
+            if (c1[ci] == 0) == (c2[ci] == 0) != (c3[ci] == 0):
+                return package(perm, "power", ci, range(1, chars[ci].order))
     return None
 
 
@@ -295,22 +330,27 @@ def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -
             f"{p.beta1}, {p.sigma2}, {p.sigma1}, {p.sigma}"
         )
     b1, b2, b3 = found.relabeled_triple
-    chi2 = found.chi2
-    w = chi2.value(b2).conjugate() - chi2.value(b1).conjugate()
-    z = sum(chi.value(b2).conjugate() - chi.value(b3).conjugate() for chi in found.characters)
+    table = character_table(D.q)
+    roots = table.roots
+    c1, c2, c3 = table.columns(found.relabeled_triple)
+    row = found.chi2.index
+    w = roots[c2[row]].conjugate() - roots[c1[row]].conjugate()
+    z = sum(roots[c2[chi.index]].conjugate() - roots[c3[chi.index]].conjugate()
+            for chi in found.characters)
     if abs(w) == 0 or abs(z) == 0:
         raise ConstructionError("degenerate phase coefficients (W or Z vanished)")
 
-    b_val = ((cmath.phase(w) - 2.0 * cmath.phase(z)) / math.pi) % 1.0 - 0.5
+    phase_diff = cmath.phase(w) - 2.0 * cmath.phase(z)
+    b_val = (phase_diff / math.pi) % 1.0 - 0.5
     if abs(b_val) < B_SNAP:
         b_val = 0.0
     t = max(p.t, 2.0 * p.tau, 1000.0)
     while b_val != 0.0 and abs(b_val) <= 2.0 / t:
         t *= 2.0
 
-    f0 = 2.0 * math.atan(p.sigma1 / t) - math.atan(p.sigma2 / (2.0 * t))
-    c_star = _wrap_pi(cmath.phase(w) - 2.0 * cmath.phase(z) - math.pi / 2.0 + math.atan(
-        p.sigma2 / (2.0 * t)) - 2.0 * math.atan(p.sigma1 / t))
+    atan1, atan2 = math.atan(p.sigma1 / t), math.atan(p.sigma2 / (2.0 * t))
+    f0 = 2.0 * atan1 - atan2
+    c_star = _wrap_pi(phase_diff - math.pi / 2.0 + atan2 - 2.0 * atan1)
     sign = math.cos(c_star)
     phase_slack = abs(math.pi * b_val - f0)
     if sign == 0.0:
@@ -319,7 +359,7 @@ def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -
     excluded = (b2, b3, b1) if sign > 0 else (b1, b3, b2)
 
     zeros = [ZeroSpec(chi, p.sigma1, t, 1) for chi in found.characters]
-    zeros.append(ZeroSpec(chi2, p.sigma2, 2.0 * t, 1))
+    zeros.append(ZeroSpec(found.chi2, p.sigma2, 2.0 * t, 1))
     barrier = Barrier(
         triple=D,
         permutation=found.permutation,
@@ -403,25 +443,26 @@ def find_spacing_character(D: RaceTriple):
         i, j, k = perm
         return order[i, j], order[j, k], order[k, i]
 
-    for perm, (b1, b2, b3) in _relabelings(D):
+    for perm in _PERMS:
         s1, s2, s3 = ratio_orders(perm)
         for p, w in factorize(s1):
             if p**w in _SMALL_PRIME_SET:
                 continue
             if s2 % p ** (w + 1) == 0 or s3 % p ** (w + 1) == 0:
                 continue
-            return _spacing_from_route(D, perm, (b1, b2, b3), p**w, p)
+            return _spacing_from_route(D, perm, p**w, p)
     # the {39, 91, 273} route
-    for perm, (b1, b2, b3) in _relabelings(D):
+    for perm in _PERMS:
         s1, s2, s3 = ratio_orders(perm)
         if s1 in (39, 91, 273) and 273 % s2 == 0 and 273 % s3 == 0:
-            return _spacing_from_route(D, perm, (b1, b2, b3), s1, None)
+            return _spacing_from_route(D, perm, s1, None)
     return None
 
 
-def _spacing_from_route(D: RaceTriple, perm, triple, r: int, p: int | None):
+def _spacing_from_route(D: RaceTriple, perm, r: int, p: int | None):
     """Build the base character for the route and scan witness powers."""
     q = D.q
+    triple = tuple(D.residues[i] for i in perm)
     b1, b2, b3 = triple
     ratio21 = mod_div(q, b2, b1)
     ratio32 = mod_div(q, b3, b2)
@@ -435,9 +476,10 @@ def _spacing_from_route(D: RaceTriple, perm, triple, r: int, p: int | None):
     else:
         chi2 = chi1
         m = r
-    angle = chi2.evaluate(ratio32)
-    assert m % angle.denominator == 0
-    j_tilde = int(angle * m)
+    n = chi2.group.exponent
+    k32 = chi2.angle_numerator(ratio32)
+    assert k32 * m % n == 0  # chi2(b3/b2) is an m-th root of unity
+    j_tilde = k32 * m // n
     if j_tilde == 0:
         return CaseIDeferral(perm, triple, chi2)  # chi2(b2) = chi2(b3)
     j_good = j_tilde + 1
@@ -454,19 +496,27 @@ def _spacing_from_route(D: RaceTriple, perm, triple, r: int, p: int | None):
 
 
 def _assemble_spacing(D: RaceTriple, chi: DirichletCharacter, m: int, k: int):
-    """Read off the relabeling and gap pair from the actual character values."""
+    """Read off the relabeling and gap pair from the actual character values.
+
+    Gaps are compared as integer numerators over the group exponent n.
+    """
     res = D.residues
+    table = character_table(D.q)
+    n = table.exponent
+    cols = table.columns(res)
     for candidate in (chi, chi.conjugate()):
-        angles = sorted((candidate.evaluate(a), a) for a in res)
+        row = candidate.index
+        angles = sorted((col[row], a) for col, a in zip(cols, res))
         (t1, r1), (t2, r2), (t3, r3) = angles
-        gaps = (t2 - t1, t3 - t2, 1 - t3 + t1)
+        gaps = (t2 - t1, t3 - t2, n - t3 + t1)
         rotations = (
             ((r1, r2, r3), (gaps[0], gaps[1])),
             ((r2, r3, r1), (gaps[1], gaps[2])),
             ((r3, r1, r2), (gaps[2], gaps[0])),
         )
-        for labels, (d1, d2) in rotations:
-            if spacing_ok(d1, d2):
+        for labels, (g1, g2) in rotations:
+            if g1 <= g2 and gaps_ok(g1, g2, n):
+                d1, d2 = Fraction(g1, n), Fraction(g2, n)
                 perm = tuple(res.index(a) for a in labels)
                 c1, c2 = multiplicities_for(d1, d2)
                 return SpacingCharacter(perm, labels, candidate, d1, d2, c1, c2, m, k)
@@ -594,9 +644,9 @@ def find_order7_character(D: RaceTriple) -> DeterminantWitness:
     """
     q = D.q
     a1, a2, a3 = D.residues
-    chars = nonprincipal_characters(q)
-    for chi in chars:
-        if chi.evaluate(mod_div(q, a2, a1)) == 0:
+    ratio21 = mod_div(q, a2, a1)
+    for chi in nonprincipal_characters(q):
+        if chi.angle_numerator(ratio21) == 0:
             continue
 
         def re_diff(power: int, x: int, y: int) -> float:
@@ -707,6 +757,7 @@ def _solve_2x2(m, rhs):
 def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
     """Zeros of rationalized multiplicities N/Q for every character at two heights."""
     p = params
+    chars = nonprincipal_characters(D.q)
     witness = find_order7_character(D)
     nu1 = solve_lambda_system(D, witness.chi, witness.h, witness.k, 1j, -1j)
     nu2 = solve_lambda_system(D, witness.chi, witness.h, witness.k, 1j, 1j)
@@ -733,7 +784,7 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
         raise ConstructionError("need 1/2 <= beta1 < sigma1 <= sigma")
     zeros = []
     for kk, nu in ((1, nu1), (2, nu2)):
-        for c in nonprincipal_characters(D.q):
+        for c in chars:
             mult = max(0, round(q_denom * nu[c]))
             if mult > 0:
                 zeros.append(ZeroSpec(c, sigma1, kk * gamma, mult))
@@ -744,7 +795,7 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
     # (Q/gamma)(±2 cos + cos 2) envelope, from the rationalization errors
     scale = sum(
         abs(c.value(a).conjugate() - c.value(b).conjugate())
-        for c in nonprincipal_characters(D.q)
+        for c in chars
         for a, b in ((D.a1, D.a2), (D.a2, D.a3))
     )
     barrier = Barrier(
@@ -860,7 +911,8 @@ def find_gsh_characters(D: RaceTriple, sigma1: float = 0.6, t: float = 1000.0):
     cols = character_table(D.q).columns(D.residues)
     best = None
     best_score = -1.0
-    for perm, (b1, b2, b3) in _relabelings(D):
+    for perm in _PERMS:
+        b1, b2, b3 = (D.residues[i] for i in perm)
         c1, c2, c3 = (cols[i] for i in perm)
         for ci in range(1, len(chars)):  # row 0 is the principal character
             if not (c1[ci] == c2[ci] != c3[ci]):

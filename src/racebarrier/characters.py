@@ -101,7 +101,10 @@ def angle_to_complex(angle: RationalAngle) -> complex:
 
 @lru_cache(maxsize=None)
 def _roots_of_unity(n: int) -> tuple[complex, ...]:
-    return tuple(angle_to_complex(Fraction(k, n)) for k in range(n))
+    # k / n rounds to the same double as its reduced fraction, so each root is
+    # bit-identical to angle_to_complex(Fraction(k, n))
+    return tuple(complex(math.cos(theta), math.sin(theta))
+                 for theta in (2.0 * math.pi * (k / n) for k in range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -120,13 +123,13 @@ class CharacterTable:
     `character_group` order) times exponent / s_i.  Nothing phi(q)^2 is
     stored: one value costs O(t), and one residue's column (its numerators
     over all characters) O(phi(q) t), computed when first asked for and then
-    cached.
+    cached as a tuple of ints, the form the searches index.
     """
 
     q: int
     exponent: int
     scaled: np.ndarray = field(repr=False, compare=False)
-    _columns: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    _columns: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def roots(self) -> tuple[complex, ...]:
@@ -141,22 +144,27 @@ class CharacterTable:
         """
         col = self._columns.get(a % self.q)
         if col is not None:
-            return col.item(row)
+            return col[row]
         f = dlog_vector(self.q, a)
         return sum(map(operator.mul, self.scaled[row].tolist(), f)) % self.exponent
 
     def column(self, a: int) -> np.ndarray:
         """Angle numerators of a over all characters, in row order (read-only)."""
-        col = self._columns.get(a % self.q)
-        if col is None:
-            col = self.scaled @ dlog_vector(self.q, a) % self.exponent
-            col.flags.writeable = False  # shared by every caller
-            self._columns[a % self.q] = col
+        col = np.array(self.columns((a,))[0], dtype=np.int64)
+        col.flags.writeable = False
         return col
 
-    def columns(self, residues) -> list[list[int]]:
+    def columns(self, residues) -> list[tuple[int, ...]]:
         """Per residue, its angle numerators over all characters in row order."""
-        return [self.column(a).tolist() for a in residues]
+        cols = self._columns
+        out = []
+        for a in residues:
+            col = cols.get(a % self.q)
+            if col is None:
+                col = cols[a % self.q] = tuple(
+                    (self.scaled @ dlog_vector(self.q, a) % self.exponent).tolist())
+            out.append(col)
+        return out
 
 
 @lru_cache(maxsize=None)

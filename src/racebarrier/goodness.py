@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +31,8 @@ def spacing_ok(d1: Fraction, d2: Fraction, allow_special_pairs: bool = True) -> 
     return allow_special_pairs and (d1, d2) in SPECIAL_PAIRS
 
 
-def _pair_ok(lo: int, hi: int, m: int, allow_special_pairs: bool) -> bool:
-    # integer form of spacing_ok on gaps lo/m <= hi/m
+def gaps_ok(lo: int, hi: int, m: int, allow_special_pairs: bool = True) -> bool:
+    """Integer form of spacing_ok(lo / m, hi / m) for gaps lo <= hi."""
     if 3 * lo > m and 2 * hi < m:
         return True
     if allow_special_pairs:
@@ -54,13 +55,15 @@ def witness_check(m: int, j: int, k: int, allow_special_pairs: bool = True) -> b
     gaps = (t1, t2 - t1, m - t2)
     for x, y in ((0, 1), (0, 2), (1, 2)):
         lo, hi = min(gaps[x], gaps[y]), max(gaps[x], gaps[y])
-        if _pair_ok(lo, hi, m, allow_special_pairs):
+        if gaps_ok(lo, hi, m, allow_special_pairs):
             return True
     return False
 
 
+@lru_cache(maxsize=1024)
 def witness_for(m: int, j: int, allow_special_pairs: bool = True) -> int | None:
-    """Smallest k in [1, m-1] witnessing j, or None."""
+    """Smallest k in [1, m-1] witnessing j, or None (memoised: construction II
+    asks for the same few (m, j) over and over)."""
     if m < 3 or m % 2 == 0:
         raise ValueError(f"m must be odd and >= 3, got {m}")
     if not 1 <= j <= m - 1:

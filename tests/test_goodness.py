@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racebarrier.goodness import (
+    gaps_ok,
     is_good,
     spacing_ok,
     verify_certificate,
@@ -32,8 +33,21 @@ class TestSpacingOk:
         assert spacing_ok(Fraction(7, 20), Fraction(9, 20))
         assert not spacing_ok(Fraction(2, 5), Fraction(7, 20))  # needs d1 <= d2
 
+    def test_integer_form_matches_on_every_gap_pair(self):
+        for n in (*range(1, 40), 57, 74, 76):  # multiples of 19 and 37 reach the special pairs
+            for lo in range(n + 1):
+                for hi in range(lo, n + 1):
+                    expected = spacing_ok(Fraction(lo, n), Fraction(hi, n))
+                    assert gaps_ok(lo, hi, n) == expected, (lo, hi, n)
+
 
 class TestWitnessFor:
+    def test_memo_is_bounded_and_returns_the_scan(self):
+        assert witness_for.cache_info().maxsize is not None
+        for m in (3, 19, 37, 91):
+            for j in range(1, m):
+                assert witness_for(m, j) == witness_for.__wrapped__(m, j)
+
     def test_j_one_uses_k_one(self):
         for m in (3, 9, 15, 91):
             assert witness_for(m, 1) == 1

@@ -1,0 +1,342 @@
+"""Oracles for the integer fast path of the construction-I and II searches.
+
+The existence tests that let `find_equal_sum_set` skip scans are checked on
+every relabeling of every triple with q <= 60 against a scan over all
+characters.  `find_equal_sum_set` and `find_spacing_character` are compared
+with frozen copies of their earlier implementations, which worked through
+`mod_div`, `Fraction` angles and per-value `DirichletCharacter` calls, on
+random triples with q <= 300.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racebarrier.barrier_search import (
+    CaseIDeferral,
+    ConstructionError,
+    EqualSumSet,
+    RaceTriple,
+    SpacingCharacter,
+    _in_subgroup,
+    _primitive_root_row,
+    find_equal_sum_set,
+    find_spacing_character,
+    multiplicities_for,
+)
+from racebarrier.characters import (
+    DirichletCharacter,
+    angle_to_complex,
+    character_group,
+    character_pair_constraint,
+    character_table,
+    _roots_of_unity,
+)
+from racebarrier.goodness import spacing_ok, witness_for
+from racebarrier.residue_group import (
+    check_modulus,
+    factorize,
+    mod_div,
+    multiplicative_order,
+    unit_group_structure,
+)
+
+
+def valid_moduli(limit):
+    out = []
+    for q in range(5, limit + 1):
+        try:
+            out.append(check_modulus(q))
+        except ValueError:
+            pass
+    return out
+
+
+def angle_matrix(q):
+    """Angle numerators, units x characters."""
+    group = unit_group_structure(q)
+    return group.units, np.array(character_table(q).columns(group.units), dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# existence tests against a scan over all characters
+
+
+def test_subgroup_membership_matches_the_characters():
+    """b lies in <c> exactly when every character that is 1 on c is 1 on b."""
+    for q in valid_moduli(60):
+        group = unit_group_structure(q)
+        units, cols = angle_matrix(q)
+        trivial = cols == 0
+        for ci, c in enumerate(units):
+            dual = trivial[ci]  # characters that are 1 on c
+            for bi, b in enumerate(units):
+                expected = bool(trivial[bi][dual].all())
+                assert _in_subgroup(group, b, c) == expected, (q, b, c)
+
+
+def test_existence_tests_agree_with_a_scan_over_every_relabeling_up_to_60():
+    cyclic_seen = noncyclic_seen = 0
+    for q in valid_moduli(60):
+        group = unit_group_structure(q)
+        units, cols = angle_matrix(q)
+        p = len(units)
+        nontrivial = (cols != 0).astype(np.int64)
+        trivial = 1 - nontrivial
+        # power[i, j, k]: some character is 1 on units[k] and not on units[i], units[j]
+        both = (nontrivial[:, None, :] * nontrivial[None, :, :]).reshape(p * p, -1)
+        power = (both @ trivial.T).reshape(p, p, p) > 0
+        member = np.array([[_in_subgroup(group, b, c) for c in units] for b in units])
+        gate = ~member[:, None, :] & ~member[None, :, :]
+        distinct = np.ones((p, p, p), dtype=bool)
+        for i in range(p):
+            distinct[i, i, :] = distinct[i, :, i] = distinct[:, i, i] = False
+        assert (power == gate)[distinct].all(), q
+        if len(group.generators) > 1:
+            noncyclic_seen += 1
+            continue
+        cyclic_seen += 1
+        equal = cols[:, None, :] == cols[None, :, :]
+        for j in range(p):
+            # singleton[i, k]: some character has chi(units[i]) = chi(units[j]) != chi(units[k])
+            singleton = (equal[:, j, :].astype(np.int64) @ (~equal[j]).T.astype(np.int64)) > 0
+            for i, k in itertools.permutations(range(p), 2):
+                if j in (i, k):
+                    continue
+                row = _primitive_root_row(group, units[i], units[j], units[k])
+                assert (row is not None) == singleton[i, k], (q, units[i], units[j], units[k])
+                if row is not None:
+                    assert cols[i, row] == cols[j, row] != cols[k, row]
+    assert cyclic_seen and noncyclic_seen
+
+
+# ---------------------------------------------------------------------------
+# frozen copies of the earlier implementations
+
+
+_PERMS = tuple(itertools.permutations((0, 1, 2)))
+_SMALL_PRIME_SET = frozenset((3, 7, 13))
+
+
+def _relabelings(D):
+    res = D.residues
+    for perm in _PERMS:
+        yield perm, tuple(res[i] for i in perm)
+
+
+def _first_separating_character(D, cols, i, j):
+    x, y = cols[i], cols[j]
+    for ci in range(1, len(x)):
+        if x[ci] != y[ci]:
+            return character_group(D.q)[ci]
+    raise ConstructionError(
+        f"no character separates {D.residues[i]} and {D.residues[j]} mod {D.q}"
+    )
+
+
+def frozen_find_equal_sum_set(D):
+    q = D.q
+    chars = character_group(q)
+    group = unit_group_structure(q)
+    n = group.exponent
+    cols = character_table(q).columns(D.residues)
+
+    def package(perm, triple, family, char_list):
+        sums = tuple(sum(chi.value(a) for chi in char_list) for a in triple)
+        chi2 = _first_separating_character(D, cols, perm[0], perm[1])
+        return EqualSumSet(perm, triple, family, tuple(char_list), chi2, sums)
+
+    if len(group.generators) == 1:
+        phi = group.phi
+        for perm, (b1, b2, b3) in _relabelings(D):
+            f = group.dlog[mod_div(q, b2, b1)][0]
+            d = math.gcd(f, phi)
+            e = group.dlog[mod_div(q, b3, b2)][0]
+            if e % d != 0:
+                chi = DirichletCharacter(q, (phi // d,))
+                assert chi.evaluate(b1) == chi.evaluate(b2) != chi.evaluate(b3)
+                return package(perm, (b1, b2, b3), "primitive-root", [chi])
+
+    nonprinc = range(1, len(chars))
+    for perm, triple in _relabelings(D):
+        c1, c2, c3 = (cols[i] for i in perm)
+        for ci in nonprinc:
+            if c1[ci] == c2[ci] != c3[ci]:
+                return package(perm, triple, "singleton", [chars[ci]])
+    for perm, triple in _relabelings(D):
+        c1, c2, c3 = (cols[i] for i in perm)
+        for ci in nonprinc:
+            if chars[ci].order <= 2:
+                continue
+            k1, k2, k3 = c1[ci], c2[ci], c3[ci]
+            if (k1 == k2 or (k1 + k2) % n == 0) and k3 != k1 and (k1 + k3) % n != 0:
+                pair = [chars[ci], chars[ci].conjugate()]
+                return package(perm, triple, "conjugate-pair", pair)
+    for perm, triple in _relabelings(D):
+        c1, c2, c3 = (cols[i] for i in perm)
+        for ci in nonprinc:
+            z1, z2, z3 = c1[ci] == 0, c2[ci] == 0, c3[ci] == 0
+            if z1 == z2 != z3:
+                chi = chars[ci]
+                fam = [chi**i for i in range(1, chi.order)]
+                return package(perm, triple, "power", fam)
+    return None
+
+
+def frozen_find_spacing_character(D):
+    q, res = D.q, D.residues
+    order = {}
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        order[i, j] = order[j, i] = multiplicative_order(q, mod_div(q, res[j], res[i]))
+
+    def ratio_orders(perm):
+        i, j, k = perm
+        return order[i, j], order[j, k], order[k, i]
+
+    for perm, (b1, b2, b3) in _relabelings(D):
+        s1, s2, s3 = ratio_orders(perm)
+        for p, w in factorize(s1):
+            if p**w in _SMALL_PRIME_SET:
+                continue
+            if s2 % p ** (w + 1) == 0 or s3 % p ** (w + 1) == 0:
+                continue
+            return _frozen_spacing_from_route(D, perm, (b1, b2, b3), p**w, p)
+    for perm, (b1, b2, b3) in _relabelings(D):
+        s1, s2, s3 = ratio_orders(perm)
+        if s1 in (39, 91, 273) and 273 % s2 == 0 and 273 % s3 == 0:
+            return _frozen_spacing_from_route(D, perm, (b1, b2, b3), s1, None)
+    return None
+
+
+def _frozen_spacing_from_route(D, perm, triple, r, p):
+    q = D.q
+    b1, b2, b3 = triple
+    ratio21 = mod_div(q, b2, b1)
+    ratio32 = mod_div(q, b3, b2)
+    chi1 = character_pair_constraint(q, ratio21, ratio32, r)
+    if p is not None:
+        u_exp = 2 if p in _SMALL_PRIME_SET else 1
+        [(_, e)] = factorize(r)
+        chi2 = chi1 ** (p ** (e - u_exp))
+        m = p**u_exp
+    else:
+        chi2 = chi1
+        m = r
+    angle = chi2.evaluate(ratio32)
+    assert m % angle.denominator == 0
+    j_tilde = int(angle * m)
+    if j_tilde == 0:
+        return CaseIDeferral(perm, triple, chi2)
+    j_good = j_tilde + 1
+    if j_good == m:
+        return CaseIDeferral(perm, triple, chi2)
+    k = witness_for(m, j_good)
+    if k is None:
+        raise ConstructionError(f"base modulus m={m} has no witness for j={j_good}")
+    chi_k = chi2**k
+    points = (0, k % m, k * j_good % m)
+    if len(set(points)) < 3:
+        return CaseIDeferral(perm, triple, chi_k)
+    return _frozen_assemble_spacing(D, chi_k, m, k)
+
+
+def _frozen_assemble_spacing(D, chi, m, k):
+    res = D.residues
+    for candidate in (chi, chi.conjugate()):
+        angles = sorted((candidate.evaluate(a), a) for a in res)
+        (t1, r1), (t2, r2), (t3, r3) = angles
+        gaps = (t2 - t1, t3 - t2, 1 - t3 + t1)
+        rotations = (
+            ((r1, r2, r3), (gaps[0], gaps[1])),
+            ((r2, r3, r1), (gaps[1], gaps[2])),
+            ((r3, r1, r2), (gaps[2], gaps[0])),
+        )
+        for labels, (d1, d2) in rotations:
+            if spacing_ok(d1, d2):
+                perm = tuple(res.index(a) for a in labels)
+                c1, c2 = multiplicities_for(d1, d2)
+                return SpacingCharacter(perm, labels, candidate, d1, d2, c1, c2, m, k)
+    raise ConstructionError(
+        f"witness k={k} (m={m}) did not produce admissible gaps on the values"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the fast path against the frozen copies
+
+
+MODULI_300 = valid_moduli(300)
+
+
+@st.composite
+def triples(draw):
+    """Uniform units, or units inside one cyclic subgroup (often 1 among them),
+    which reaches the conjugate-pair, power and spacing paths far more often."""
+    q = draw(st.sampled_from(MODULI_300))
+    units = unit_group_structure(q).units
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(units))
+        pool = sorted({pow(g, e, q) for e in range(multiplicative_order(q, g))})
+        if len(pool) < 3:
+            pool = units
+    else:
+        pool = units
+    return RaceTriple(q, *draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3,
+                                         unique=True)))
+
+
+def outcome(fn, D):
+    try:
+        return repr(fn(D))
+    except ConstructionError as exc:
+        return f"ConstructionError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(triples())
+def test_equal_sum_set_matches_the_frozen_search(D):
+    found, expected = find_equal_sum_set(D), frozen_find_equal_sum_set(D)
+    assert found == expected
+    assert repr(found) == repr(expected)  # sums included, down to the sign of zero
+
+
+@settings(max_examples=400, deadline=None)
+@given(triples())
+def test_spacing_character_matches_the_frozen_search(D):
+    assert outcome(find_spacing_character, D) == outcome(frozen_find_spacing_character, D)
+
+
+def test_frozen_comparison_reaches_every_family_and_spacing_outcome():
+    """The fixed triples cover each family and each spacing outcome."""
+    cases = {
+        (7, 1, 2, 5): "primitive-root", (455, 2, 3, 4): "singleton",
+        (401, 1, 72, 372): "power", (1009, 1, 922, 506): "conjugate-pair",
+    }
+    for t, family in cases.items():
+        D = RaceTriple(*t)
+        found = find_equal_sum_set(D)
+        assert found.family == family
+        assert repr(found) == repr(frozen_find_equal_sum_set(D))
+    for t, kind in (((23, 2, 3, 4), SpacingCharacter), ((19, 2, 3, 14), type(None)),
+                    ((5, 1, 2, 3), CaseIDeferral), ((79, 1, 9, 2), SpacingCharacter)):
+        D = RaceTriple(*t)
+        assert isinstance(find_spacing_character(D), kind)
+        assert outcome(find_spacing_character, D) == outcome(frozen_find_spacing_character, D)
+
+
+# ---------------------------------------------------------------------------
+# roots of unity
+
+
+def test_roots_of_unity_are_bit_identical_to_the_fraction_path():
+    build = _roots_of_unity.__wrapped__  # uncached: the test makes 500 tables
+    for n in (*range(1, 501), 1008, 4095, 10007):
+        roots = build(n)
+        assert len(roots) == n
+        for k in range(n):
+            z = angle_to_complex(Fraction(k, n))
+            assert (roots[k].real.hex(), roots[k].imag.hex()) == (z.real.hex(), z.imag.hex()), (k, n)
