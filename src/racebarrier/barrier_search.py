@@ -641,44 +641,44 @@ def find_order7_character(D: RaceTriple) -> DeterminantWitness:
 
     Applicable whenever the first construction's search failed; any character
     nontrivial on a2/a1 then works and has order at least 7, which is asserted.
+    Values of chi^p are read as roots[p k % n] for chi(x) = e(k / n), k from
+    the table columns of D's residues.
     """
-    q = D.q
-    a1, a2, a3 = D.residues
-    ratio21 = mod_div(q, a2, a1)
-    for chi in nonprincipal_characters(q):
+    chars = character_group(D.q)
+    table = character_table(D.q)
+    n, roots = table.exponent, table.roots
+    x1, x2, x3 = table.columns(D.residues)
+    ratio21 = mod_div(D.q, D.a2, D.a1)
+
+    def re_diff(power: int, kx: int, ky: int) -> float:
+        return roots[power * kx % n].real - roots[power * ky % n].real
+
+    def im_diff(power: int, kx: int, ky: int) -> float:
+        return roots[power * kx % n].imag - roots[power * ky % n].imag
+
+    def mp_diff(kind: str, power: int, kx: int, ky: int):
+        return (_mp_trig(Fraction(power * kx % n, n), kind)
+                - _mp_trig(Fraction(power * ky % n, n), kind))
+
+    for ci in range(1, len(chars)):  # row 0 is the principal character
+        chi = chars[ci]
         if chi.angle_numerator(ratio21) == 0:
             continue
-
-        def re_diff(power: int, x: int, y: int) -> float:
-            return (chi**power).value(x).real - (chi**power).value(y).real
-
-        def im_diff(power: int, x: int, y: int) -> float:
-            return (chi**power).value(x).imag - (chi**power).value(y).imag
-
-        def re_mp(power, x, y):
-            return _mp_trig((chi**power).evaluate(x), "cos") - _mp_trig(
-                (chi**power).evaluate(y), "cos"
-            )
-
-        def im_mp(power, x, y):
-            return _mp_trig((chi**power).evaluate(x), "sin") - _mp_trig(
-                (chi**power).evaluate(y), "sin"
-            )
-
+        k1, k2, k3 = x1[ci], x2[ci], x3[ci]
         ok_real = _distinct(
-            re_diff(1, a3, a2) * re_diff(2, a2, a1),
-            re_diff(1, a2, a1) * re_diff(2, a3, a2),
-            lambda: re_mp(1, a3, a2) * re_mp(2, a2, a1),
-            lambda: re_mp(1, a2, a1) * re_mp(2, a3, a2),
+            re_diff(1, k3, k2) * re_diff(2, k2, k1),
+            re_diff(1, k2, k1) * re_diff(2, k3, k2),
+            lambda: mp_diff("cos", 1, k3, k2) * mp_diff("cos", 2, k2, k1),
+            lambda: mp_diff("cos", 1, k2, k1) * mp_diff("cos", 2, k3, k2),
         )
         if not ok_real:
             continue
         for h, k in ((1, 2), (1, 3), (2, 3)):
             ok_imag = _distinct(
-                im_diff(h, a3, a2) * im_diff(k, a2, a1),
-                im_diff(h, a2, a1) * im_diff(k, a3, a2),
-                lambda h=h, k=k: im_mp(h, a3, a2) * im_mp(k, a2, a1),
-                lambda h=h, k=k: im_mp(h, a2, a1) * im_mp(k, a3, a2),
+                im_diff(h, k3, k2) * im_diff(k, k2, k1),
+                im_diff(h, k2, k1) * im_diff(k, k3, k2),
+                lambda h=h, k=k: mp_diff("sin", h, k3, k2) * mp_diff("sin", k, k2, k1),
+                lambda h=h, k=k: mp_diff("sin", h, k2, k1) * mp_diff("sin", k, k3, k2),
             )
             if ok_imag:
                 if chi.order < 7:
@@ -707,14 +707,19 @@ def solve_lambda_system(
     a1, a2, a3 = D.residues
     if any(a == 1 for a in (a1, a2, a3)):
         raise ValueError("residue 1 breaks the constant-shift identity")
+    chars = character_group(q)
+    table = character_table(q)
+    n, roots = table.exponent, table.roots
+    x1, x2, x3 = table.columns(D.residues)
+    row = chi.index
 
     def vdiff(power, x, y):
-        return (chi**power).value(x) - (chi**power).value(y)
+        return roots[power * x[row] % n] - roots[power * y[row] % n]
 
-    m_re = ((vdiff(1, a2, a1).real, vdiff(2, a2, a1).real),
-            (vdiff(1, a3, a2).real, vdiff(2, a3, a2).real))
-    m_im = ((vdiff(h, a2, a1).imag, vdiff(k, a2, a1).imag),
-            (vdiff(h, a3, a2).imag, vdiff(k, a3, a2).imag))
+    m_re = ((vdiff(1, x2, x1).real, vdiff(2, x2, x1).real),
+            (vdiff(1, x3, x2).real, vdiff(2, x3, x2).real))
+    m_im = ((vdiff(h, x2, x1).imag, vdiff(k, x2, x1).imag),
+            (vdiff(h, x3, x2).imag, vdiff(k, x3, x2).imag))
     l1, l2 = _solve_2x2(m_re, (z1.real / 2.0, z2.real / 2.0))
     # the conjugate-antisymmetric spread turns Im sums into -2i times the
     # solved combination, so the right-hand side enters negated
@@ -722,23 +727,27 @@ def solve_lambda_system(
 
     theta: dict[DirichletCharacter, float] = {c: 0.0 for c in nonprincipal_characters(q)}
 
-    def bump(c, val):
+    def bump(power, val):
+        c = _power(chars, chi, power)
         theta[c] = theta.get(c, 0.0) + val
 
-    bump(chi, l1)
-    bump(chi.conjugate(), l1)
-    bump(chi**2, l2)
-    bump((chi**2).conjugate(), l2)
-    bump(chi**h, l3)
-    bump((chi**h).conjugate(), -l3)
-    bump(chi**k, l4)
-    bump((chi**k).conjugate(), -l4)
+    bump(1, l1)
+    bump(-1, l1)
+    bump(2, l2)
+    bump(-2, l2)
+    bump(h, l3)
+    bump(-h, -l3)
+    bump(k, l4)
+    bump(-k, -l4)
 
     y = max(0.0, -min(theta.values()))
     lam = {c: v + y for c, v in theta.items()}
 
-    r1 = sum(v * (c.value(a2).conjugate() - c.value(a1).conjugate()) for c, v in lam.items())
-    r2 = sum(v * (c.value(a3).conjugate() - c.value(a2).conjugate()) for c, v in lam.items())
+    rows = [c.index for c in lam]
+    r1 = sum(v * (roots[x2[i]].conjugate() - roots[x1[i]].conjugate())
+             for i, v in zip(rows, lam.values()))
+    r2 = sum(v * (roots[x3[i]].conjugate() - roots[x2[i]].conjugate())
+             for i, v in zip(rows, lam.values()))
     resid = max(abs(r1 - z1), abs(r2 - z2))
     if resid >= 1e-10:
         raise ArithmeticError(f"linear system residual {resid} too large")
@@ -793,10 +802,13 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
 
     # bound on the drift of the normalized main terms away from the ideal
     # (Q/gamma)(±2 cos + cos 2) envelope, from the rationalization errors
+    table = character_table(D.q)
+    roots = table.roots
+    x1, x2, x3 = table.columns(D.residues)
     scale = sum(
-        abs(c.value(a).conjugate() - c.value(b).conjugate())
-        for c in chars
-        for a, b in ((D.a1, D.a2), (D.a2, D.a3))
+        abs(roots[x[ci]].conjugate() - roots[y[ci]].conjugate())
+        for ci in range(1, len(chars) + 1)  # chars are rows 1 .. phi - 1
+        for x, y in ((x1, x2), (x2, x3))
     )
     barrier = Barrier(
         triple=D,

@@ -8,9 +8,9 @@ is read from one integer table per modulus (`character_table`).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -107,11 +107,49 @@ def _roots_of_unity(n: int) -> tuple[complex, ...]:
                  for theta in (2.0 * math.pi * (k / n) for k in range(n)))
 
 
+class CharacterGroup(Sequence):
+    """The phi(q) characters mod q in canonical (row-major exponent) order.
+
+    Row i is built, through DirichletCharacter's own validation, the first
+    time it is read, and the same object is returned on every later read; a
+    search that reads a handful of rows never pays for the other phi(q).
+    """
+
+    __slots__ = ("q", "orders", "_rows")
+
+    def __init__(self, q: int, orders: tuple[int, ...]):
+        self.q = q
+        self.orders = orders
+        self._rows: list[DirichletCharacter | None] = [None] * math.prod(orders)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, row: int) -> DirichletCharacter:
+        chi = self._rows[row]  # raises IndexError past either end
+        if chi.__class__ is not DirichletCharacter:  # not built yet, or a slice
+            chi = self._build(row)
+        return chi
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._rows)))
+
+    def _build(self, row: int) -> DirichletCharacter:
+        row = operator.index(row) % len(self._rows)  # a slice raises TypeError
+        exps = []
+        rest = row
+        for s in reversed(self.orders):
+            rest, h = divmod(rest, s)
+            exps.append(h)
+        chi = self._rows[row] = DirichletCharacter(self.q, tuple(reversed(exps)))
+        return chi
+
+
 @lru_cache(maxsize=None)
-def character_group(q: int) -> tuple[DirichletCharacter, ...]:
-    """All phi(q) characters in canonical (row-major exponent) order."""
-    orders = unit_group_structure(check_modulus(q)).orders
-    return tuple(DirichletCharacter(q, vec) for vec in itertools.product(*map(range, orders)))
+def character_group(q: int) -> CharacterGroup:
+    """All phi(q) characters in canonical (row-major exponent) order, each
+    built when first read."""
+    return CharacterGroup(q, unit_group_structure(check_modulus(q)).orders)
 
 
 @dataclass(frozen=True)
@@ -184,7 +222,9 @@ def principal_character(q: int) -> DirichletCharacter:
 
 
 def nonprincipal_characters(q: int) -> tuple[DirichletCharacter, ...]:
-    return tuple(ch for ch in character_group(q) if not ch.is_principal)
+    """Rows 1 .. phi(q) - 1 of the character group; row 0 is the principal character."""
+    chars = character_group(q)
+    return tuple(map(chars.__getitem__, range(1, len(chars))))
 
 
 def character_with_unit_value(q: int, b: int) -> DirichletCharacter:

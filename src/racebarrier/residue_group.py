@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
+import numpy as np
+
 # Discrete logs are built from full power tables; keep q at desk scale.
 Q_CAP = 10**6
 
@@ -69,6 +71,19 @@ def _smallest_primitive_root(m: int, order: int) -> int:
         if all(pow(g, order // p, m) != 1 for p in prime_divs):
             return g
     raise ArithmeticError(f"no primitive root mod {m}")
+
+
+def _power_table(g: int, s: int, q: int) -> np.ndarray:
+    """g^0, ..., g^(s-1) mod q, one multiplication each: the known prefix of
+    length k times g^k gives the next k powers."""
+    table = np.empty(s, dtype=np.int64)
+    table[0] = 1
+    k = 1
+    while k < s:
+        m = min(k, s - k)
+        table[k : k + m] = table[:m] * (table[k - 1] * g % q) % q
+        k += m
+    return table
 
 
 @dataclass(frozen=True)
@@ -135,12 +150,14 @@ def unit_group_structure(q: int) -> UnitGroupStructure:
             gens.append(x)
             orders.append(s)
 
-    dlog: dict[int, tuple[int, ...]] = {}
-    for vec in itertools.product(*[range(s) for s in orders]):
-        x = 1
-        for g, f in zip(gens, vec):
-            x = x * pow(g, f, q) % q
-        dlog[x] = vec
+    # units[v] = prod g_i^(v_i) mod q over exponent vectors v in row-major
+    # order (the order itertools.product yields them): outer products of the
+    # generators' power tables, each entry one product of two residues below
+    # q <= 10^6, so below 2^63
+    units = np.ones(1, dtype=np.int64)
+    for g, s in zip(gens, orders):
+        units = (np.multiply.outer(units, _power_table(g, s, q)) % q).ravel()
+    dlog = dict(zip(units.tolist(), itertools.product(*map(range, orders))))
     if len(dlog) != euler_phi(q):
         raise ArithmeticError(f"generator basis for q={q} does not cover the group")
     exponent = lcm(*orders) if orders else 1

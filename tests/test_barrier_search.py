@@ -1,7 +1,12 @@
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +484,25 @@ class TestConstructionThree:
             n = mults.get((tuple(c.exponents), True), 0)
             assert abs(v - n / Q) < 1e-3
 
+    def test_values_come_from_the_table(self, monkeypatch):
+        """Construction III reads chi^p(a) from the table columns: the old path
+        made 540 value and 60 __pow__ calls on this triple."""
+        calls = Counter()
+        value, power = DirichletCharacter.value, DirichletCharacter.__pow__
+
+        def counted_value(self, a):
+            calls["value"] += 1
+            return value(self, a)
+
+        def counted_power(self, k):
+            calls["pow"] += 1
+            return power(self, k)
+
+        monkeypatch.setattr(DirichletCharacter, "value", counted_value)
+        monkeypatch.setattr(DirichletCharacter, "__pow__", counted_power)
+        construction_three(RaceTriple(43, 2, 3, 14), BarrierParams())
+        assert calls["value"] <= 60 and calls["pow"] <= 12, calls
+
     def test_exclusion_simulated(self):
         D = RaceTriple(19, 2, 3, 14)
         barrier = construction_three(D, BarrierParams())
@@ -508,6 +532,25 @@ class TestFindBarrier:
             beta2 = min(z.sigma for z in barrier.zeros)
             assert 0.5 <= barrier.beta1 < beta2
             assert max(z.sigma for z in barrier.zeros) <= 1.0
+
+
+def test_cold_large_modulus_stays_small():
+    """A cold find_barrier at q = 99991, group and character builds included,
+    peaks under 40 MiB of traced memory (49.2 MiB with the per-unit builds).
+    It runs in a fresh interpreter, so no other test can have warmed q."""
+    script = (
+        "import tracemalloc\n"
+        "from racebarrier.barrier_search import RaceTriple, find_barrier\n"
+        "tracemalloc.start()\n"
+        "assert find_barrier(RaceTriple(99991, 2, 3, 5)).construction == 'I'\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(Path(rb.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    peak = int(out.split()[-1])
+    assert peak < 40 * 2**20, peak
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racebarrier.barrier_search import RaceTriple, find_barrier
 from racebarrier.characters import (
     CharacterTable,
     DirichletCharacter,
@@ -176,7 +178,42 @@ class TestCharOrder:
             assert not (chi**m).is_principal
 
 
+def old_character_group(q):
+    """The eager builder the lazy group replaced: every row, built at once."""
+    orders = unit_group_structure(q).orders
+    return tuple(DirichletCharacter(q, vec) for vec in itertools.product(*map(range, orders)))
+
+
 class TestCharacterGroup:
+    def test_matches_the_eager_tuple_for_every_q_up_to_200(self):
+        for q in range(5, 201):
+            try:
+                check_modulus(q)
+            except ValueError:
+                continue
+            chars = character_group(q)
+            old = old_character_group(q)
+            assert len(chars) == len(old)
+            for i, chi in enumerate(old):
+                assert chars[i] == chi and chars[i].index == i
+                assert chars[i] is chars[i] is chars[i - len(old)]
+            assert tuple(chars) == old
+            assert nonprincipal_characters(q) == old[1:]
+            assert chars[-1] is chars[len(old) - 1]
+            for past in (len(old), -len(old) - 1):
+                with pytest.raises(IndexError):
+                    chars[past]
+            with pytest.raises(TypeError):
+                chars[1:]
+
+    def test_a_cold_construction_one_builds_few_rows(self):
+        q = 8191  # phi = 8190, read by no other test
+        barrier = find_barrier(RaceTriple(q, 2, 3, 5))
+        assert barrier.construction == "I"
+        built = [row for row in character_group(q)._rows if row is not None]
+        assert 0 < len(built) <= 24
+        assert all(zero.character in built for zero in barrier.zeros)
+
     @given(SMALL_Q)
     @settings(max_examples=40, deadline=None)
     def test_counts_and_uniqueness(self, q):

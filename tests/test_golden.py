@@ -4,7 +4,8 @@ One sha256 covers `json.dumps(barrier_to_dict(find_barrier(D)), sort_keys=True)`
 for every ordered triple with q <= 30, then a few fixed triples at q = 401,
 455 (non-cyclic) and 1009.  The digest was recorded while character values
 still came from a per-call dlog sum, before the integer character table;
-a change to any byte of any of these barriers shows here.
+a change to any byte of any of these barriers shows here.  A second digest
+covers one triple at q = 99991, where a cold modulus is costly to build.
 
 The GSH digests cover, per triple, the barrier JSON of `construction_gsh` at
 J = 10^4 and the `gsh_simulate` output over a 10-unit window from the
@@ -38,6 +39,11 @@ FIXED = (
     (455, 2, 3, 4), (455, 1, 454, 64), (455, 2, 8, 32),
     (401, 1, 72, 372), (1009, 1, 935, 431), (1009, 1, 922, 506),
 )
+
+# recorded with the dlog table built by a pow loop per unit and every
+# character of the group built eagerly
+LARGE_TRIPLE = (99991, 2, 3, 5)
+LARGE_DIGEST = "143bcf5a570e85f3b234c822642a1e4b00dce41c9a8d4d2f9a264c6fcaeabeb9"
 
 # 7 1 2 5 drifts fast; 5 1 2 3 and 21 1 2 10 have alpha 2e-4 from an integer
 GSH_DIGESTS = {
@@ -73,6 +79,12 @@ def test_barrier_json_digest():
     assert constructions == {"I": 56_664 + len(FIXED), "II": 960, "III": 240}
     assert families == {"primitive-root": 4, "singleton": 3, "power": 2, "conjugate-pair": 1}
     assert digest.hexdigest() == DIGEST
+
+
+def test_barrier_json_digest_at_a_large_modulus():
+    data = barrier_to_dict(find_barrier(RaceTriple(*LARGE_TRIPLE)))
+    text = json.dumps(data, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == LARGE_DIGEST
 
 
 @pytest.mark.parametrize("triple", sorted(GSH_DIGESTS))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from math import gcd
 
@@ -30,6 +31,17 @@ def ext_gcd(a, b):
         return a, 1, 0
     g, x, y = ext_gcd(b, a % b)
     return g, y, x - (a // b) * y
+
+
+def product_loop_dlog(g):
+    """The dlog builder the power tables replaced: t pow calls per unit."""
+    dlog = {}
+    for vec in itertools.product(*[range(s) for s in g.orders]):
+        x = 1
+        for gen, f in zip(g.generators, vec):
+            x = x * pow(gen, f, g.q) % g.q
+        dlog[x] = vec
+    return dlog
 
 
 class TestModulus:
@@ -65,16 +77,19 @@ class TestUnitGroupStructure:
     def test_exponent_vectors_cover_group_once(self, q):
         g = unit_group_structure(q)
         # brute-force oracle: products of generator powers hit every unit once
-        seen = {}
-        import itertools
-
-        for vec in itertools.product(*[range(s) for s in g.orders]):
-            x = 1
-            for gen, f in zip(g.generators, vec):
-                x = x * pow(gen, f, q) % q
-            assert x not in seen
-            seen[x] = vec
+        seen = product_loop_dlog(g)
+        assert len(seen) == math.prod(g.orders)
         assert sorted(seen) == brute_force_units(q)
+
+    def test_dlog_matches_the_product_loop(self):
+        """The power-table build gives the old loop's dlog table: same keys,
+        same tuples of ints, same insertion order."""
+        moduli = [5, *range(7, 2001), 30030, 65536, 720720]
+        for q in moduli:
+            g = unit_group_structure(q)
+            assert list(g.dlog.items()) == list(product_loop_dlog(g).items()), q
+            key, vec = next(iter(g.dlog.items()))
+            assert type(key) is int and all(type(f) is int for f in vec)
 
     @given(VALID_Q)
     @settings(max_examples=60, deadline=None)
