@@ -78,23 +78,56 @@ def pair_diff_grid(config: MainTermConfig, a: int, b: int, us: np.ndarray) -> np
 def pair_diff_grids(config: MainTermConfig, pairs, us: np.ndarray) -> list[np.ndarray]:
     """Main terms of several residue pairs over one u grid.
 
-    Each distinct rho's exp, cos and sin are evaluated once and shared by every
-    pair with a nonzero coefficient there.  Rhos are visited in the order they
-    first appear in ``config.zeros``, so each output receives the same float
-    operations in the same order as a pair-by-pair evaluation.  Only one rho's
-    arrays are held at a time: the workspace is O(len(us)).
+    Each distinct rho's exp and rotation e^(i gamma u) are evaluated once and
+    shared by every pair with a nonzero coefficient there.  Rhos are visited in
+    the order they first appear in ``config.zeros``, so each output receives the
+    same float operations in the same order as a pair-by-pair evaluation.  Only
+    one rho's arrays are held at a time: the workspace is O(len(us)).
     """
     us = np.asarray(us, dtype=float)
-    outs = [np.zeros_like(us) for _ in pairs]
-    coeffs = [config.pair_coefficients(a, b) if a != b else {} for a, b in pairs]
+    return _pair_diff_kernel(config, _coefficients(config, pairs), us,
+                             lambda gamma: _sincos(gamma, us))
+
+
+def _coefficients(config: MainTermConfig, pairs) -> list[dict[complex, complex]]:
+    return [config.pair_coefficients(a, b) if a != b else {} for a, b in pairs]
+
+
+def _sincos(gamma: float, us: np.ndarray) -> np.ndarray:
+    """e^(i gamma u) over a grid: cos in the real part and sin in the imaginary.
+
+    The phases gamma u reach 4e8 on the criterion-7 window, where argument
+    reduction is most of the cost; one complex exp reduces once for both, equal
+    bit for bit to np.cos and np.sin on glibc.
+    """
+    return np.exp(1j * (gamma * us))
+
+
+# (ordinate, window) rotations kept for simulate; every census barrier has the
+# ordinates t = 1000 and 2t, so all barriers checked on one window share two
+_ROTATIONS = 8
+
+
+@lru_cache(maxsize=_ROTATIONS)
+def _window_rotation(gamma: float, u0: float, u1: float, n: int) -> np.ndarray:
+    """Read-only e^(i gamma u) over simulate's grid np.linspace(u0, u1, n)."""
+    rot = _sincos(gamma, np.linspace(u0, u1, n))
+    rot.setflags(write=False)
+    return rot
+
+
+def _pair_diff_kernel(config: MainTermConfig, coeffs, us: np.ndarray,
+                      rotation) -> list[np.ndarray]:
+    """Main terms for per-pair coefficient dicts; ``rotation(gamma)`` gives e^(i gamma us)."""
+    outs = [np.zeros_like(us) for _ in coeffs]
     for rho in dict.fromkeys(rho for _, rho, _ in config.zeros):
         terms = [(out, c[rho] / rho) for out, c in zip(outs, coeffs) if c.get(rho, 0) != 0]
         if not terms:
             continue
         # -2 Re [ c * e^{(rho - sigma_max) u} / rho ]
         amp = -2.0 * np.exp((rho.real - config.sigma_max) * us)
-        phase = rho.imag * us
-        cos, sin = np.cos(phase), np.sin(phase)
+        rot = rotation(rho.imag)
+        cos, sin = rot.real, rot.imag
         for out, z in terms:
             out += amp * (z.real * cos - z.imag * sin)
     return outs
@@ -127,11 +160,13 @@ def _remainder_bound(config: MainTermConfig, coeffs: dict[complex, complex], u: 
     return total + tail
 
 
-def remainder_sup(config: MainTermConfig, a: int, b: int, u0: float, u1: float) -> float:
+def remainder_sup(config: MainTermConfig, a: int, b: int, u0: float, u1: float,
+                  coeffs: dict[complex, complex] | None = None) -> float:
     """Supremum of the remainder bound over [u0, u1].
 
     Each piece is monotone except the ceiling term u^2 e^((beta1 - sigma_max) u),
-    whose interior maximum sits at u = 2 / (sigma_max - beta1).
+    whose interior maximum sits at u = 2 / (sigma_max - beta1).  ``coeffs`` may
+    pass the coefficients of (a, b) or of (b, a): only their moduli are read.
     """
     if a == b:
         return 0.0
@@ -140,7 +175,8 @@ def remainder_sup(config: MainTermConfig, a: int, b: int, u0: float, u1: float) 
         critical = 2.0 / (config.sigma_max - config.beta1)
         if u0 < critical < u1:
             us.append(critical)
-    coeffs = config.pair_coefficients(a, b)
+    if coeffs is None:
+        coeffs = config.pair_coefficients(a, b)
     return max(_remainder_bound(config, coeffs, u) for u in us)
 
 
@@ -158,10 +194,6 @@ class RaceProfile:
     excluded_robust: int = 0
     ordering_codes: np.ndarray | None = None  # int8 per sample: index into ordering_labels, -1 tie
     ordering_labels: tuple = ()
-
-    @property
-    def sample_count(self) -> int:
-        return len(self.u)
 
     def total(self) -> int:
         return sum(self.ordering_histogram.values()) + self.ties
@@ -223,17 +255,26 @@ def ordering_histogram(codes: np.ndarray, labels: tuple) -> tuple[dict[tuple, in
     return histogram, int((codes < 0).sum())
 
 
+def _check_window(u0: float, u1: float, n: int) -> None:
+    if n < 2:
+        raise SimulationInputError("need at least 2 samples")
+    if not (math.isfinite(u0) and math.isfinite(u1)):
+        raise SimulationInputError(f"u range [{u0}, {u1}] is not finite")
+    if u1 <= u0:
+        raise SimulationInputError("empty u range")
+
+
 def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -> RaceProfile:
     """Grid evaluation of the main terms of a finite barrier.
 
     Classifies every sample's strict ordering, counts occurrences of the
     barrier's excluded ordering, and reports the avoidance margin next to the
-    remainder bound.
+    remainder bound.  The rotations e^(i gamma u) over the grid come from a
+    small cache keyed by (gamma, u0, u1, n), shared by every barrier checked
+    on the same window.
     """
-    if n < 2:
-        raise SimulationInputError("need at least 2 samples")
-    if u1 <= u0:
-        raise SimulationInputError("empty u range")
+    _check_window(u0, u1, n)
+    u0, u1 = float(u0), float(u1)  # the cached rotations' grid is built from the same floats
     triple = tuple(barrier.relabeled_triple)
     zeros = list(barrier.zeros)
     if not zeros and not allow_empty:
@@ -246,14 +287,22 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
 
     us = np.linspace(u0, u1, n)
     a, b, c = triple
-    dab, dbc, dac = pair_diff_grids(config, ((a, b), (b, c), (a, c)), us)
+    pairs = ((a, b), (b, c), (a, c))
+    coeffs = _coefficients(config, pairs)
+    dab, dbc, dac = _pair_diff_kernel(config, coeffs, us,
+                                      lambda gamma: _window_rotation(gamma, u0, u1, n))
     codes, labels = classify_orderings(triple, dab, dbc, dac)
     histogram, ties = ordering_histogram(codes, labels)
 
     diffs = {(a, b): dab, (b, a): -dab, (b, c): dbc, (c, b): -dbc, (a, c): dac, (c, a): -dac}
+    # a pair's coefficients in either orientation (the bound reads only |c|)
+    coeff_of = {}
+    for pair, cs in zip(pairs, coeffs):
+        coeff_of[pair] = coeff_of[pair[::-1]] = cs
     x, y, z = barrier.excluded_ordering
     slack = np.minimum(diffs[(x, y)], diffs[(y, z)])
-    rem = max(remainder_sup(config, x, y, u0, u1), remainder_sup(config, y, z, u0, u1))
+    rem = max(remainder_sup(config, x, y, u0, u1, coeffs=coeff_of[(x, y)]),
+              remainder_sup(config, y, z, u0, u1, coeffs=coeff_of[(y, z)]))
     profile = RaceProfile(
         u=us,
         d1=diffs[(x, y)],
@@ -271,23 +320,6 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
     return profile
 
 
-def verify_exclusion(barrier, u0: float, periods: float = 10.0, samples_per_period: int = 10**4):
-    """Refinement-stable exclusion check: doubles the grid until the verdict
-    (robust occurrence count zero or not) stabilizes twice."""
-    gam = min(z.gamma for z in barrier.zeros)
-    u1 = u0 + periods * 2.0 * math.pi / gam
-    n = max(2, int(periods * samples_per_period))
-    verdicts = []
-    profile = None
-    while len(verdicts) < 3 or not (verdicts[-1] == verdicts[-2] == verdicts[-3]):
-        profile = simulate(barrier, u0, u1, n)
-        verdicts.append(profile.excluded_robust == 0)
-        if len(verdicts) >= 6:
-            break
-        n *= 2
-    return profile, all(verdicts[-3:])
-
-
 # ---------------------------------------------------------------------------
 # envelope analysis
 
@@ -301,10 +333,6 @@ def v_lambda(lam: float) -> float:
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must be in (0, 1), got {lam}")
     return math.acos(2.0 * lam / (1.0 + math.sqrt(1.0 + 8.0 * lam * lam)))
-
-
-def envelope_h(y: float, lam: float) -> float:
-    return math.cos(y) + lam * math.cos(2.0 * y)
 
 
 @lru_cache(maxsize=4096)
@@ -393,10 +421,7 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     ||t u / pi - alpha|| * max h_j is small, so the rest are reported, not
     asserted.
     """
-    if u1 <= u0:
-        raise SimulationInputError("empty u range")
-    if n < 2:
-        raise SimulationInputError("need at least 2 samples")
+    _check_window(u0, u1, n)
     t = gsh.t
     if gsh.truncation < u1 ** 0.4:
         raise SimulationInputError(

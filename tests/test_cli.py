@@ -179,6 +179,15 @@ class TestSimulateCommand:
         )
         assert code == 1 and "empty u range" in err
 
+    @pytest.mark.parametrize("window", [["--u0", "nan", "--u1", "200000"],
+                                        ["--u0", "200000", "--u1", "inf"],
+                                        ["--u0", "nan"]])
+    def test_non_finite_window_rejected(self, capsys, barrier_file, window):
+        code, out, err = run(["simulate", str(barrier_file), *window, "--samples", "100"],
+                             capsys)
+        assert code == 1 and "rejected" in err and "not finite" in err
+        assert "VERIFIED" not in out
+
     def test_profile_ordering_column(self, capsys, barrier_file, tmp_path):
         prof = tmp_path / "profile.csv"
         code, _, _ = run(
@@ -258,6 +267,14 @@ class TestSimulateGshCommand:
         capsys.readouterr()
         code, _, err = run(["simulate", str(gsh_file), "--u0", "5"], capsys)
         assert code == 1 and "rejected" in err and "floor" in err
+
+    @pytest.mark.parametrize("window", [["--u0", "nan", "--u1", "1004"],
+                                        ["--u0", "1000", "--u1", "inf"],
+                                        ["--u0", "nan"]])
+    def test_non_finite_window_rejected(self, capsys, gsh_file, window):
+        capsys.readouterr()
+        code, _, err = run(["simulate", str(gsh_file), *window, "--samples", "10"], capsys)
+        assert code == 1 and "rejected" in err and "not finite" in err
 
     def test_truncation_too_small_rejected(self, capsys, gsh_file):
         capsys.readouterr()

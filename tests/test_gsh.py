@@ -163,6 +163,11 @@ class TestSimulation:
         with pytest.raises(SimulationInputError, match="truncation"):
             gsh_simulate(gsh7, 1e10, 2e10, 100)
 
+    @pytest.mark.parametrize("u0, u1", [(math.nan, 2e3), (1e3, math.nan), (1e3, math.inf)])
+    def test_non_finite_window(self, gsh7, u0, u1):
+        with pytest.raises(SimulationInputError, match="not finite"):
+            gsh_simulate(gsh7, u0, u1, 10)
+
     def test_floor_guard(self, gsh7):
         with pytest.raises(SimulationInputError, match="floor"):
             gsh_simulate(gsh7, 12.0, 14.0, 100)

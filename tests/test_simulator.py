@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import racebarrier as rb
+from racebarrier import race_simulator
 from racebarrier.characters import DirichletCharacter, nonprincipal_characters
 from racebarrier.race_simulator import (
     MainTermConfig,
@@ -16,7 +18,6 @@ from racebarrier.race_simulator import (
     SimulationInputError,
     classify_orderings,
     envelope3_max,
-    envelope_h,
     envelope_min,
     main_term_pair_diff,
     ordering_histogram,
@@ -25,7 +26,6 @@ from racebarrier.race_simulator import (
     remainder_bound,
     simulate,
     v_lambda,
-    verify_exclusion,
     write_profile,
 )
 
@@ -164,9 +164,9 @@ class TestEnvelope:
         for lam in (0.1, 0.5, 0.9):
             v = v_lambda(lam)
             for y in np.linspace(0.0, v - 1e-6, 50):
-                assert envelope_h(y, lam) > 0
+                assert math.cos(y) + lam * math.cos(2.0 * y) > 0
             for y in np.linspace(v + 1e-6, math.pi, 50):
-                assert envelope_h(y, lam) < 0
+                assert math.cos(y) + lam * math.cos(2.0 * y) < 0
 
     def test_z_below_pi_d_in_window_case(self):
         # both gaps above 1/3: each crossing sits below pi d
@@ -225,12 +225,7 @@ class TestSimulate:
     def test_histogram_totals(self, barrier7):
         t = barrier7.parameters["t"]
         prof = simulate(barrier7, 2e5, 2e5 + 2 * math.pi / t, 5000)
-        assert prof.total() == prof.sample_count == 5000
-
-    def test_exclusion_and_refinement_stability(self, barrier7):
-        prof, stable = verify_exclusion(barrier7, 2e5, periods=3, samples_per_period=2000)
-        assert prof.excluded_robust == 0
-        assert stable
+        assert prof.total() == len(prof.u) == 5000
 
     def test_excluded_ordering_never_strictly_observed(self, barrier7):
         t = barrier7.parameters["t"]
@@ -267,6 +262,14 @@ class TestRejectedInput:
     def test_range_and_sample_count(self, barrier7, u0, u1, n):
         with pytest.raises(SimulationInputError):
             simulate(barrier7, u0, u1, n)
+
+    @pytest.mark.parametrize("u0, u1", [(math.nan, 2e5), (2e5, math.nan), (2e5, math.inf),
+                                        (-math.inf, 2e5), (math.inf, math.inf)])
+    def test_non_finite_window(self, barrier7, u0, u1):
+        race_simulator._window_rotation.cache_clear()
+        with pytest.raises(SimulationInputError, match="not finite"):
+            simulate(barrier7, u0, u1, 10)
+        assert race_simulator._window_rotation.cache_info().currsize == 0
 
 
 def _classify(triple, dab, dbc, dac):
@@ -415,6 +418,92 @@ class TestPairKernel:
              (5, 2, 1): 166},
             0, -0.0013072176651708109, 1.5968061868255863e-07, 333, 333,
         )
+
+
+_CENSUS = ((7, 1, 2, 5), (23, 2, 3, 4), (19, 2, 3, 14), (13, 2, 5, 7))
+
+
+@pytest.fixture(scope="module")
+def census_barriers():
+    return [rb.find_barrier(rb.RaceTriple(*t)) for t in _CENSUS]
+
+
+def _profile_bytes(profile):
+    return (profile.u.tobytes(), profile.d1.tobytes(), profile.d2.tobytes(),
+            profile.ordering_codes.tobytes(), repr(profile.margin), repr(profile.remainder))
+
+
+class TestWindowCache:
+    """simulate's rotations e^(i gamma u) are cached per (gamma, u0, u1, n)."""
+
+    def test_one_rotation_per_ordinate(self, census_barriers, monkeypatch):
+        window = _window(census_barriers[0])
+        assert {_window(b) for b in census_barriers} == {window}
+        assert {z.gamma for b in census_barriers for z in b.zeros} == {1000.0, 2000.0}
+        gammas = []
+        kernel = race_simulator._sincos
+
+        def counting(gamma, us):
+            gammas.append(gamma)
+            return kernel(gamma, us)
+
+        monkeypatch.setattr(race_simulator, "_sincos", counting)
+        race_simulator._window_rotation.cache_clear()
+        for _ in range(2):
+            for barrier in census_barriers:
+                simulate(barrier, *window)
+        assert sorted(gammas) == [1000.0, 2000.0]
+
+    def test_cold_and_warm_calls_agree(self, census_barriers):
+        windows = [_window(census_barriers[0]), _window(census_barriers[0], 1999),
+                   (2.5e5, 2.5e5 + 0.07, 2000)]
+        cold = []
+        for w in windows:
+            for b in census_barriers:
+                race_simulator._window_rotation.cache_clear()
+                cold.append(_profile_bytes(simulate(b, *w)))
+        warm = [_profile_bytes(simulate(b, *w)) for w in windows for b in census_barriers]
+        assert race_simulator._window_rotation.cache_info().hits > 0
+        assert cold == warm
+        for barrier in census_barriers[:3]:
+            cfg = MainTermConfig.from_zeros(barrier.q, barrier.zeros, beta1=barrier.beta1)
+            x, y, _ = barrier.excluded_ordering
+            for w in windows:
+                want = _reference_pair_diff(cfg, x, y, np.linspace(*w))
+                assert np.array_equal(simulate(barrier, *w).d1, want)
+
+    def test_verdicts_pinned_cold_and_warm(self, census_barriers):
+        for triple, barrier in zip(_CENSUS, census_barriers):
+            if triple not in _PINNED:
+                continue
+            _, *verdict = _PINNED[triple]
+            race_simulator._window_rotation.cache_clear()
+            assert _verdict(simulate(barrier, *_window(barrier))) == tuple(verdict)
+            assert _verdict(simulate(barrier, *_window(barrier))) == tuple(verdict)
+
+    def test_cached_rotations_are_read_only(self, barrier7):
+        window = _window(barrier7)
+        simulate(barrier7, *window)
+        rot = race_simulator._window_rotation(1000.0, *window)
+        for view in (rot, rot.real, rot.imag):
+            with pytest.raises(ValueError):
+                view[0] = 0.0
+
+    def test_cache_is_bounded(self, barrier7):
+        n = 10**5
+        maxsize = race_simulator._window_rotation.cache_info().maxsize
+        race_simulator._window_rotation.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(maxsize + 3):
+                simulate(barrier7, 2e5 + k, 2e5 + k + 0.07, n)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert race_simulator._window_rotation.cache_info().currsize <= maxsize
+        # one complex128 array of n samples (1.6 MB) per entry
+        assert retained <= 16 * 2**20
 
 
 class TestWriteProfile:
