@@ -888,6 +888,12 @@ def _equal_sum_from_deferral(D: RaceTriple, deferral: CaseIDeferral) -> EqualSum
 # infinite construction
 
 
+# construction_gsh scans H in blocks of 2^13 integers: 64 KiB per int64 or
+# float64 temporary, under glibc's 128 KiB mmap threshold, so the scans reuse
+# heap memory instead of faulting in fresh pages on every block
+_H_BLOCK = 1 << 13
+
+
 def _first_n_primes(n: int) -> list[int]:
     # n-th prime < n (ln n + ln ln n) for n >= 6
     if n < 6:
@@ -975,14 +981,14 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
 
     # first member of H in each window [j^2, j^2 + j]: probe offsets
     # [lo, lo + width) of every window with no hit yet at once, doubling the
-    # width each round, in blocks of at most 2^16 elements
+    # width each round, in blocks of at most _H_BLOCK elements
     js = np.arange(1, j_max + 1, dtype=np.int64)
     first = np.full(j_max, -1, dtype=np.int64)  # offset of the first hit, -1 for none
     unresolved = js - 1
     lo, width = 0, 8
     while unresolved.size:
         offsets = np.arange(lo, lo + width, dtype=np.int64)
-        rows = max(1, (1 << 16) // width)
+        rows = max(1, _H_BLOCK // width)
         for s in range(0, unresolved.size, rows):
             idx = unresolved[s:s + rows]
             jj = js[idx, None]
@@ -990,7 +996,7 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
             hit = hits.any(axis=1)
             first[idx[hit]] = lo + hits[hit].argmax(axis=1)
         lo += width
-        width = min(2 * width, 1 << 16)
+        width = min(2 * width, _H_BLOCK)
         unresolved = unresolved[(first[unresolved] < 0) & (js[unresolved] >= lo)]
     in_h = first >= 0
     missed = np.flatnonzero(~in_h & (js >= 10.0 * t))
@@ -1012,13 +1018,20 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
     if len(set(gammas)) != len(gammas):
         raise ConstructionError("ordinate collision in the truncated family")
 
-    # gap property of H on the configured check range
+    # gap property of H on the configured check range, in blocks of
+    # _H_BLOCK that carry the last member across each block edge
     limit = p.gap_check_limit
-    hs = np.arange(limit + 1, dtype=np.int64)
-    members = np.flatnonzero(in_h_set(hs))
-    if members.size < 2:
+    max_gap, count = 0, 0
+    last = np.empty(0, dtype=np.int64)
+    for start in range(0, limit + 1, _H_BLOCK):
+        hs = np.arange(start, min(start + _H_BLOCK, limit + 1), dtype=np.int64)
+        members = np.concatenate((last, hs[in_h_set(hs)]))
+        if members.size >= 2:
+            max_gap = max(max_gap, int(np.diff(members).max()))
+        count += members.size - last.size
+        last = members[-1:]
+    if count < 2:
         raise ConstructionError("H has too few members on the check range")
-    max_gap = int(np.diff(members).max())
     bound = int(10.0 * t) + 1
     if max_gap > bound:
         raise ConstructionError(f"H gap {max_gap} exceeds {bound} on [0, {limit}]")

@@ -26,6 +26,12 @@ EXIT_VALIDATION = 1
 EXIT_CONSTRUCTION = 2
 EXIT_VERIFICATION = 3
 
+# default u0 of `simulate` on a finite barrier: at the default zero real parts
+# (0.501 / 0.5005 against the ceiling 1/2) the remainder bound falls below the
+# main terms only near u = 2e5; at small u it dwarfs them and no ordering
+# violation can count as robust
+DEFAULT_FINITE_U0 = 2e5
+
 _PARAM_FLAGS = {
     "sigma1": float,
     "sigma2": float,
@@ -221,7 +227,7 @@ def cmd_simulate(args, config) -> int:
         n = args.samples if args.samples is not None else 20000
     else:
         gam = min(zz.gamma for zz in barrier.zeros)
-        u0 = args.u0 if args.u0 is not None else 50.0
+        u0 = args.u0 if args.u0 is not None else DEFAULT_FINITE_U0
         u1 = args.u1 if args.u1 is not None else u0 + 10.0 * 2.0 * math.pi / gam
         n = args.samples if args.samples is not None else 10**5
     try:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -409,6 +410,54 @@ def _nearest_int_dist(x):
     return np.abs(x - np.round(x))
 
 
+# gsh_simulate's phase tile: the complex temporaries of 15 x 512 terms take
+# 120 KiB, under glibc's 128 KiB mmap threshold, so a tile reuses heap memory
+# instead of mapping fresh pages.  The chunk width fixes the summation order
+# of d1 and so its bytes.
+_GSH_ROWS = 15
+_GSH_CHUNK = 512
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _gsh_family_sums(us, gam, del_, wj):
+    """First main term d1 = 2 sum_j Re(wj e^{(-delta_j + i gamma_j) u}) and
+    damping tail sum_j e^{-delta_j u} / gamma_j^2 at every sample u.
+
+    Tiles of _GSH_ROWS samples by _GSH_CHUNK terms: each row sums its chunks
+    in the same order with the same expressions as one pass over all
+    samples, so the bytes of both sums depend neither on the tiling nor on
+    how many threads run the row blocks (numpy releases the GIL in exp).
+    """
+    d1 = np.zeros_like(us)
+    tails = np.zeros_like(us)
+
+    def row_block(r0):
+        rows = slice(r0, min(r0 + _GSH_ROWS, len(us)))
+        u = us[rows]
+        for s in range(0, len(gam), _GSH_CHUNK):
+            sl = slice(s, min(s + _GSH_CHUNK, len(gam)))
+            damp = np.exp(-np.outer(u, del_[sl]))
+            rot = np.exp(1j * np.outer(u, gam[sl]))
+            d1[rows] += 2.0 * (damp * (rot.real * wj[sl].real - rot.imag * wj[sl].imag)).sum(axis=1)
+            tails[rows] += (damp / (gam[sl] ** 2)).sum(axis=1)
+
+    # imported here: concurrent.futures pulls in logging, about 5 ms of
+    # start-up that no finite-barrier caller needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    starts = range(0, len(us), _GSH_ROWS)
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(starts))) as pool:
+        list(pool.map(row_block, starts))
+    return d1, tails
+
+
 def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = True,
                  max_lock_points: int = 2000) -> GshProfile:
     """Two-regime evaluation of a truncated infinite barrier.
@@ -456,16 +505,7 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     # cost; exp(i gamma_j u) reduces once per term for both cos and sin
     # (one sincos, equal bit for bit to np.cos and np.sin on glibc)
     rho = (sigma2 - del_) + 1j * gam
-    wj = w / rho
-    d1 = np.zeros_like(us)
-    tails = np.zeros_like(us)
-    chunk = 512
-    for s in range(0, len(gam), chunk):
-        sl = slice(s, min(s + chunk, len(gam)))
-        damp = np.exp(-np.outer(us, del_[sl]))
-        rot = np.exp(1j * np.outer(us, gam[sl]))
-        d1 += 2.0 * (damp * (rot.real * wj[sl].real - rot.imag * wj[sl].imag)).sum(axis=1)
-        tails += (damp / (gam[sl] ** 2)).sum(axis=1)
+    d1, tails = _gsh_family_sums(us, gam, del_, w / rho)
 
     # regime split and per-sample positivity certificate
     dist = _nearest_int_dist(t * us / math.pi - gsh.alpha)

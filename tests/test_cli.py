@@ -5,7 +5,7 @@ import math
 import pytest
 
 from racebarrier import barrier_from_dict, find_barrier, RaceTriple
-from racebarrier.cli import main
+from racebarrier.cli import EXIT_VERIFICATION, main
 
 
 def run(argv, capsys):
@@ -164,6 +164,19 @@ class TestSimulateCommand:
             capsys,
         )
         assert code == 3 and "counterexample" in err
+
+    def test_default_window_detects_tampering(self, capsys, barrier_file, tmp_path):
+        """Without --u0 the window sits where the remainder bound is small
+        against the main terms, so a tampered barrier fails and the genuine
+        one verifies (at u0 = 50 the bound dwarfed both and both passed)."""
+        code, out, _ = run(["simulate", str(barrier_file)], capsys)
+        assert code == 0 and "VERIFIED" in out and "on [200000.0, " in out
+        data = json.loads(barrier_file.read_text())
+        data["zeros"][0]["character"] = [1]
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(["simulate", str(bad)], capsys)
+        assert code == EXIT_VERIFICATION and "VIOLATED" in out and "counterexample" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(["simulate", "/nonexistent/barrier.json"], capsys)
