@@ -24,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from . import race_simulator as sim
 from .characters import (
     DirichletCharacter,
     character_group,
-    character_pair_constraint,
+    _pair_constraint_character,
     character_table,
     nonprincipal_characters,
 )
@@ -450,29 +451,34 @@ def find_spacing_character(D: RaceTriple):
                 continue
             if s2 % p ** (w + 1) == 0 or s3 % p ** (w + 1) == 0:
                 continue
-            return _spacing_from_route(D, perm, p**w, p)
+            return _spacing_from_route(D, perm, s1, s2, p**w, p)
     # the {39, 91, 273} route
     for perm in _PERMS:
         s1, s2, s3 = ratio_orders(perm)
         if s1 in (39, 91, 273) and 273 % s2 == 0 and 273 % s3 == 0:
-            return _spacing_from_route(D, perm, s1, None)
+            return _spacing_from_route(D, perm, s1, s2, s1, None)
     return None
 
 
-def _spacing_from_route(D: RaceTriple, perm, r: int, p: int | None):
-    """Build the base character for the route and scan witness powers."""
+def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | None):
+    """Build the base character for the route and scan witness powers.
+
+    s1 and s2 are the orders of b2/b1 and b3/b2; the route guarantees the
+    preconditions of `character_pair_constraint`: r = p^e divides s1 and
+    p^(e+1) does not divide s2, or r = s1 in {39, 91, 273} with s2 | 273.
+    """
     q = D.q
     triple = tuple(D.residues[i] for i in perm)
     b1, b2, b3 = triple
     ratio21 = mod_div(q, b2, b1)
     ratio32 = mod_div(q, b3, b2)
-    chi1 = character_pair_constraint(q, ratio21, ratio32, r)
+    r_primes = [p] if p is not None else [f for f, _ in factorize(r)]
+    chi1 = _pair_constraint_character(q, ratio21, r, s1, s2, r_primes)
     if p is not None:
-        # reduce to chi2 with chi2(b2/b1) = e(1/m), m = p or p^2
-        u_exp = 2 if p in _SMALL_PRIME_SET else 1
-        [(_, e)] = factorize(r)  # r = p^e
-        chi2 = chi1 ** (p ** (e - u_exp))
-        m = p**u_exp
+        # reduce to chi2 with chi2(b2/b1) = e(1/m), m = p or p^2; m | r, since the
+        # route skips r = p for p in {3, 7, 13}
+        m = p ** (2 if p in _SMALL_PRIME_SET else 1)
+        chi2 = chi1 ** (r // m)
     else:
         chi2 = chi1
         m = r
@@ -909,6 +915,74 @@ def _first_n_primes(n: int) -> list[int]:
     return primes[:n].tolist()
 
 
+def _h_lower_bounds(alpha: float, beta_phase: float, js: np.ndarray) -> np.ndarray:
+    """Per window [j^2, j^2 + j], an offset lo_j with no member of H at
+    j^2 + k for k < lo_j; lo_j > j certifies that the window misses H.
+
+    Mod 1, x_k = (j^2 + k) alpha + beta_phase equals x_0 + k eps with
+    eps = alpha - round(alpha), |eps| <= 1/2.  The line x_0 + s eps is
+    continuous in s, so a step k can land in the band ||x|| <= 0.2 only after
+    the line has entered it: lo_j is the ceiling of that entry point.  The
+    band is widened by the rounding of x_0 and of the float membership test
+    (two roundings of magnitude up to h |alpha| + |beta_phase| each), so the
+    bound holds for the float decisions, for either sign of eps.
+    """
+    eps = alpha - round(alpha)
+    h_max = float(js[-1]) * float(js[-1] + 1) if js.size else 0.0
+    w = 0.2 + 1e-6 + 2.0**-50 * (h_max * abs(alpha) + abs(beta_phase) + 1.0)
+    frac = js * js * alpha + beta_phase
+    x0 = frac - np.floor(frac)
+    in_band = (x0 <= w) | (x0 >= 1.0 - w)
+    if eps == 0.0:
+        return np.where(in_band, 0, js + 1)
+    # distance along the line to the near edge of the next band
+    travel = 1.0 - w - x0 if eps > 0.0 else x0 - w
+    lo = np.minimum(np.ceil(travel / abs(eps)), js + 1.0)
+    return np.where(in_band, 0, lo.astype(np.int64))
+
+
+def _first_h_offsets(in_h_set, js: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Offset k of the first member j^2 + k of H in each window [j^2, j^2 + j],
+    -1 where the window misses H.
+
+    Each window is probed from its certified lower bound lo_j: offsets
+    [lo_j + pos, lo_j + pos + width) of every window with no hit yet at once,
+    doubling the width each round, in blocks of at most _H_BLOCK elements.
+    in_h_set alone decides membership.
+    """
+    first = np.full(js.size, -1, dtype=np.int64)
+    unresolved = np.flatnonzero(lo <= js)
+    pos, width = 0, 8
+    while unresolved.size:
+        offsets = np.arange(pos, pos + width, dtype=np.int64)
+        rows = max(1, _H_BLOCK // width)
+        for s in range(0, unresolved.size, rows):
+            idx = unresolved[s:s + rows]
+            jj = js[idx, None]
+            ks = lo[idx, None] + offsets
+            hits = in_h_set(jj * jj + ks) & (ks <= jj)
+            hit = hits.any(axis=1)
+            first[idx[hit]] = lo[idx[hit]] + pos + hits[hit].argmax(axis=1)
+        pos += width
+        width = min(2 * width, _H_BLOCK)
+        unresolved = unresolved[(first[unresolved] < 0) & (lo[unresolved] + pos <= js[unresolved])]
+    return first
+
+
+@lru_cache(maxsize=8)
+def _family_constants(j_max: int, sigma2: float, beta: float):
+    """Decay exponents delta_j, of order j^-3 and clipped inside the allowed
+    strip, and ordinate perturbations xi_j = frac(sqrt(p_j)) j^-10, for
+    j = 1..J (xi read-only)."""
+    c_delta = 8.0 * (sigma2 - beta)
+    cap = 0.95 * (sigma2 - beta)
+    deltas = tuple(min(cap, c_delta / (j * j * j)) for j in range(1, j_max + 1))
+    primes = _first_n_primes(j_max)
+    xi = np.array([(math.sqrt(pr) % 1.0) * j ** -10.0 for j, pr in enumerate(primes, start=1)])
+    xi.flags.writeable = False
+    return deltas, xi
+
+
 def _phase_quality(alpha: float) -> float:
     # both alpha near an integer and alpha near a half-integer make the walk
     # h alpha + beta drift slowly, stretching the gaps of H
@@ -979,44 +1053,22 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
         frac = hs * alpha + beta_phase
         return np.abs(frac - np.round(frac)) <= 0.2
 
-    # first member of H in each window [j^2, j^2 + j]: probe offsets
-    # [lo, lo + width) of every window with no hit yet at once, doubling the
-    # width each round, in blocks of at most _H_BLOCK elements
     js = np.arange(1, j_max + 1, dtype=np.int64)
-    first = np.full(j_max, -1, dtype=np.int64)  # offset of the first hit, -1 for none
-    unresolved = js - 1
-    lo, width = 0, 8
-    while unresolved.size:
-        offsets = np.arange(lo, lo + width, dtype=np.int64)
-        rows = max(1, _H_BLOCK // width)
-        for s in range(0, unresolved.size, rows):
-            idx = unresolved[s:s + rows]
-            jj = js[idx, None]
-            hits = in_h_set(jj * jj + offsets) & (offsets <= jj)
-            hit = hits.any(axis=1)
-            first[idx[hit]] = lo + hits[hit].argmax(axis=1)
-        lo += width
-        width = min(2 * width, _H_BLOCK)
-        unresolved = unresolved[(first[unresolved] < 0) & (js[unresolved] >= lo)]
+    first = _first_h_offsets(in_h_set, js, _h_lower_bounds(alpha, beta_phase, js))
     in_h = first >= 0
     missed = np.flatnonzero(~in_h & (js >= 10.0 * t))
     if missed.size:
         # a window of j+1 >= 10t+1 consecutive integers must meet H
         raise ConstructionError(f"window at j={missed[0] + 1} missed H; gap property broken")
-    h_values = (js * js + np.maximum(first, 0)).tolist()
+    h_arr = js * js + np.maximum(first, 0)
+    h_values = h_arr.tolist()
     in_h_flags = in_h.tolist()
 
-    # decay exponents of order j^-3, clipped inside the allowed strip
-    c_delta = 8.0 * (sigma2 - beta)
-    cap = 0.95 * (sigma2 - beta)
-    deltas = [min(cap, c_delta / (j * j * j)) for j in range(1, j_max + 1)]
-    primes = _first_n_primes(j_max)
-    gammas = []
-    for j, (h, pr) in enumerate(zip(h_values, primes), start=1):
-        xi = (math.sqrt(pr) % 1.0) * j ** -10.0
-        gammas.append(2.0 * t * h + xi)
-    if len(set(gammas)) != len(gammas):
+    deltas, xi = _family_constants(j_max, sigma2, beta)
+    gam = 2.0 * t * h_arr + xi
+    if np.unique(gam).size != gam.size:
         raise ConstructionError("ordinate collision in the truncated family")
+    gammas = gam.tolist()
 
     # gap property of H on the configured check range, in blocks of
     # _H_BLOCK that carry the last member across each block edge
@@ -1040,8 +1092,8 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
     # j <= 2 count as uncontrolled because their ordinate perturbations xi_j
     # rotate the phase at moderate heights
     rec_u0 = 1000.0
-    for j, flag in enumerate(in_h_flags, start=1):
-        if (not flag or j <= 2) and j <= 50:
+    for j, flag in enumerate(in_h_flags[:50], start=1):
+        if not flag or j <= 2:
             rec_u0 = max(rec_u0, 20.0 / deltas[j - 1])
 
     return GshBarrier(
@@ -1058,7 +1110,7 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
         h_values=tuple(h_values),
         in_h=tuple(in_h_flags),
         gammas=tuple(gammas),
-        deltas=tuple(deltas),
+        deltas=deltas,
         z=z,
         w=w,
         alpha=alpha,
@@ -1069,7 +1121,7 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
         margins={"h_max_gap": max_gap, "h_gap_bound": bound,
                  "alpha_dist": abs(alpha - round(alpha)),
                  "recommended_u0": rec_u0,
-                 "uncontrolled_j": [j for j, f in enumerate(in_h_flags, 1) if not f][:20]},
+                 "uncontrolled_j": (np.flatnonzero(~in_h)[:20] + 1).tolist()},
     )
 
 

@@ -296,25 +296,40 @@ def character_pair_constraint(q: int, b: int, c: int, r: int) -> DirichletCharac
     if s1 % r != 0:
         raise ValueError(f"r={r} does not divide ord({b}) = {s1}")
     s2 = multiplicative_order(q, c)
-    for p, a in factorize(r):
+    factors = factorize(r)
+    for p, a in factors:
         if s2 % p ** (a + 1) == 0:
             raise ValueError(
                 f"prime power {p}^{a} || r={r} but {p}^{a + 1} divides ord({c}) = {s2}"
             )
     if r == 1:
         return principal_character(q)
-    # split s2 = v*u with v collecting the primes of r (so v | r) and u coprime to r
+    chi = _pair_constraint_character(q, b, r, s1, s2, [p for p, _ in factors])
+    assert chi.evaluate(b) == Fraction(1, r)
+    assert (r * chi.evaluate(c)) % 1 == 0
+    return chi
+
+
+def _pair_constraint_character(q: int, b: int, r: int, s1: int, s2: int,
+                               r_primes) -> DirichletCharacter:
+    """`character_pair_constraint` for r > 1 from what its caller already
+    holds: s1 = ord(b), s2 = ord(c) and the primes of r, with the
+    preconditions on them unchecked.
+
+    chi1 with chi1(b) = e(1/s1) solves one unit combination; the result is
+    chi1^(k) with k = (s1 / r) x u, where s2 = v u splits off the primes of
+    r into v and x = u^-1 mod r, built as one character.
+    """
     v = 1
-    for p, _ in factorize(r):
+    for p in r_primes:
         while s2 % (v * p) == 0:
             v *= p
     u = s2 // v
-    chi1 = character_with_unit_value(q, b)
-    chi2 = chi1 ** (s1 // r)
-    x = pow(u, -1, r)
-    chi = chi2 ** (x * u)
-    assert chi.evaluate(b) == Fraction(1, r)
-    assert (r * chi.evaluate(c)) % 1 == 0
+    group = unit_group_structure(q)
+    h = _solve_unit_combination(s1, [fi * s1 // s for fi, s in zip(dlog_vector(q, b), group.orders)])
+    k = s1 // r * pow(u, -1, r) * u
+    chi = DirichletCharacter(q, tuple(hi * k % s for hi, s in zip(h, group.orders)))
+    assert chi.angle_numerator(b) * r == group.exponent  # chi(b) = e(1/r)
     return chi
 
 

@@ -16,7 +16,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -426,9 +426,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _gsh_family_sums(us, gam, del_, wj):
+def _run_pooled(tasks) -> None:
+    """Run the callables on one thread per CPU (at most one per task), in
+    submission order, and re-raise the first failure after all have ended."""
+    # imported here: concurrent.futures pulls in logging, about 5 ms of
+    # start-up that no finite-barrier caller needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(tasks))) as pool:
+        futures = [pool.submit(task) for task in tasks]
+    for future in futures:
+        future.result()
+
+
+def _gsh_family_tasks(us, gam, del_, wj):
     """First main term d1 = 2 sum_j Re(wj e^{(-delta_j + i gamma_j) u}) and
-    damping tail sum_j e^{-delta_j u} / gamma_j^2 at every sample u.
+    damping tail sum_j e^{-delta_j u} / gamma_j^2 at every sample u, as two
+    zeroed arrays and the row-block tasks that fill them.
 
     Tiles of _GSH_ROWS samples by _GSH_CHUNK terms: each row sums its chunks
     in the same order with the same expressions as one pass over all
@@ -448,14 +462,7 @@ def _gsh_family_sums(us, gam, del_, wj):
             d1[rows] += 2.0 * (damp * (rot.real * wj[sl].real - rot.imag * wj[sl].imag)).sum(axis=1)
             tails[rows] += (damp / (gam[sl] ** 2)).sum(axis=1)
 
-    # imported here: concurrent.futures pulls in logging, about 5 ms of
-    # start-up that no finite-barrier caller needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    starts = range(0, len(us), _GSH_ROWS)
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(starts))) as pool:
-        list(pool.map(row_block, starts))
-    return d1, tails
+    return d1, tails, [partial(row_block, r0) for r0 in range(0, len(us), _GSH_ROWS)]
 
 
 def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = True,
@@ -505,42 +512,51 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     # cost; exp(i gamma_j u) reduces once per term for both cos and sin
     # (one sincos, equal bit for bit to np.cos and np.sin on glibc)
     rho = (sigma2 - del_) + 1j * gam
-    d1, tails = _gsh_family_sums(us, gam, del_, w / rho)
+    d1, tails, tasks = _gsh_family_tasks(us, gam, del_, w / rho)
 
-    # regime split and per-sample positivity certificate
+    # regime split and per-sample positivity certificate, certified row by
+    # row on the same pool as the family sum; each row keeps its own
+    # 10^4-element temporaries (80 KB, under the mmap threshold)
     dist = _nearest_int_dist(t * us / math.pi - gsh.alpha)
     regime2 = dist <= us ** -0.9
     controlled = np.zeros_like(regime2)
-    phase_bound_max = 0.0
-    ctrl_pos = 0
-    ctrl_tot = 0
+    phase_bounds = {}  # row -> largest phase distance of its locked terms
     h_arr = np.asarray(gsh.h_values, dtype=float)
     in_h_arr = np.asarray(gsh.in_h, dtype=bool)
-    xi_arr = np.asarray(gsh.gammas) - 2.0 * t * h_arr
+    xi_arr = gam - 2.0 * t * h_arr
+    neg_del = -del_
+    rho_ratio = sigma2 / gam
     abs_w = abs(w)
-    for i in np.flatnonzero(regime2):
-        u = us[i]
-        mag = abs_w * np.exp(-del_ * u) / gam  # |B_j|
-        rho_corr = mag * (sigma2 / gam)  # 1/rho_j vs 1/(i gamma_j) drift
-        # rigorous per-term phase budget: H membership (0.2) plus the drift
-        # from the sample's offset and the ordinate perturbation
-        budget = 0.2 + h_arr * dist[i] + xi_arr * u / TWO_PI_
-        certified = in_h_arr & (budget < 0.24)
-        lower = (mag[certified] * np.cos(TWO_PI_ * budget[certified])).sum()
-        lower -= mag[~certified].sum() + rho_corr.sum()
-        if lower <= 0.0:
-            continue
-        controlled[i] = True
-        ctrl_tot += 1
-        j_lo = max(2, math.ceil(u ** 0.25))
-        j_hi = min(len(gam), math.floor(u ** 0.4))
-        if j_hi >= j_lo:
-            js = np.arange(j_lo - 1, j_hi)
-            bj = w * np.exp((-del_[js] + 1j * gam[js]) * u) / (1j * gam[js])
-            pb = _nearest_int_dist(np.angle(bj) / TWO_PI_)
-            phase_bound_max = max(phase_bound_max, float(pb.max()))
-        if d1[i] > 0:
-            ctrl_pos += 1
+
+    def certify(rows):
+        for i in rows:
+            u = us[i]
+            mag = abs_w * np.exp(neg_del * u) / gam  # |B_j|
+            rho_corr = mag * rho_ratio  # 1/rho_j vs 1/(i gamma_j) drift
+            # rigorous per-term phase budget: H membership (0.2) plus the drift
+            # from the sample's offset and the ordinate perturbation
+            budget = 0.2 + h_arr * dist[i] + xi_arr * u / TWO_PI_
+            certified = in_h_arr & (budget < 0.24)
+            lower = (mag[certified] * np.cos(TWO_PI_ * budget[certified])).sum()
+            lower -= mag[~certified].sum() + rho_corr.sum()
+            if lower <= 0.0:
+                continue
+            controlled[i] = True
+            j_lo = max(2, math.ceil(u ** 0.25))
+            j_hi = min(len(gam), math.floor(u ** 0.4))
+            if j_hi >= j_lo:
+                js = np.arange(j_lo - 1, j_hi)
+                bj = w * np.exp((-del_[js] + 1j * gam[js]) * u) / (1j * gam[js])
+                phase_bounds[i] = float(_nearest_int_dist(np.angle(bj) / TWO_PI_).max())
+
+    rows2 = np.flatnonzero(regime2).tolist()
+    tasks += [partial(certify, rows2[r:r + _GSH_ROWS]) for r in range(0, len(rows2), _GSH_ROWS)]
+    _run_pooled(tasks)
+    ctrl_tot = int(controlled.sum())
+    ctrl_pos = int((d1[controlled] > 0).sum())
+    phase_bound_max = 0.0
+    for i in sorted(phase_bounds):
+        phase_bound_max = max(phase_bound_max, phase_bounds[i])
 
     # regime 1 dominance: |D2| at x^{sigma1} beats D1 at x^{sigma2}
     scale = np.exp(np.minimum((sigma1 - sigma2) * us, 700.0))

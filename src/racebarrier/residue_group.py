@@ -104,12 +104,6 @@ class UnitGroupStructure:
     def units(self) -> list[int]:
         return sorted(self.dlog)
 
-    def from_vector(self, vec: tuple[int, ...]) -> int:
-        x = 1
-        for g, f in zip(self.generators, vec):
-            x = x * pow(g, f, self.q) % self.q
-        return x
-
 
 @lru_cache(maxsize=None)
 def unit_group_structure(q: int) -> UnitGroupStructure:

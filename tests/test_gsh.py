@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -6,7 +7,9 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,16 +22,30 @@ from racebarrier.barrier_search import (
     RaceTriple,
     barrier_from_dict,
     barrier_to_dict,
+    _first_h_offsets,
+    _h_lower_bounds,
     construction_gsh,
     find_gsh_characters,
 )
 from racebarrier.characters import nonprincipal_characters
 from racebarrier.race_simulator import (
+    TWO_PI_,
     SimulationError,
     SimulationInputError,
-    _gsh_family_sums,
+    _gsh_family_tasks,
+    _nearest_int_dist,
+    _run_pooled,
     gsh_simulate,
 )
+
+# the four GSH golden triples, then the four gsh benchmark triples of seed 1
+GOLDEN_AND_BENCHMARK = [(7, 1, 2, 5), (5, 1, 2, 3), (21, 1, 2, 10), (29, 2, 3, 5),
+                        (29, 9, 25, 12), (23, 14, 21, 6), (29, 4, 16, 7), (29, 26, 25, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def gsh_at_j4(triple):
+    return construction_gsh(RaceTriple(*triple), BarrierParams(truncation=10_000))
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +164,89 @@ class TestHSetSearch:
         assert peak < 4 * 2**20
 
 
+def bounded_first_hits(alpha, beta_phase, truncation):
+    """Lower bounds and first-hit offsets of the construction's window search
+    for a synthetic phase walk h alpha + beta_phase."""
+
+    def in_h_set(hs):
+        frac = hs * alpha + beta_phase
+        return np.abs(frac - np.round(frac)) <= 0.2
+
+    js = np.arange(1, truncation + 1, dtype=np.int64)
+    lo = _h_lower_bounds(alpha, beta_phase, js)
+    return lo, _first_h_offsets(in_h_set, js, lo)
+
+
+class TestFirstHitLowerBound:
+    """Every window j <= 2000 of synthetic walks against the per-window scan:
+    the bound never passes the first float hit, and probing from it finds
+    exactly the scan's first hits and misses."""
+
+    @pytest.mark.parametrize("alpha, beta_phase", [
+        (0.7731, 0.1),  # eps -0.2269
+        (0.9998, -0.37),  # eps -2e-4: slow drift downwards
+        (-1.0002, 0.05),  # eps -2e-4 from a negative integer
+        (3.0002, 0.25),  # eps 2e-4: slow drift upwards
+        (0.43, 0.0),  # |eps| in (0.4, 0.5]
+        (-0.4600001, 0.17),
+        (0.5, -0.3),  # eps 1/2
+        (1.5, 0.3),  # eps -1/2
+        (2.0 + 4e-7, 0.2 + 1e-9),  # |eps| < 1e-6, walk starts just outside the band
+        (1.0 - 3e-7, -0.2 - 5e-10),
+        (-5.0 + 9e-7, 0.2 - 1e-9),  # starts just inside
+        (0.25, 0.2 + 1e-9),  # every fourth h sits 1e-9 outside the band edge
+        (1.75, -0.2 - 1e-9),
+        (0.25, 0.2 - 1e-9),  # ... or 1e-9 inside it
+        (-0.75, 0.8 + 1e-9),
+    ])
+    def test_matches_per_window_search(self, alpha, beta_phase):
+        truncation = 2000
+        lo, first = bounded_first_hits(alpha, beta_phase, truncation)
+        walk = SimpleNamespace(alpha=alpha, beta_phase=beta_phase, truncation=truncation)
+        h_values, in_h = per_window_h_set(walk)
+        js = np.arange(1, truncation + 1)
+        hit = np.array(in_h)
+        offsets = np.array(h_values) - js * js
+        assert np.all(lo[hit] <= offsets[hit])
+        assert not hit[lo > js].any()
+        assert (tuple((js * js + np.maximum(first, 0)).tolist()), tuple((first >= 0).tolist())) \
+            == (h_values, in_h)
+
+    def test_bound_skips_most_of_a_slow_drift(self):
+        # eps = 2e-4: a window's first hit lies up to 3000 offsets in, and the
+        # bound puts the probe within one round of width 8 of it
+        lo, first = bounded_first_hits(3.0002, 0.25, 2000)
+        hit = first >= 0
+        assert (first[hit] - lo[hit]).max() < 8
+        assert lo[hit].max() > 1000
+
+    def test_tiny_drift_certifies_misses(self):
+        # h eps stays below 0.17 for h <= 2000^2 + 2000, so the walk never
+        # leaves [0.3, 0.47]: every window is a certified miss, none is probed
+        lo, first = bounded_first_hits(2.0 + 4e-8, 0.3, 2000)
+        assert np.all(lo > np.arange(1, 2001)) and not (first >= 0).any()
+
+
+class TestFloatMembership:
+    @pytest.mark.parametrize("triple", GOLDEN_AND_BENCHMARK)
+    def test_float_flags_match_exact_decision(self, triple):
+        """The float in_h flag of every stored h agrees with the exact
+        decision on Fraction(alpha) and Fraction(beta_phase) wherever the exact
+        distance to the nearest integer lies outside 0.2 +- 1e-6."""
+        gsh = gsh_at_j4(triple)
+        alpha, beta_phase = Fraction(gsh.alpha), Fraction(gsh.beta_phase)
+        band, slack = Fraction(1, 5), Fraction(1, 10**6)
+        near_edge = 0
+        for h, flag in zip(gsh.h_values, gsh.in_h):
+            x = h * alpha + beta_phase
+            dist = abs(x - round(x))
+            if abs(dist - band) <= slack:
+                near_edge += 1
+                continue
+            assert flag == (dist <= band), (h, float(dist))
+        assert near_edge < len(gsh.h_values) // 100
+
+
 def full_range_max_gap(gsh):
     """Largest gap between consecutive members of H on [0, gap_check_limit],
     from one scan over the whole range."""
@@ -156,12 +256,9 @@ def full_range_max_gap(gsh):
 
 
 class TestGapCheck:
-    # the four GSH golden triples, then the four gsh benchmark triples of seed 1
-    @pytest.mark.parametrize("triple", [(7, 1, 2, 5), (5, 1, 2, 3), (21, 1, 2, 10),
-                                        (29, 2, 3, 5), (29, 9, 25, 12), (23, 14, 21, 6),
-                                        (29, 4, 16, 7), (29, 26, 25, 1)])
+    @pytest.mark.parametrize("triple", GOLDEN_AND_BENCHMARK)
     def test_blocked_scan_matches_full_range(self, triple):
-        gsh = construction_gsh(RaceTriple(*triple), BarrierParams(truncation=10_000))
+        gsh = gsh_at_j4(triple)
         assert gsh.margins["h_max_gap"] == full_range_max_gap(gsh)
 
     @pytest.mark.parametrize("limit", [8191, 8192, 8193, 20_000])
@@ -246,7 +343,9 @@ def family_sums(gsh, us):
     gam = np.asarray(gsh.gammas)
     del_ = np.asarray(gsh.deltas)
     wj = complex(gsh.w) / ((gsh.sigma2 - del_) + 1j * gam)
-    return _gsh_family_sums(us, gam, del_, wj)
+    d1, tails, tasks = _gsh_family_tasks(us, gam, del_, wj)
+    _run_pooled(tasks)
+    return d1, tails
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +399,75 @@ class TestPhaseKernel:
             sys.setswitchinterval(interval)
         assert outputs[0] == outputs[1]
         assert outputs[0][:2] == [a.tobytes() for a in serial_family_sums(gsh7, us)]
+
+
+def serial_certificate(gsh, us, d1):
+    """The regime-2 positivity certificate as one loop over the samples on
+    the calling thread: controlled flags, their total and positive counts,
+    and the largest phase distance of the locked terms."""
+    t = gsh.t
+    gam = np.asarray(gsh.gammas)
+    del_ = np.asarray(gsh.deltas)
+    w = complex(gsh.w)
+    sigma2 = gsh.sigma2
+    dist = _nearest_int_dist(t * us / math.pi - gsh.alpha)
+    regime2 = dist <= us ** -0.9
+    controlled = np.zeros_like(regime2)
+    phase_bound_max = 0.0
+    ctrl_pos = 0
+    ctrl_tot = 0
+    h_arr = np.asarray(gsh.h_values, dtype=float)
+    in_h_arr = np.asarray(gsh.in_h, dtype=bool)
+    xi_arr = np.asarray(gsh.gammas) - 2.0 * t * h_arr
+    abs_w = abs(w)
+    for i in np.flatnonzero(regime2):
+        u = us[i]
+        mag = abs_w * np.exp(-del_ * u) / gam
+        rho_corr = mag * (sigma2 / gam)
+        budget = 0.2 + h_arr * dist[i] + xi_arr * u / TWO_PI_
+        certified = in_h_arr & (budget < 0.24)
+        lower = (mag[certified] * np.cos(TWO_PI_ * budget[certified])).sum()
+        lower -= mag[~certified].sum() + rho_corr.sum()
+        if lower <= 0.0:
+            continue
+        controlled[i] = True
+        ctrl_tot += 1
+        j_lo = max(2, math.ceil(u ** 0.25))
+        j_hi = min(len(gam), math.floor(u ** 0.4))
+        if j_hi >= j_lo:
+            js = np.arange(j_lo - 1, j_hi)
+            bj = w * np.exp((-del_[js] + 1j * gam[js]) * u) / (1j * gam[js])
+            pb = _nearest_int_dist(np.angle(bj) / TWO_PI_)
+            phase_bound_max = max(phase_bound_max, float(pb.max()))
+        if d1[i] > 0:
+            ctrl_pos += 1
+    return controlled, ctrl_tot, ctrl_pos, phase_bound_max
+
+
+class TestPooledCertificate:
+    """The certificate rows run on the family sum's pool; flags, counts and
+    phase bound equal the serial loop's at any worker count."""
+
+    @pytest.mark.parametrize("which, u0, certified", [
+        ("gsh7", 1000.0, 200), ("gsh5", 1000.0, 200), ("gsh5", None, 0)])
+    def test_matches_serial_loop(self, request, monkeypatch, which, u0, certified):
+        gsh = request.getfixturevalue(which)
+        u0 = u0 or gsh.margins["recommended_u0"]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cpus in (1, 4):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
+                                    raising=False)
+                prof = gsh_simulate(gsh, u0, u0 + 10.0, 200, max_lock_points=200)
+                controlled, total, positive, bound = serial_certificate(gsh, prof.u, prof.d1)
+                assert prof.controlled.tobytes() == controlled.tobytes()
+                assert (prof.controlled_total, prof.controlled_positive) == (total, positive)
+                assert repr(prof.phase_bound_max) == repr(bound)
+                assert type(prof.controlled_total) is int and type(prof.phase_bound_max) is float
+        finally:
+            sys.setswitchinterval(interval)
+        assert total == certified
 
 
 FAULT_PROBE = """
