@@ -207,8 +207,8 @@ def _primitive_root_row(group, b1: int, b2: int, b3: int) -> int | None:
     b3/b2 lies in <b2/b1>, every character equal on b1 and b2 is equal on b3
     too, and None is returned: no such character exists.
     """
-    phi = group.phi
-    l1, l2, l3 = (group.dlog[b][0] for b in (b1, b2, b3))
+    phi, index = group.phi, group.index
+    l1, l2, l3 = index[b1], index[b2], index[b3]
     d = math.gcd((l2 - l1) % phi, phi)
     return phi // d if (l3 - l2) % phi % d else None
 
@@ -220,7 +220,7 @@ def _in_subgroup(group, b: int, c: int) -> bool:
     otherwise the powers of c are walked, at most ord(c) of them.
     """
     if len(group.orders) == 1:
-        return group.dlog[b][0] % math.gcd(group.dlog[c][0], group.phi) == 0
+        return group.index[b] % math.gcd(group.index[c], group.phi) == 0
     x = c
     while x != b and x != 1:
         x = x * c % group.q
@@ -777,6 +777,18 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
     nu1 = solve_lambda_system(D, witness.chi, witness.h, witness.k, 1j, -1j)
     nu2 = solve_lambda_system(D, witness.chi, witness.h, witness.k, 1j, 1j)
 
+    # bound on the drift of the normalized main terms away from the ideal
+    # (Q/gamma)(±2 cos + cos 2) envelope, from the rationalization errors
+    table = character_table(D.q)
+    roots = table.roots
+    x1, x2, x3 = table.columns(D.residues)
+    scale = sum(
+        abs(roots[x[ci]].conjugate() - roots[y[ci]].conjugate())
+        for ci in range(1, len(chars) + 1)  # chars are rows 1 .. phi - 1
+        for x, y in ((x1, x2), (x2, x3))
+    )
+
+    # the first Q = 10^k within epsilon that leaves the verdict margin positive
     q_denom = None
     errs = None
     for power in range(p.q_cap_power10 + 1):
@@ -784,13 +796,13 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
         e1 = max(abs(v - round(qq * v) / qq) for v in nu1.values())
         e2 = max(abs(v - round(qq * v) / qq) for v in nu2.values())
         errs = (e1, e2)
-        if max(e1, e2) < p.epsilon:
+        if max(e1, e2) < p.epsilon and 1.0 - 2.0 * max(e1, e2) * scale > 0:
             q_denom = qq
             break
     if q_denom is None:
         raise ConstructionError(
-            f"epsilon={p.epsilon} unachievable with Q <= 10^{p.q_cap_power10}; "
-            f"best errors {errs}"
+            f"epsilon={p.epsilon} with a positive verdict margin unachievable with "
+            f"Q <= 10^{p.q_cap_power10}; best errors {errs}"
         )
 
     gamma = max(p.gamma, 2.0 * p.tau, 1000.0)
@@ -806,16 +818,6 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
     if not zeros:
         raise ConstructionError("all rationalized multiplicities vanished; raise Q")
 
-    # bound on the drift of the normalized main terms away from the ideal
-    # (Q/gamma)(±2 cos + cos 2) envelope, from the rationalization errors
-    table = character_table(D.q)
-    roots = table.roots
-    x1, x2, x3 = table.columns(D.residues)
-    scale = sum(
-        abs(roots[x[ci]].conjugate() - roots[y[ci]].conjugate())
-        for ci in range(1, len(chars) + 1)  # chars are rows 1 .. phi - 1
-        for x, y in ((x1, x2), (x2, x3))
-    )
     barrier = Barrier(
         triple=D,
         permutation=(0, 1, 2),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .residue_group import (
     factorize,
     multiplicative_order,
     unit_group_structure,
+    unravel,
     vector_order,
 )
 
@@ -99,12 +101,22 @@ def angle_to_complex(angle: RationalAngle) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
-@lru_cache(maxsize=None)
-def _roots_of_unity(n: int) -> tuple[complex, ...]:
-    # k / n rounds to the same double as its reduced fraction, so each root is
-    # bit-identical to angle_to_complex(Fraction(k, n))
-    return tuple(complex(math.cos(theta), math.sin(theta))
-                 for theta in (2.0 * math.pi * (k / n) for k in range(n)))
+class _RootsOfUnity(dict):
+    """roots[k] = e(k / n), 0 <= k < n, computed on first read and kept; k / n
+    rounds like Fraction(k, n), so roots match angle_to_complex bit for bit."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __missing__(self, k: int) -> complex:
+        if not 0 <= operator.index(k) < self.n:
+            raise IndexError(f"root index {k} outside [0, {self.n})")
+        theta = 2.0 * math.pi * (k / self.n)
+        z = self[k] = complex(math.cos(theta), math.sin(theta))
+        return z
 
 
 class CharacterGroup(Sequence):
@@ -136,12 +148,7 @@ class CharacterGroup(Sequence):
 
     def _build(self, row: int) -> DirichletCharacter:
         row = operator.index(row) % len(self._rows)  # a slice raises TypeError
-        exps = []
-        rest = row
-        for s in reversed(self.orders):
-            rest, h = divmod(rest, s)
-            exps.append(h)
-        chi = self._rows[row] = DirichletCharacter(self.q, tuple(reversed(exps)))
+        chi = self._rows[row] = DirichletCharacter(self.q, unravel(row, self.orders))
         return chi
 
 
@@ -161,18 +168,18 @@ class CharacterTable:
     `character_group` order) times exponent / s_i.  Nothing phi(q)^2 is
     stored: one value costs O(t), and one residue's column (its numerators
     over all characters) O(phi(q) t), computed when first asked for and then
-    cached as a tuple of ints, the form the searches index.
+    cached as an int64 `array.array`, the form the searches index.
     """
 
     q: int
     exponent: int
     scaled: np.ndarray = field(repr=False, compare=False)
-    _columns: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
+    _columns: dict[int, array] = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def roots(self) -> tuple[complex, ...]:
+    @cached_property
+    def roots(self) -> _RootsOfUnity:
         """roots[k] = e(k / exponent), the complex value of angle numerator k."""
-        return _roots_of_unity(self.exponent)
+        return _RootsOfUnity(self.exponent)
 
     def angle(self, row: int, a: int) -> int:
         """Angle numerator of the character in `row` at a.
@@ -188,19 +195,20 @@ class CharacterTable:
 
     def column(self, a: int) -> np.ndarray:
         """Angle numerators of a over all characters, in row order (read-only)."""
-        col = np.array(self.columns((a,))[0], dtype=np.int64)
-        col.flags.writeable = False
-        return col
+        return np.frombuffer(memoryview(self.columns((a,))[0]).toreadonly(), dtype=np.int64)
 
-    def columns(self, residues) -> list[tuple[int, ...]]:
+    def columns(self, residues) -> list[array]:
         """Per residue, its angle numerators over all characters in row order."""
         cols = self._columns
         out = []
         for a in residues:
             col = cols.get(a % self.q)
             if col is None:
-                col = cols[a % self.q] = tuple(
-                    (self.scaled @ dlog_vector(self.q, a) % self.exponent).tolist())
+                f = dlog_vector(self.q, a)
+                col = array("q", [0]) * len(self.scaled)
+                k = np.matmul(self.scaled, f, out=np.frombuffer(col, dtype=np.int64))
+                k %= self.exponent
+                cols[a % self.q] = col  # cached only once complete
             out.append(col)
         return out
 
@@ -210,8 +218,8 @@ def character_table(q: int) -> CharacterTable:
     """The exponent matrix, rows row-major over the generator orders, scaled by n / s_i."""
     group = unit_group_structure(check_modulus(q))
     n = group.exponent
-    exps = np.indices(group.orders, dtype=np.int64).reshape(len(group.orders), -1).T
-    scaled = exps * np.array([n // s for s in group.orders], dtype=np.int64)
+    scaled = np.indices(group.orders, dtype=np.int64).reshape(len(group.orders), -1).T
+    scaled *= np.array([n // s for s in group.orders], dtype=np.int64)
     scaled.flags.writeable = False
     return CharacterTable(q, n, scaled)
 

@@ -285,7 +285,7 @@ def _sweep_q(task) -> list[tuple]:
             barrier = bs.find_barrier(triple, params)
             margin = barrier.margins.get("verdict_margin", 0.0)
             rows.append((q, a1, a2, a3, barrier.construction, barrier.size, margin))
-        except Exception as exc:  # keep the census complete; failures are data
+        except bs.ConstructionError as exc:  # construction failures are census data
             rows.append((q, a1, a2, a3, f"FAIL:{exc}", -1, 0.0))
     return rows
 

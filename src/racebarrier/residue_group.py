@@ -4,15 +4,16 @@ Generators are chosen deterministically: one smallest primitive root per odd
 prime-power factor of q, the {-1, 5} pair for a 2-power factor, combined in a
 triangular fashion so that every generator is congruent to 1 modulo all later
 prime-power factors.  Exponent vectors over the generator orders then cover
-the group exactly once, which makes discrete logarithms well defined.
+the group exactly once, which makes discrete logarithms well defined: one int32
+index maps each unit to the row-major position of its exponent vector.
 """
 
 from __future__ import annotations
 
-import itertools
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -74,35 +75,41 @@ def _smallest_primitive_root(m: int, order: int) -> int:
 
 
 def _power_table(g: int, s: int, q: int) -> np.ndarray:
-    """g^0, ..., g^(s-1) mod q, one multiplication each: the known prefix of
-    length k times g^k gives the next k powers."""
-    table = np.empty(s, dtype=np.int64)
-    table[0] = 1
-    k = 1
-    while k < s:
-        m = min(k, s - k)
-        table[k : k + m] = table[:m] * (table[k - 1] * g % q) % q
-        k += m
-    return table
+    """g^0, ..., g^(s-1) mod q: the outer product of the powers of g^b and of
+    g below b = ceil(sqrt(s)), so 2b Python products in all."""
+    b = isqrt(s - 1) + 1
+    low, high = [1], [1]
+    for _ in range(b - 1):
+        low.append(low[-1] * g % q)
+    for _ in range(b - 1):
+        high.append(high[-1] * low[-1] * g % q)
+    return (np.multiply.outer(high, low) % q).ravel()[:s]
 
 
 @dataclass(frozen=True)
 class UnitGroupStructure:
-    """Generators of (Z/qZ)* with their orders and the dlog table."""
+    """Generators of (Z/qZ)* with their orders; index[a] is the row-major
+    position of a's exponent vector (the dlog when cyclic), -1 off the units."""
 
     q: int
     generators: tuple[int, ...]
     orders: tuple[int, ...]
     exponent: int
-    dlog: dict[int, tuple[int, ...]] = field(repr=False, compare=False, hash=False)
-
-    @property
-    def phi(self) -> int:
-        return len(self.dlog)
+    phi: int
+    index: array = field(repr=False, compare=False, hash=False)
 
     @property
     def units(self) -> list[int]:
-        return sorted(self.dlog)
+        return np.flatnonzero(np.frombuffer(self.index, dtype=np.int32) >= 0).tolist()
+
+
+def unravel(flat: int, orders: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponent vector at row-major position flat over orders."""
+    vec = []
+    for s in reversed(orders):
+        flat, f = divmod(flat, s)
+        vec.append(f)
+    return tuple(reversed(vec))
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +132,8 @@ def unit_group_structure(q: int) -> UnitGroupStructure:
             else:
                 local = [(qi - 1, 2), (5, 2 ** (e - 2))]
         else:
-            local = [(_smallest_primitive_root(qi, euler_phi(qi)), euler_phi(qi))]
+            s = qi // p * (p - 1)
+            local = [(_smallest_primitive_root(qi, s), s)]
         earlier = q // (qi * later)
         for g_local, s in local:
             # x ≡ g_local (mod qi), x ≡ 1 (mod all later factors); among such x,
@@ -145,17 +153,18 @@ def unit_group_structure(q: int) -> UnitGroupStructure:
             orders.append(s)
 
     # units[v] = prod g_i^(v_i) mod q over exponent vectors v in row-major
-    # order (the order itertools.product yields them): outer products of the
-    # generators' power tables, each entry one product of two residues below
-    # q <= 10^6, so below 2^63
+    # order: outer products of the generators' power tables, each entry one
+    # product of two residues below q <= 10^6, so below 2^63
     units = np.ones(1, dtype=np.int64)
     for g, s in zip(gens, orders):
         units = (np.multiply.outer(units, _power_table(g, s, q)) % q).ravel()
-    dlog = dict(zip(units.tolist(), itertools.product(*map(range, orders))))
-    if len(dlog) != euler_phi(q):
+    index = array("i", [-1]) * q
+    flat = np.frombuffer(index, dtype=np.int32)
+    flat[units] = np.arange(len(units), dtype=np.int32)
+    phi = euler_phi(q)
+    if np.count_nonzero(flat >= 0) != phi:
         raise ArithmeticError(f"generator basis for q={q} does not cover the group")
-    exponent = lcm(*orders) if orders else 1
-    return UnitGroupStructure(q, tuple(gens), tuple(orders), exponent, dlog)
+    return UnitGroupStructure(q, tuple(gens), tuple(orders), lcm(*orders), phi, index)
 
 
 def vector_order(vec: tuple[int, ...], orders: tuple[int, ...]) -> int:
@@ -172,7 +181,7 @@ def multiplicative_order(q: int, b: int) -> int:
 def dlog_vector(q: int, b: int) -> tuple[int, ...]:
     """Exponent vector of b over the canonical generators."""
     group = unit_group_structure(q)
-    return group.dlog[check_residue(q, b)]
+    return unravel(group.index[check_residue(q, b)], group.orders)
 
 
 def mod_div(q: int, a: int, b: int) -> int:

@@ -472,6 +472,18 @@ class TestConstructionThree:
         with pytest.raises(ConstructionError, match="best errors"):
             construction_three(D, BarrierParams(epsilon=1e-12))
 
+    @pytest.mark.parametrize("epsilon, first_q", [(0.6, 1), (0.1, 10)])
+    def test_q_rises_until_the_margin_is_positive(self, epsilon, first_q):
+        """The first Q within epsilon (margins -34.6 and -2.6 on this triple)
+        is passed over until the verdict margin is positive."""
+        D = RaceTriple(19, 2, 3, 14)
+        barrier = construction_three(D, BarrierParams(epsilon=epsilon))
+        assert barrier.parameters["Q"] > first_q
+        assert barrier.margins["verdict_margin"] > 0 > barrier.margins["envelope_bound"]
+        assert max(barrier.margins["err_nu1"], barrier.margins["err_nu2"]) < epsilon
+        with pytest.raises(ConstructionError, match="positive verdict margin"):
+            construction_three(D, BarrierParams(epsilon=epsilon, q_cap_power10=1))
+
     def test_post_hoc_rationalization_errors(self):
         D = RaceTriple(19, 2, 3, 14)
         params = BarrierParams(epsilon=1e-3)

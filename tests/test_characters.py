@@ -117,7 +117,7 @@ class TestCharacterTable:
         """A single value costs O(t) and a column O(phi); nothing phi^2 is built
         (the full table at q = 100003 would take 80 GB)."""
         q = 100003
-        unit_group_structure(q)  # the dlog table is not the character table's cost
+        unit_group_structure(q)  # the dlog index is not the character table's cost
         tracemalloc.start()
         try:
             chi = DirichletCharacter(q, (1,))

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from racebarrier import barrier_from_dict, find_barrier, RaceTriple
-from racebarrier.cli import EXIT_VERIFICATION, main
+from racebarrier import barrier_search as bs
+from racebarrier.cli import EXIT_VERIFICATION, _sweep_q, main
 
 
 def run(argv, capsys):
@@ -235,6 +236,20 @@ class TestSweepCommand:
             for q in (5, 7, 8, 9, 10, 11)
         )
         assert len(rows) - 1 == expected
+
+    def test_only_construction_failures_become_rows(self, monkeypatch):
+        def failing(exc):
+            def find_barrier(triple, params=None):
+                raise exc
+            return find_barrier
+
+        monkeypatch.setattr(bs, "find_barrier", failing(bs.ConstructionError("no barrier")))
+        rows = _sweep_q((5, bs.BarrierParams()))
+        assert len(rows) == 24 and all(r[4:] == ("FAIL:no barrier", -1, 0.0) for r in rows)
+        for exc in (TypeError("bug"), ValueError("bug"), ArithmeticError("bug")):
+            monkeypatch.setattr(bs, "find_barrier", failing(exc))
+            with pytest.raises(type(exc), match="bug"):
+                _sweep_q((5, bs.BarrierParams()))
 
     def test_invalid_qmax(self, capsys):
         code, _, _ = run(["sweep", "4"], capsys)

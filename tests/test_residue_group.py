@@ -2,6 +2,7 @@ import itertools
 import math
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,14 +83,22 @@ class TestUnitGroupStructure:
         assert sorted(seen) == brute_force_units(q)
 
     def test_dlog_matches_the_product_loop(self):
-        """The power-table build gives the old loop's dlog table: same keys,
-        same tuples of ints, same insertion order."""
+        """The index gives the old loop's dlog table: every unit's vector as a
+        tuple of ints, its flat position in the loop's (row-major) order, -1
+        on every non-unit, and the units ascending."""
         moduli = [5, *range(7, 2001), 30030, 65536, 720720]
         for q in moduli:
             g = unit_group_structure(q)
-            assert list(g.dlog.items()) == list(product_loop_dlog(g).items()), q
-            key, vec = next(iter(g.dlog.items()))
-            assert type(key) is int and all(type(f) is int for f in vec)
+            loop = product_loop_dlog(g)
+            index = np.frombuffer(g.index, dtype=np.int32)
+            assert index.shape == (q,) and g.phi == len(loop) == euler_phi(q), q
+            assert index[list(loop)].tolist() == list(range(len(loop))), q
+            assert g.units == brute_force_units(q), q
+            assert np.count_nonzero(index < 0) == q - g.phi and (index >= -1).all(), q
+            assert all(dlog_vector(q, x) == vec for x, vec in loop.items()), q
+            key = g.units[-1]
+            assert type(key) is int and type(g.index[key]) is int, q
+            assert all(type(f) is int for f in dlog_vector(q, key)), q
 
     @given(VALID_Q)
     @settings(max_examples=60, deadline=None)

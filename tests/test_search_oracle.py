@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,11 +35,12 @@ from racebarrier.characters import (
     character_group,
     character_pair_constraint,
     character_table,
-    _roots_of_unity,
+    _RootsOfUnity,
 )
 from racebarrier.goodness import spacing_ok, witness_for
 from racebarrier.residue_group import (
     check_modulus,
+    dlog_vector,
     factorize,
     mod_div,
     multiplicative_order,
@@ -153,9 +155,9 @@ def frozen_find_equal_sum_set(D):
     if len(group.generators) == 1:
         phi = group.phi
         for perm, (b1, b2, b3) in _relabelings(D):
-            f = group.dlog[mod_div(q, b2, b1)][0]
+            (f,) = dlog_vector(q, mod_div(q, b2, b1))
             d = math.gcd(f, phi)
-            e = group.dlog[mod_div(q, b3, b2)][0]
+            (e,) = dlog_vector(q, mod_div(q, b3, b2))
             if e % d != 0:
                 chi = DirichletCharacter(q, (phi // d,))
                 assert chi.evaluate(b1) == chi.evaluate(b2) != chi.evaluate(b3)
@@ -333,10 +335,26 @@ def test_frozen_comparison_reaches_every_family_and_spacing_outcome():
 
 
 def test_roots_of_unity_are_bit_identical_to_the_fraction_path():
-    build = _roots_of_unity.__wrapped__  # uncached: the test makes 500 tables
     for n in (*range(1, 501), 1008, 4095, 10007):
-        roots = build(n)
+        roots = _RootsOfUnity(n)
         assert len(roots) == n
         for k in range(n):
             z = angle_to_complex(Fraction(k, n))
             assert (roots[k].real.hex(), roots[k].imag.hex()) == (z.real.hex(), z.imag.hex()), (k, n)
+        assert sorted(roots) == list(range(n))  # every read root is stored once
+
+
+def test_roots_of_unity_are_built_on_read():
+    """At the cap's exponent only the roots read are stored; reads outside
+    [0, n) raise IndexError instead of wrapping like a tuple's."""
+    n = 999982
+    roots = _RootsOfUnity(n)
+    assert len(roots) == n and not roots.keys()
+    picks = (0, 1, 499991, n - 1)
+    first = [roots[k] for k in picks]
+    assert sorted(roots) == list(picks)
+    assert [roots[k] for k in picks] == first and roots[0] == 1
+    for k in (n, -1, -n, n + 7):
+        with pytest.raises(IndexError):
+            roots[k]
+    assert sorted(roots) == list(picks)
