@@ -1182,14 +1182,28 @@ def barrier_to_dict(barrier) -> dict:
     }
 
 
+def _relabeling(triple: RaceTriple, data: dict) -> tuple[tuple, tuple]:
+    """A file's permutation and relabeled triple, checked against each other:
+    the relabeled triple must be the triple's residues in permutation order."""
+    permutation = tuple(data["permutation"])
+    if not (all(type(i) is int for i in permutation) and sorted(permutation) == [0, 1, 2]):
+        raise ValueError(f"permutation {list(permutation)} is not a permutation of (0, 1, 2)")
+    relabeled = tuple(data["relabeled_triple"])
+    if relabeled != tuple(triple.residues[i] for i in permutation):
+        raise ValueError(f"relabeled triple {list(relabeled)} is not the triple "
+                         f"{list(triple.residues)} in permutation {list(permutation)}")
+    return permutation, relabeled
+
+
 def barrier_from_dict(data: dict):
     q = data["q"]
     triple = RaceTriple(q, *data["triple"])
+    permutation, relabeled = _relabeling(triple, data)
     if data.get("kind") == "gsh":
         return GshBarrier(
             triple=triple,
-            permutation=tuple(data["permutation"]),
-            relabeled_triple=tuple(data["relabeled_triple"]),
+            permutation=permutation,
+            relabeled_triple=relabeled,
             chi1=DirichletCharacter(q, tuple(data["chi1"])),
             chi2=DirichletCharacter(q, tuple(data["chi2"])),
             t=data["t"],
@@ -1220,8 +1234,8 @@ def barrier_from_dict(data: dict):
     )
     return Barrier(
         triple=triple,
-        permutation=tuple(data["permutation"]),
-        relabeled_triple=tuple(data["relabeled_triple"]),
+        permutation=permutation,
+        relabeled_triple=relabeled,
         construction=data["construction"],
         beta1=data["beta1"],
         zeros=zeros,

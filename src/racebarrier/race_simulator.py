@@ -55,15 +55,21 @@ class MainTermConfig:
 
     def pair_coefficients(self, a: int, b: int) -> dict[complex, complex]:
         """Per-distinct-rho coefficient sum_chi n(rho,chi)(conj chi(a) - conj chi(b))."""
+        return self.coefficients(((a, b),))[0]
+
+    def coefficients(self, pairs) -> list[dict[complex, complex]]:
+        """`pair_coefficients` of each pair, reading each residue's column once."""
         table = character_table(self.q)
         roots = table.roots
-        ka, kb = table.columns((a, b))
-        coeffs: dict[complex, complex] = {}
+        residues = list(dict.fromkeys(r for pair in pairs for r in pair))
+        cols = dict(zip(residues, table.columns(residues)))
+        out = [{} for _ in pairs]
         for chi, rho, mult in self.zeros:
             row = chi.index
-            w = (roots[ka[row]].conjugate() - roots[kb[row]].conjugate()) * mult
-            coeffs[rho] = coeffs.get(rho, 0j) + w
-        return coeffs
+            conj = {r: roots[col[row]].conjugate() for r, col in cols.items()}
+            for coeffs, (a, b) in zip(out, pairs):
+                coeffs[rho] = coeffs.get(rho, 0j) + (conj[a] - conj[b]) * mult
+        return out
 
 
 def main_term_pair_diff(config: MainTermConfig, a: int, b: int, u: float) -> float:
@@ -77,21 +83,18 @@ def pair_diff_grid(config: MainTermConfig, a: int, b: int, us: np.ndarray) -> np
 
 
 def pair_diff_grids(config: MainTermConfig, pairs, us: np.ndarray) -> list[np.ndarray]:
-    """Main terms of several residue pairs over one u grid.
+    """Main terms of several residue pairs over one u grid of any shape.
 
-    Each distinct rho's exp and rotation e^(i gamma u) are evaluated once and
-    shared by every pair with a nonzero coefficient there.  Rhos are visited in
-    the order they first appear in ``config.zeros``, so each output receives the
-    same float operations in the same order as a pair-by-pair evaluation.  Only
-    one rho's arrays are held at a time: the workspace is O(len(us)).
+    The stacked kernel `_main_terms` evaluates each distinct rho's amplitude
+    and rotation e^(i gamma u) once, here afresh on every call, and adds the
+    term into every pair with a nonzero coefficient there; the bytes equal a
+    pair-by-pair evaluation.
     """
     us = np.asarray(us, dtype=float)
-    return _pair_diff_kernel(config, _coefficients(config, pairs), us,
-                             lambda gamma: _sincos(gamma, us))
-
-
-def _coefficients(config: MainTermConfig, pairs) -> list[dict[complex, complex]]:
-    return [config.pair_coefficients(a, b) if a != b else {} for a, b in pairs]
+    flat = us.reshape(-1)
+    rows = _main_terms(config, config.coefficients(pairs), flat.size, _rotations(flat),
+                       lambda offset: _amplitude(offset, flat))
+    return [row.reshape(us.shape) for row in rows]
 
 
 def _sincos(gamma: float, us: np.ndarray) -> np.ndarray:
@@ -104,34 +107,85 @@ def _sincos(gamma: float, us: np.ndarray) -> np.ndarray:
     return np.exp(1j * (gamma * us))
 
 
-# (ordinate, window) rotations kept for simulate; every census barrier has the
-# ordinates t = 1000 and 2t, so all barriers checked on one window share two
+def _rotations(us: np.ndarray):
+    """Uncached ``rotation`` for `_main_terms`: cos and sin of gamma u over us
+    from one sincos per call."""
+    def rotation(gamma):
+        rot = _sincos(gamma, us)
+        return rot.real, rot.imag
+    return rotation
+
+
+def _amplitude(offset: float, us: np.ndarray) -> np.ndarray:
+    """-2 e^(offset u) over a grid, for offset = sigma - sigma_max."""
+    return -2.0 * np.exp(offset * us)
+
+
+# (ordinate, window) rotations and (offset, window) amplitudes kept for
+# simulate; every census barrier has the ordinates t = 1000 and 2t and at most
+# one offset below sigma_max, so all barriers checked on one window share three
 _ROTATIONS = 8
+_AMPLITUDES = 4
 
 
 @lru_cache(maxsize=_ROTATIONS)
 def _window_rotation(gamma: float, u0: float, u1: float, n: int) -> np.ndarray:
-    """Read-only e^(i gamma u) over simulate's grid np.linspace(u0, u1, n)."""
+    """Read-only rows cos(gamma u), sin(gamma u) over simulate's grid
+    np.linspace(u0, u1, n), each contiguous."""
     rot = _sincos(gamma, np.linspace(u0, u1, n))
-    rot.setflags(write=False)
-    return rot
+    out = np.stack((rot.real, rot.imag))
+    out.setflags(write=False)
+    return out
 
 
-def _pair_diff_kernel(config: MainTermConfig, coeffs, us: np.ndarray,
-                      rotation) -> list[np.ndarray]:
-    """Main terms for per-pair coefficient dicts; ``rotation(gamma)`` gives e^(i gamma us)."""
-    outs = [np.zeros_like(us) for _ in coeffs]
+@lru_cache(maxsize=_AMPLITUDES)
+def _window_amplitude(offset: float, u0: float, u1: float, n: int) -> np.ndarray:
+    """Read-only -2 e^(offset u) over simulate's grid np.linspace(u0, u1, n)."""
+    amp = _amplitude(offset, np.linspace(u0, u1, n))
+    amp.setflags(write=False)
+    return amp
+
+
+# cells of one (rows x columns) temporary of `_main_terms`: 96 KiB of float64,
+# under glibc's 128 KiB mmap threshold, so each tile reuses heap memory; three
+# rows give tiles of 4096 samples
+_TILE_CELLS = 3 * 4096
+
+
+def _main_terms(config: MainTermConfig, coeffs, n: int, rotation, amplitude) -> np.ndarray:
+    """Rows -2 Re sum_rho c(rho) e^((rho - sigma_max) u) / rho over n samples,
+    one row per coefficient dict {rho: c}.
+
+    ``rotation(gamma)`` gives cos(gamma u) and sin(gamma u), and
+    ``amplitude(offset)`` -2 e^(offset u), an array or, where it is constant,
+    a float.  Rhos are visited in the order they first appear in
+    ``config.zeros``; each visit updates the rows whose coefficient is
+    nonzero there as one stack, t = zr cos - zi sin, t = amp t, row += t with
+    z = c / rho.  Every element gets the float operations of a row-by-row
+    loop in the same order, so the bytes, signed zeros and NaNs included, do
+    not depend on the stacking or on the column tiles the grid is swept in.
+    """
+    out = np.zeros((len(coeffs), n))
+    passes = []
     for rho in dict.fromkeys(rho for _, rho, _ in config.zeros):
-        terms = [(out, c[rho] / rho) for out, c in zip(outs, coeffs) if c.get(rho, 0) != 0]
-        if not terms:
+        rows = [r for r, c in enumerate(coeffs) if c.get(rho, 0) != 0]
+        if not rows:
             continue
-        # -2 Re [ c * e^{(rho - sigma_max) u} / rho ]
-        amp = -2.0 * np.exp((rho.real - config.sigma_max) * us)
-        rot = rotation(rho.imag)
-        cos, sin = rot.real, rot.imag
-        for out, z in terms:
-            out += amp * (z.real * cos - z.imag * sin)
-    return outs
+        z = np.array([coeffs[r][rho] / rho for r in rows])[:, None]
+        if rows[-1] - rows[0] == len(rows) - 1:  # a run of rows updates in place
+            rows = slice(rows[0], rows[-1] + 1)
+        passes.append((rows, z.real, z.imag,
+                       *rotation(rho.imag), amplitude(rho.real - config.sigma_max)))
+    width = max(1, _TILE_CELLS // max(1, len(coeffs)))
+    for s in range(0, n, width):
+        cols = slice(s, s + width)
+        block = out[:, cols]
+        for rows, zr, zi, cos, sin, amp in passes:
+            t = zr * cos[cols]
+            t -= zi * sin[cols]
+            np.multiply(amp if isinstance(amp, float) else amp[cols], t, out=t)
+            block[rows] += t
+    return out
 
 
 def remainder_bound(config: MainTermConfig, a: int, b: int, u: float) -> float:
@@ -210,12 +264,15 @@ class RaceProfile:
 
 
 @lru_cache(maxsize=4096)
-def _ordering_table(triple: tuple) -> tuple[tuple, np.ndarray]:
-    """Ordering labels of a triple and the int8 lookup from sign codes to them.
+def _ordering_table(triple: tuple) -> tuple[tuple, np.ndarray, tuple]:
+    """Ordering labels of a triple, the int8 lookup from sign keys to them, and
+    the sign key of each label.
 
-    A sign code packs the strict signs of (ab, bc, ac) as bits 0, 1, 2 (set when
-    the difference is positive).  Each code is ranked by pairwise wins, largest
-    first; a sign cycle, where no ranking fits the wins, maps to -1.
+    A sign key sets bits 0, 1, 2 where the differences (ab, bc, ac) are
+    positive and bits 3, 4, 5 where they are negative.  A key with each
+    difference one or the other is ranked by pairwise wins, largest first.
+    Every other key (a difference that is 0, -0.0 or NaN), and a sign cycle,
+    where no ranking fits the wins, maps to the tie code -1.
     """
     a, b, c = triple
     ranked = {}
@@ -223,37 +280,36 @@ def _ordering_table(triple: tuple) -> tuple[tuple, np.ndarray]:
         x, y, z = (code >> bit & 1 for bit in range(3))
         wins = {a: x + z, b: (1 - x) + y, c: (1 - y) + (1 - z)}
         if sorted(wins.values()) == [0, 1, 2]:
-            ranked[code] = tuple(sorted(wins, key=wins.get, reverse=True))
-    labels = tuple(sorted(ranked.values()))
-    table = np.full(8, -1, dtype=np.int8)
-    for code, order in ranked.items():
-        table[code] = labels.index(order)
+            ranked[tuple(sorted(wins, key=wins.get, reverse=True))] = code | (7 ^ code) << 3
+    labels = tuple(sorted(ranked))
+    table = np.full(64, -1, dtype=np.int8)
+    table[[ranked[order] for order in labels]] = range(len(labels))
     table.setflags(write=False)
-    return labels, table
+    return labels, table, tuple(ranked[order] for order in labels)
 
 
-def classify_orderings(triple, dab, dbc, dac) -> tuple[np.ndarray, tuple]:
-    """Ordering code per sample from pairwise signs, and the labels it indexes.
+# weight of each sign row (ab, bc, ac positive, then negative) in a sign key
+_SIGN_BITS = np.array([[1], [2], [4], [8], [16], [32]], dtype=np.uint8)
 
-    Each difference is taken as computed (no cocycle), because the pairwise
-    coefficients can cancel exactly for one pair, leaving a term many orders
-    of magnitude below the others.  A difference that is not strictly positive
-    or strictly negative (0, -0.0, NaN), or a sign cycle from float noise,
-    gives the tie code -1.
+
+def classify_orderings(triple, diffs) -> tuple[np.ndarray, tuple, dict[tuple, int], int]:
+    """Ordering code per sample from pairwise signs, the labels it indexes,
+    the occurrences per observed ordering and the number of ties.
+
+    ``diffs`` stacks the differences (ab, bc, ac) as three rows.  Each is taken
+    as computed (no cocycle), because the pairwise coefficients can cancel
+    exactly for one pair, leaving a term many orders of magnitude below the
+    others.  A difference that is not strictly positive or strictly negative
+    (0, -0.0, NaN), or a sign cycle from float noise, gives the tie code -1.
+    The counts come from one bincount over the sign keys.
     """
-    labels, table = _ordering_table(tuple(triple))
-    x, y, z = (np.asarray(d) for d in (dab, dbc, dac))
-    bits = [(d > 0).view(np.uint8) for d in (x, y, z)]
-    codes = table[bits[0] | (bits[1] << 1) | (bits[2] << 2)]
-    codes[~((np.abs(x) > 0) & (np.abs(y) > 0) & (np.abs(z) > 0))] = -1
-    return codes, labels
-
-
-def ordering_histogram(codes: np.ndarray, labels: tuple) -> tuple[dict[tuple, int], int]:
-    """Occurrences per observed ordering, and the number of ties."""
-    counts = np.bincount(codes[codes >= 0], minlength=len(labels))
-    histogram = {label: int(k) for label, k in zip(labels, counts) if k}
-    return histogram, int((codes < 0).sum())
+    labels, table, label_keys = _ordering_table(tuple(triple))
+    diffs = np.asarray(diffs)
+    signs = np.concatenate((diffs > 0, diffs < 0)).view(np.uint8)
+    keys = (signs * _SIGN_BITS).sum(axis=0, dtype=np.uint8).astype(np.intp)
+    counts = np.bincount(keys, minlength=len(table)).tolist()
+    histogram = {label: counts[k] for label, k in zip(labels, label_keys) if counts[k]}
+    return table.take(keys), labels, histogram, len(keys) - sum(histogram.values())
 
 
 def _check_window(u0: float, u1: float, n: int) -> None:
@@ -270,12 +326,15 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
 
     Classifies every sample's strict ordering, counts occurrences of the
     barrier's excluded ordering, and reports the avoidance margin next to the
-    remainder bound.  The rotations e^(i gamma u) over the grid come from a
-    small cache keyed by (gamma, u0, u1, n), shared by every barrier checked
-    on the same window.
+    remainder bound.  The differences of the pairs (ab, bc, ac) come from one
+    stacked kernel pass per distinct rho (`_main_terms`).  Its rotations
+    e^(i gamma u) and amplitudes -2 e^((sigma - sigma_max) u) over the grid
+    come from two small caches keyed by (gamma, u0, u1, n) and
+    (sigma - sigma_max, u0, u1, n), shared by every barrier checked on the
+    same window; at sigma = sigma_max the amplitude is the scalar -2.0.
     """
     _check_window(u0, u1, n)
-    u0, u1 = float(u0), float(u1)  # the cached rotations' grid is built from the same floats
+    u0, u1 = float(u0), float(u1)  # the cached arrays' grid is built from the same floats
     triple = tuple(barrier.relabeled_triple)
     zeros = list(barrier.zeros)
     if not zeros and not allow_empty:
@@ -286,39 +345,43 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
     if u0 < floor:
         raise SimulationInputError(f"u0={u0} below admissible floor {floor:.3f}")
 
-    us = np.linspace(u0, u1, n)
     a, b, c = triple
-    pairs = ((a, b), (b, c), (a, c))
-    coeffs = _coefficients(config, pairs)
-    dab, dbc, dac = _pair_diff_kernel(config, coeffs, us,
-                                      lambda gamma: _window_rotation(gamma, u0, u1, n))
-    codes, labels = classify_orderings(triple, dab, dbc, dac)
-    histogram, ties = ordering_histogram(codes, labels)
+    pairs = [(a, b), (b, c), (a, c)]
+    coeffs = config.coefficients(pairs)
+    # at sigma = sigma_max the amplitude -2 e^(0 u) is -2.0 at every finite u
+    diffs = _main_terms(config, coeffs, n, lambda gamma: _window_rotation(gamma, u0, u1, n),
+                        lambda offset: -2.0 if offset == 0.0 else
+                        _window_amplitude(offset, u0, u1, n))
+    codes, labels, histogram, ties = classify_orderings(triple, diffs)
 
-    diffs = {(a, b): dab, (b, a): -dab, (b, c): dbc, (c, b): -dbc, (a, c): dac, (c, a): -dac}
-    # a pair's coefficients in either orientation (the bound reads only |c|)
-    coeff_of = {}
-    for pair, cs in zip(pairs, coeffs):
-        coeff_of[pair] = coeff_of[pair[::-1]] = cs
+    def oriented(x, y):
+        """The difference of (x, y) and its pair's coefficients (the bound
+        reads only |c|), negating the stacked row of (y, x) when needed."""
+        if (x, y) in pairs:
+            i = pairs.index((x, y))
+            return diffs[i], coeffs[i]
+        i = pairs.index((y, x))
+        return -diffs[i], coeffs[i]
+
     x, y, z = barrier.excluded_ordering
-    slack = np.minimum(diffs[(x, y)], diffs[(y, z)])
-    rem = max(remainder_sup(config, x, y, u0, u1, coeffs=coeff_of[(x, y)]),
-              remainder_sup(config, y, z, u0, u1, coeffs=coeff_of[(y, z)]))
-    profile = RaceProfile(
-        u=us,
-        d1=diffs[(x, y)],
-        d2=diffs[(y, z)],
+    (d1, c1), (d2, c2) = oriented(x, y), oriented(y, z)
+    slack = np.minimum(d1, d2)
+    rem = max(remainder_sup(config, x, y, u0, u1, coeffs=c1),
+              remainder_sup(config, y, z, u0, u1, coeffs=c2))
+    return RaceProfile(
+        u=np.linspace(u0, u1, n),
+        d1=d1,
+        d2=d2,
         ordering_histogram=histogram,
         ties=ties,
         margin=float(-slack.max()),
         remainder=rem,
         excluded_ordering=(x, y, z),
-        excluded_raw=int((slack > 0).sum()),
-        excluded_robust=int((slack > rem).sum()),
+        excluded_raw=int(np.count_nonzero(slack > 0)),
+        excluded_robust=int(np.count_nonzero(slack > rem)),
         ordering_codes=codes,
         ordering_labels=labels,
     )
-    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +630,7 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     d_a1a2 = d1 * np.exp((sigma2 - sigma1) * us)  # common x^{sigma1} scale
     d_a3a2 = d2
     d_a1a3 = d_a1a2 - d_a3a2
-    codes, labels = classify_orderings((a1, a2, a3), d_a1a2, -d_a3a2, d_a1a3)
-    histogram, ties = ordering_histogram(codes, labels)
+    codes, labels, histogram, ties = classify_orderings((a1, a2, a3), (d_a1a2, -d_a3a2, d_a1a3))
     x_, y_, z_ = gsh.excluded_ordering
     dmap = {
         (a1, a2): d_a1a2, (a2, a1): -d_a1a2,
@@ -621,18 +683,14 @@ def independence_scenario(q: int, sigma: float, gammas: dict, u0: float = 50.0,
     units = unit_group_structure(q).units
     table = character_table(q)
     roots = table.roots
-    cols = table.columns(units)
+    rhos = {chi: complex(sigma, gammas[chi]) for chi in chars}
+    config = MainTermConfig(q, tuple((chi, rho, 1) for chi, rho in rhos.items()), sigma_max=sigma)
+    # one row per unit a, with coefficient conj chi(a) at each rho; every zero
+    # sits at sigma_max, so each amplitude is -2.0
+    coeffs = [{rho: roots[col[chi.index]].conjugate() for chi, rho in rhos.items()}
+              for col in table.columns(units)]
     us = np.linspace(u0, u1, n)
-    v = np.zeros((len(units), n))
-    for chi in chars:
-        g = gammas[chi]
-        rho = complex(sigma, g)
-        ph = g * us
-        cosp, sinp = np.cos(ph), np.sin(ph)
-        row = chi.index
-        for ai, col in enumerate(cols):
-            w = roots[col[row]].conjugate() / rho
-            v[ai] += -2.0 * (w.real * cosp - w.imag * sinp)
+    v = _main_terms(config, coeffs, n, _rotations(us), lambda offset: -2.0)
 
     order_idx = np.argsort(-v, axis=0, kind="stable")
     histogram: dict[tuple, int] = {}

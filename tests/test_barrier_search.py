@@ -576,6 +576,34 @@ class TestSerialization:
             assert back == barrier  # field-by-field (dataclass equality)
             assert [z.character for z in back.zeros] == [z.character for z in barrier.zeros]
 
+    def test_golden_population_round_trips(self):
+        """Every barrier of the q <= 30 golden population passes the load-time
+        relabeling check and comes back equal."""
+        import json
+
+        count = 0
+        for q in range(5, 31):
+            if q == 6:
+                continue
+            for triple in itertools.permutations(unit_group_structure(q).units, 3):
+                barrier = find_barrier(RaceTriple(q, *triple))
+                back = barrier_from_dict(json.loads(json.dumps(barrier_to_dict(barrier))))
+                assert back == barrier, (q, triple)
+                count += 1
+        assert count == 56_664 + 960 + 240
+
+    @pytest.mark.parametrize("field, value", [
+        ("relabeled_triple", [1, 2, 6]), ("relabeled_triple", [2, 1, 5]),
+        ("permutation", [2, 2, 2]), ("permutation", [1, 0, 2]), ("permutation", [0, 1]),
+        ("permutation", [0, 1, 2.0]), ("permutation", ["0", 1, 2]),
+    ])
+    def test_inconsistent_relabeling_rejected(self, field, value):
+        data = barrier_to_dict(find_barrier(RaceTriple(7, 1, 2, 5)))
+        assert data["permutation"] == [0, 1, 2] and data["relabeled_triple"] == [1, 2, 5]
+        data[field] = value
+        with pytest.raises(ValueError, match="permutation"):
+            barrier_from_dict(data)
+
     def test_stable_field_order(self):
         barrier = find_barrier(RaceTriple(7, 1, 2, 5))
         keys = list(barrier_to_dict(barrier))

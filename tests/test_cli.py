@@ -213,6 +213,19 @@ class TestSimulateCommand:
         orderings = {row.split(",")[3] for row in prof.read_text().splitlines()[1:]}
         assert orderings and orderings <= _labels(barrier_file)
 
+    @pytest.mark.parametrize("field, value", [("relabeled_triple", [1, 2, 6]),
+                                              ("permutation", [2, 2, 2])])
+    def test_inconsistent_relabeling_rejected(self, capsys, barrier_file, tmp_path, field, value):
+        """A relabeled triple that is not the triple in permutation order is
+        refused at load time (it raised KeyError in simulate, or verified)."""
+        data = json.loads(barrier_file.read_text())
+        data[field] = value
+        bad = tmp_path / "relabeled.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(["simulate", str(bad)], capsys)
+        assert code == 1 and "malformed barrier file" in err and "permutation" in err
+        assert "VERIFIED" not in out
+
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "finite", "q": 7}))

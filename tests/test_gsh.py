@@ -507,6 +507,15 @@ class TestGshSerialization:
         back = barrier_from_dict(data)
         assert back == gsh7
 
+    @pytest.mark.parametrize("field, value", [("relabeled_triple", [5, 2, 1]),
+                                              ("permutation", [2, 2, 2])])
+    def test_inconsistent_relabeling_rejected(self, gsh7, field, value):
+        data = barrier_to_dict(gsh7)
+        assert data[field] != value
+        data[field] = value
+        with pytest.raises(ValueError, match="permutation"):
+            barrier_from_dict(data)
+
     def test_character_payload(self, gsh7):
         data = barrier_to_dict(gsh7)
         assert data["kind"] == "gsh"

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import racebarrier as rb
 from racebarrier import race_simulator
-from racebarrier.characters import DirichletCharacter, nonprincipal_characters
+from racebarrier.characters import DirichletCharacter, character_table, nonprincipal_characters
 from racebarrier.race_simulator import (
     MainTermConfig,
     SimulationError,
@@ -20,7 +21,6 @@ from racebarrier.race_simulator import (
     envelope3_max,
     envelope_min,
     main_term_pair_diff,
-    ordering_histogram,
     pair_diff_grid,
     pair_diff_grids,
     remainder_bound,
@@ -28,6 +28,7 @@ from racebarrier.race_simulator import (
     v_lambda,
     write_profile,
 )
+from racebarrier.residue_group import unit_group_structure
 
 
 class Z:
@@ -267,9 +268,11 @@ class TestRejectedInput:
                                         (-math.inf, 2e5), (math.inf, math.inf)])
     def test_non_finite_window(self, barrier7, u0, u1):
         race_simulator._window_rotation.cache_clear()
+        race_simulator._window_amplitude.cache_clear()
         with pytest.raises(SimulationInputError, match="not finite"):
             simulate(barrier7, u0, u1, 10)
         assert race_simulator._window_rotation.cache_info().currsize == 0
+        assert race_simulator._window_amplitude.cache_info().currsize == 0
 
 
 def _classify(triple, dab, dbc, dac):
@@ -312,11 +315,10 @@ class TestOrderingClassifier:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_per_sample_oracle(self, triple, rows):
         dab, dbc, dac = (np.array([r[i] for r in rows], dtype=float) for i in range(3))
-        codes, labels = classify_orderings(triple, dab, dbc, dac)
+        codes, labels, histogram, ties = classify_orderings(triple, (dab, dbc, dac))
         assert codes.dtype == np.int8 and len(codes) == len(rows)
         want = _classify(triple, dab, dbc, dac)
         assert [labels[k] if k >= 0 else None for k in codes] == want
-        histogram, ties = ordering_histogram(codes, labels)
         want_hist = {}
         for o in want:
             if o is not None:
@@ -325,7 +327,7 @@ class TestOrderingClassifier:
         assert ties == want.count(None)
 
     def test_labels_are_the_six_orderings(self):
-        codes, labels = classify_orderings((3, 1, 2), [1.0], [1.0], [1.0])
+        codes, labels, _, _ = classify_orderings((3, 1, 2), ([1.0], [1.0], [1.0]))
         assert sorted(labels) == sorted(itertools.permutations((3, 1, 2)))
         assert labels[codes[0]] == (3, 1, 2)
 
@@ -485,14 +487,49 @@ class TestWindowCache:
         window = _window(barrier7)
         simulate(barrier7, *window)
         rot = race_simulator._window_rotation(1000.0, *window)
-        for view in (rot, rot.real, rot.imag):
+        for view in (rot, rot[0], rot[1]):
             with pytest.raises(ValueError):
                 view[0] = 0.0
 
+    def test_cached_amplitudes_are_read_only(self, barrier7):
+        window = _window(barrier7)
+        simulate(barrier7, *window)
+        sigmas = [z.sigma for z in barrier7.zeros]
+        offset = min(sigmas) - max(sigmas)
+        assert offset < 0.0
+        amp = race_simulator._window_amplitude(offset, *window)
+        with pytest.raises(ValueError):
+            amp[0] = 0.0
+
+    def test_one_exp_per_offset_and_window(self, census_barriers, monkeypatch):
+        """Each (sigma - sigma_max, window) pays one exp; sigma = sigma_max pays none."""
+        windows = [_window(census_barriers[0]), (2.5e5, 2.5e5 + 0.07, 2000)]
+        calls = []
+        kernel = race_simulator._amplitude
+
+        def counting(offset, us):
+            calls.append((offset, us[0], us[-1], len(us)))
+            return kernel(offset, us)
+
+        monkeypatch.setattr(race_simulator, "_amplitude", counting)
+        race_simulator._window_amplitude.cache_clear()
+        for _ in range(2):
+            for window in windows:
+                for barrier in census_barriers:
+                    simulate(barrier, *window)
+        offsets = set()
+        for barrier in census_barriers:
+            sigma_max = max(z.sigma for z in barrier.zeros)
+            offsets |= {z.sigma - sigma_max for z in barrier.zeros} - {0.0}
+        assert offsets
+        assert sorted(calls) == sorted((o, *w) for o in offsets for w in windows)
+
     def test_cache_is_bounded(self, barrier7):
         n = 10**5
-        maxsize = race_simulator._window_rotation.cache_info().maxsize
-        race_simulator._window_rotation.cache_clear()
+        caches = (race_simulator._window_rotation, race_simulator._window_amplitude)
+        maxsize = max(cache.cache_info().maxsize for cache in caches)
+        for cache in caches:
+            cache.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -501,9 +538,135 @@ class TestWindowCache:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert race_simulator._window_rotation.cache_info().currsize <= maxsize
-        # one complex128 array of n samples (1.6 MB) per entry
+        for cache in caches:
+            info = cache.cache_info()
+            assert 0 < info.currsize <= info.maxsize
+        # one (cos, sin) pair of float64 rows (1.6 MB) per rotation entry and
+        # one float64 row (0.8 MB) per amplitude entry
         assert retained <= 16 * 2**20
+
+
+def _parent_simulate(barrier, u0, u1, n):
+    """Frozen copy of `simulate` from before the stacked kernel and the
+    amplitude cache: pair-by-pair coefficients and main terms, one exp per
+    (pair, rho), three separately classified differences (oracle)."""
+    config = MainTermConfig.from_zeros(barrier.q, list(barrier.zeros), beta1=barrier.beta1)
+    table = character_table(barrier.q)
+    a, b, c = barrier.relabeled_triple
+    pairs = ((a, b), (b, c), (a, c))
+    us = np.linspace(u0, u1, n)
+    coeffs = []
+    for x, y in pairs:
+        kx, ky = table.columns((x, y))
+        cs = {}
+        for chi, rho, mult in config.zeros:
+            w = (table.roots[kx[chi.index]].conjugate()
+                 - table.roots[ky[chi.index]].conjugate()) * mult
+            cs[rho] = cs.get(rho, 0j) + w
+        coeffs.append(cs)
+    outs = [np.zeros_like(us) for _ in pairs]
+    for rho in dict.fromkeys(rho for _, rho, _ in config.zeros):
+        terms = [(out, cs[rho] / rho) for out, cs in zip(outs, coeffs) if cs.get(rho, 0) != 0]
+        if not terms:
+            continue
+        amp = -2.0 * np.exp((rho.real - config.sigma_max) * us)
+        rot = np.exp(1j * (rho.imag * us))
+        for out, z in terms:
+            out += amp * (z.real * rot.real - z.imag * rot.imag)
+    dab, dbc, dac = outs
+    labels = tuple(sorted(itertools.permutations((a, b, c))))
+    orders = _classify((a, b, c), dab, dbc, dac)
+    codes = np.array([labels.index(o) if o is not None else -1 for o in orders], dtype=np.int8)
+    histogram = {}
+    for label in labels:
+        if orders.count(label):
+            histogram[label] = orders.count(label)
+    diffs = {(a, b): dab, (b, a): -dab, (b, c): dbc, (c, b): -dbc, (a, c): dac, (c, a): -dac}
+    coeff_of = {}
+    for pair, cs in zip(pairs, coeffs):
+        coeff_of[pair] = coeff_of[pair[::-1]] = cs
+    x, y, z = barrier.excluded_ordering
+    slack = np.minimum(diffs[(x, y)], diffs[(y, z)])
+    rem = max(race_simulator.remainder_sup(config, x, y, u0, u1, coeffs=coeff_of[(x, y)]),
+              race_simulator.remainder_sup(config, y, z, u0, u1, coeffs=coeff_of[(y, z)]))
+    profile = (us.tobytes(), diffs[(x, y)].tobytes(), diffs[(y, z)].tobytes(), codes.tobytes(),
+               repr(histogram), repr(orders.count(None)), repr(float(-slack.max())), repr(rem),
+               int((slack > 0).sum()), int((slack > rem).sum()))
+    return profile, [d.tobytes() for d in outs]
+
+
+def _new_simulate(barrier, u0, u1, n):
+    prof = simulate(barrier, u0, u1, n)
+    return (prof.u.tobytes(), prof.d1.tobytes(), prof.d2.tobytes(),
+            prof.ordering_codes.tobytes(), repr(prof.ordering_histogram), repr(prof.ties),
+            repr(prof.margin), repr(prof.remainder), prof.excluded_raw, prof.excluded_robust)
+
+
+@functools.lru_cache(maxsize=None)
+def _census_barrier(triple):
+    return rb.find_barrier(rb.RaceTriple(*triple))
+
+
+# the census moduli: 5 and 7..50
+_CENSUS_MODULI = (5, *range(7, 51))
+
+
+# power family (11 10 7 6), construction II and construction III
+_NAMED = ((11, 10, 7, 6), (23, 2, 3, 4), (19, 2, 3, 14))
+
+
+@st.composite
+def _census_triples(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_NAMED))
+    q = draw(st.sampled_from(_CENSUS_MODULI))
+    units = list(unit_group_structure(q).units)
+    return (q, *draw(st.permutations(units))[:3])
+
+
+class TestStackedKernel:
+    """simulate against a frozen copy of its pair-by-pair predecessor."""
+
+    @given(_census_triples(), st.floats(1e3, 1e7), st.floats(1e-3, 50.0), st.integers(2, 9000))
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_the_pair_by_pair_simulate(self, triple, u0, width, n):
+        """Beyond u = 1.5e6 a construction-I amplitude e^(-0.0005 u) underflows,
+        so rows with only that rho hold signed zeros."""
+        barrier = _census_barrier(triple)
+        want, rows = _parent_simulate(barrier, u0, u0 + width, n)
+        race_simulator._window_rotation.cache_clear()
+        race_simulator._window_amplitude.cache_clear()
+        assert _new_simulate(barrier, u0, u0 + width, n) == want  # cold caches
+        assert _new_simulate(barrier, u0, u0 + width, n) == want  # warm caches
+        cfg = MainTermConfig.from_zeros(barrier.q, barrier.zeros, beta1=barrier.beta1)
+        a, b, c = barrier.relabeled_triple
+        got = pair_diff_grids(cfg, ((a, b), (b, c), (a, c)), np.linspace(u0, u0 + width, n))
+        assert [d.tobytes() for d in got] == rows
+
+    @pytest.mark.parametrize("triple", _NAMED + ((7, 1, 2, 5),))
+    def test_tile_edges(self, triple):
+        barrier = _census_barrier(triple)
+        tile = race_simulator._TILE_CELLS // 3
+        for n in (tile - 1, tile, tile + 1, 2 * tile + 1):
+            assert _new_simulate(barrier, 2e5, 2e5 + 0.07, n) == \
+                _parent_simulate(barrier, 2e5, 2e5 + 0.07, n)[0]
+
+    def test_equal_pair_and_vanishing_coefficient(self):
+        """A pair (a, a) and pairs whose coefficient is exactly zero at one
+        rho (the quadratic character is 1 at 1 and 4 mod 5) equal a
+        pair-by-pair evaluation; the active rows at that rho are not a run."""
+        chars = nonprincipal_characters(5)
+        quadratic = next(chi for chi in chars if chi.order == 2)
+        quartic = next(chi for chi in chars if chi.order == 4)
+        cfg = MainTermConfig.from_zeros(5, [Z(quadratic, 0.75, 100.0), Z(quartic, 0.7, 173.2, 2)])
+        pairs = ((1, 2), (1, 4), (1, 3), (4, 4))
+        at_quadratic = [cs[complex(0.75, 100.0)] for cs in cfg.coefficients(pairs)]
+        assert [c != 0 for c in at_quadratic] == [True, False, True, False]
+        us = np.linspace(60.0, 80.0, 5000)
+        got = pair_diff_grids(cfg, pairs, us)
+        for (a, b), d in zip(pairs, got):
+            assert d.tobytes() == _reference_pair_diff(cfg, a, b, us).tobytes()
+        assert not got[3].any()
 
 
 class TestWriteProfile:
@@ -525,7 +688,38 @@ class TestWriteProfile:
         assert [row.split(",")[3] for row in path.read_text().splitlines()[1:]] == ["tie"] * 5
 
 
+def _parent_independence_histogram(q, sigma, gammas, u0, u1, n):
+    """Frozen copy of independence_scenario's per-character, per-unit loop (oracle)."""
+    units = unit_group_structure(q).units
+    table = character_table(q)
+    cols = table.columns(units)
+    us = np.linspace(u0, u1, n)
+    v = np.zeros((len(units), n))
+    for chi in nonprincipal_characters(q):
+        g = gammas[chi]
+        rho = complex(sigma, g)
+        ph = g * us
+        cosp, sinp = np.cos(ph), np.sin(ph)
+        for ai, col in enumerate(cols):
+            w = table.roots[col[chi.index]].conjugate() / rho
+            v[ai] += -2.0 * (w.real * cosp - w.imag * sinp)
+    uniq, counts = np.unique(np.argsort(-v, axis=0, kind="stable").T, axis=0, return_counts=True)
+    return {tuple(units[i] for i in row): int(k) for row, k in zip(uniq, counts)}
+
+
 class TestIndependenceScenario:
+    @pytest.mark.parametrize("q, seed", [(5, 1), (5, 2), (7, 1), (7, 2)])
+    def test_matches_the_per_unit_loop(self, q, seed):
+        from racebarrier.race_simulator import independence_scenario
+
+        rng = np.random.default_rng(seed)
+        chars = nonprincipal_characters(q)
+        gammas = dict(zip(chars, (float(g) for g in rng.uniform(1.0, 50.0, len(chars)))))
+        args = (q, 0.75, gammas, 50.0, 5000.0, 30000)
+        prof = independence_scenario(*args)
+        assert repr(prof.ordering_histogram) == repr(_parent_independence_histogram(*args))
+        assert sum(prof.ordering_histogram.values()) == 30000
+
     def test_q5_generic_sees_all_orderings(self):
         from racebarrier.race_simulator import independence_scenario
 
