@@ -230,9 +230,33 @@ def _in_subgroup(group, b: int, c: int) -> bool:
 def _power(chars, chi: DirichletCharacter, i: int) -> DirichletCharacter:
     """chi**i, taken from the character group instead of built anew."""
     row = 0
-    for h, s in zip(chi.exponents, chi.group.orders):
+    for h, s in zip(chi.exponents, chars.orders):
         row = row * s + h * i % s
     return chars[row]
+
+
+def _multiples(n: int, l: int) -> range:
+    """The rows h in [1, n) with h l ≡ 0 (mod n), ascending."""
+    step = n // math.gcd(l, n)
+    return range(step, n, step)
+
+
+def _conjugate_pair_row(chars, n: int, c1, c2, c3, rows) -> int | None:
+    """First row in rows whose {chi, conj chi} sums agree on columns c1, c2, not c3."""
+    for ci in rows:
+        k1, k2, k3 = c1[ci], c2[ci], c3[ci]
+        if ((k1 == k2 or (k1 + k2) % n == 0) and k3 != k1 and (k1 + k3) % n != 0
+                and chars[ci].order > 2):
+            return ci
+    return None
+
+
+def _power_row(c1, c2, c3, rows) -> int | None:
+    """First row in rows that is 1 on both or neither of c1, c2 and not so on c3."""
+    for ci in rows:
+        if (c1[ci] == 0) == (c2[ci] == 0) != (c3[ci] == 0):
+            return ci
+    return None
 
 
 def _first_separating_character(D: RaceTriple, cols, i: int, j: int) -> DirichletCharacter:
@@ -256,6 +280,13 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
     decide every triple whose modulus has phi(q) <= 17, so no search over
     arbitrary subsets is made.  Also returns a character separating the
     first two relabeled residues.
+
+    In a cyclic group the primitive-root shortcut finds a singleton whenever
+    one exists, so once it fails k1 == k2 forces k3 == k1 on every row h,
+    where chi_h(g^l) = e(h l / n) and k_i = h l_i mod n.  A conjugate pair
+    then needs h (l1 + l2) ≡ 0 and a power family h l3 ≡ 0 (mod n), so those
+    scans step through the multiples of n / gcd(l1 + l2, n), resp.
+    n / gcd(l3, n), in ascending order and meet the full scan's first row.
     """
     q = D.q
     res = D.residues
@@ -264,52 +295,55 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
     table = character_table(q)
     n, roots = table.exponent, table.roots
     cols = table.columns(res)
+    cyclic = len(group.generators) == 1
     nonprinc = range(1, len(chars))  # row 0 is the principal character
 
     def package(perm, family, row, powers):
-        # members chi^i, i in powers, with chi^i(a) = roots[i k % n] for chi(a) = roots[k]
-        sums = tuple(sum(roots[i * k % n] for i in powers) for k in (cols[j][row] for j in perm))
-        members = tuple(_power(chars, chars[row], i) for i in powers)
-        chi2 = _first_separating_character(D, cols, perm[0], perm[1])
-        return EqualSumSet(perm, tuple(res[j] for j in perm), family, members, chi2, sums)
+        i, j, k = perm
+        ks = (cols[i][row], cols[j][row], cols[k][row])
+        if powers == (1,):  # 0 + root, as sum() starts, keeps the sign of a zero part
+            sums = (0 + roots[ks[0]], 0 + roots[ks[1]], 0 + roots[ks[2]])
+            members = (chars[row],)
+        else:  # members chi^p with chi^p(a) = roots[p x % n] for chi(a) = roots[x]
+            sums = tuple(sum(roots[p * x % n] for p in powers) for x in ks)
+            members = tuple(_power(chars, chars[row], p) for p in powers)
+        chi2 = _first_separating_character(D, cols, i, j)
+        return EqualSumSet(perm, (res[i], res[j], res[k]), family, members, chi2, sums)
 
-    if len(group.generators) == 1:
+    if cyclic:
         # primitive-root shortcut; it finds a singleton whenever one exists,
         # so in a cyclic group no singleton scan follows a failed pass
-        for perm in _PAIR_PERMS:
-            row = _primitive_root_row(group, *(res[i] for i in perm))
+        for i, j, k in _PAIR_PERMS:
+            row = _primitive_root_row(group, res[i], res[j], res[k])
             if row is not None:
-                k1, k2, k3 = (cols[i][row] for i in perm)
-                assert k1 == k2 != k3
-                return package(perm, "primitive-root", row, (1,))
+                assert cols[i][row] == cols[j][row] != cols[k][row]
+                return package((i, j, k), "primitive-root", row, (1,))
     else:
-        for perm in _PAIR_PERMS:
-            c1, c2, c3 = (cols[i] for i in perm)
+        for i, j, k in _PAIR_PERMS:
+            c1, c2, c3 = cols[i], cols[j], cols[k]
             for ci in nonprinc:
                 if c1[ci] == c2[ci] != c3[ci]:
-                    return package(perm, "singleton", ci, (1,))
+                    return package((i, j, k), "singleton", ci, (1,))
 
     # conjugate pairs: sums are 2 cos(2 pi k / n)
-    for perm in _PAIR_PERMS:
-        c1, c2, c3 = (cols[i] for i in perm)
-        for ci in nonprinc:
-            k1, k2, k3 = c1[ci], c2[ci], c3[ci]
-            if ((k1 == k2 or (k1 + k2) % n == 0) and k3 != k1 and (k1 + k3) % n != 0
-                    and chars[ci].order > 2):
-                return package(perm, "conjugate-pair", ci, (1, -1))
+    index = group.index
+    for i, j, k in _PAIR_PERMS:
+        rows = _multiples(n, index[res[i]] + index[res[j]]) if cyclic else nonprinc
+        row = _conjugate_pair_row(chars, n, cols[i], cols[j], cols[k], rows)
+        if row is not None:
+            return package((i, j, k), "conjugate-pair", row, (1, -1))
 
     # power families {chi, ..., chi^(ord-1)}: sums depend only on chi(a) = 1 or
     # not.  No singleton exists, so no character is 1 on b1 and b2 but not on
     # b3; a member is 1 on b3 only, and one exists exactly when neither b1 nor
     # b2 lies in <b3> (a character of G/<b3> nontrivial on both images).
-    for perm in _PAIR_PERMS:
-        b1, b2, b3 = (res[i] for i in perm)
-        if _in_subgroup(group, b1, b3) or _in_subgroup(group, b2, b3):
+    for i, j, k in _PAIR_PERMS:
+        if _in_subgroup(group, res[i], res[k]) or _in_subgroup(group, res[j], res[k]):
             continue
-        c1, c2, c3 = (cols[i] for i in perm)
-        for ci in nonprinc:
-            if (c1[ci] == 0) == (c2[ci] == 0) != (c3[ci] == 0):
-                return package(perm, "power", ci, range(1, chars[ci].order))
+        rows = _multiples(n, index[res[k]]) if cyclic else nonprinc
+        row = _power_row(cols[i], cols[j], cols[k], rows)
+        if row is not None:
+            return package((i, j, k), "power", row, range(1, chars[row].order))
     return None
 
 
@@ -336,9 +370,12 @@ def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -
     c1, c2, c3 = table.columns(found.relabeled_triple)
     row = found.chi2.index
     w = roots[c2[row]].conjugate() - roots[c1[row]].conjugate()
-    z = sum(roots[c2[chi.index]].conjugate() - roots[c3[chi.index]].conjugate()
-            for chi in found.characters)
-    if abs(w) == 0 or abs(z) == 0:
+    z = 0
+    for chi in found.characters:
+        i = chi.index
+        z += roots[c2[i]].conjugate() - roots[c3[i]].conjugate()
+    abs_w, abs_z = abs(w), abs(z)
+    if abs_w == 0 or abs_z == 0:
         raise ConstructionError("degenerate phase coefficients (W or Z vanished)")
 
     phase_diff = cmath.phase(w) - 2.0 * cmath.phase(z)
@@ -376,8 +413,8 @@ def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -
             "F0": f0,
             "cos_c_star": sign,
             "phase_slack": phase_slack,
-            "abs_W": abs(w),
-            "abs_Z": abs(z),
+            "abs_W": abs_w,
+            "abs_Z": abs_z,
             "verdict_margin": phase_slack,
         },
     )
@@ -416,11 +453,14 @@ _SMALL_PRIME_SET = frozenset((3, 7, 13))
 
 
 def multiplicities_for(d1: Fraction, d2: Fraction) -> tuple[int, int]:
-    if d1 > Fraction(1, 3):
+    """(c1, c2) for an admissible gap pair, compared as integer cross-products
+    of the reduced numerators and denominators."""
+    n1, m1, n2, m2 = d1.numerator, d1.denominator, d2.numerator, d2.denominator
+    if 3 * n1 > m1:
         return (1, 2)
-    if (d1, d2) == (Fraction(6, 19), Fraction(9, 19)):
+    if 19 * n1 == 6 * m1 and 19 * n2 == 9 * m2:
         return (5, 9)
-    if (d1, d2) == (Fraction(12, 37), Fraction(16, 37)):
+    if 37 * n1 == 12 * m1 and 37 * n2 == 16 * m2:
         return (3, 5)
     raise ValueError(f"gap pair {(d1, d2)} outside the admissible spacing set")
 
@@ -438,7 +478,7 @@ def find_spacing_character(D: RaceTriple):
     # ord(x) = ord(1/x): a triple has three ratio orders, shared by every relabeling
     order = {}
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        order[i, j] = order[j, i] = multiplicative_order(q, mod_div(q, res[j], res[i]))
+        order[i, j] = order[j, i] = multiplicative_order(q, res[j] * pow(res[i], -1, q) % q)
 
     def ratio_orders(perm):
         i, j, k = perm
@@ -468,17 +508,18 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
     p^(e+1) does not divide s2, or r = s1 in {39, 91, 273} with s2 | 273.
     """
     q = D.q
+    chars = character_group(q)
     triple = tuple(D.residues[i] for i in perm)
     b1, b2, b3 = triple
-    ratio21 = mod_div(q, b2, b1)
-    ratio32 = mod_div(q, b3, b2)
+    ratio21 = b2 * pow(b1, -1, q) % q
+    ratio32 = b3 * pow(b2, -1, q) % q
     r_primes = [p] if p is not None else [f for f, _ in factorize(r)]
     chi1 = _pair_constraint_character(q, ratio21, r, s1, s2, r_primes)
     if p is not None:
         # reduce to chi2 with chi2(b2/b1) = e(1/m), m = p or p^2; m | r, since the
         # route skips r = p for p in {3, 7, 13}
         m = p ** (2 if p in _SMALL_PRIME_SET else 1)
-        chi2 = chi1 ** (r // m)
+        chi2 = _power(chars, chi1, r // m)
     else:
         chi2 = chi1
         m = r
@@ -494,7 +535,7 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
     k = witness_for(m, j_good)
     if k is None:
         raise ConstructionError(f"base modulus m={m} has no witness for j={j_good}")
-    chi_k = chi2**k
+    chi_k = _power(chars, chi2, k)
     points = (0, k % m, k * j_good % m)
     if len(set(points)) < 3:
         return CaseIDeferral(perm, triple, chi_k)
@@ -504,13 +545,15 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
 def _assemble_spacing(D: RaceTriple, chi: DirichletCharacter, m: int, k: int):
     """Read off the relabeling and gap pair from the actual character values.
 
-    Gaps are compared as integer numerators over the group exponent n.
+    Gaps are compared as integer numerators over the group exponent n; the
+    conjugate is taken only when chi itself fails.
     """
     res = D.residues
     table = character_table(D.q)
     n = table.exponent
     cols = table.columns(res)
-    for candidate in (chi, chi.conjugate()):
+    for conjugate in (False, True):
+        candidate = _power(character_group(D.q), chi, -1) if conjugate else chi
         row = candidate.index
         angles = sorted((col[row], a) for col, a in zip(cols, res))
         (t1, r1), (t2, r2), (t3, r3) = angles
@@ -556,22 +599,32 @@ def verify_crossing_inequality(c1: int, c2: int, d1, d2) -> CrossingInequality:
 
 
 def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierParams) -> Barrier:
-    """Zero of order c1 for chi and order c2 for chi^2 at double height."""
+    """Zero of order c1 for chi and order c2 for chi^2 at double height.
+
+    The declared gaps are checked against chi's angle numerators k1, k2, k3
+    on the relabeled triple, read from the table columns: (k2 - k1) mod n
+    over n must equal d1 mod 1 and (k3 - k2) mod n over n d2 mod 1, by
+    integer cross-multiplication with d's numerator and denominator.
+    """
     p = params
-    ineq = verify_crossing_inequality(spacing.c1, spacing.c2, spacing.d1, spacing.d2)
+    d1, d2 = spacing.d1, spacing.d2
+    ineq = verify_crossing_inequality(spacing.c1, spacing.c2, d1, d2)
     if not ineq.ok:
         raise ConstructionError(f"spacing inequality failed, margin {ineq.margin}")
     chi = spacing.chi
-    b1_, b2_, b3_ = spacing.relabeled_triple
-    t1, t2, t3 = (chi.evaluate(a) for a in (b1_, b2_, b3_))
-    if ((t2 - t1) % 1, (t3 - t2) % 1) != (spacing.d1 % 1, spacing.d2 % 1):
+    table = character_table(D.q)
+    n, row = table.exponent, chi.index
+    x1, x2, x3 = table.columns(spacing.relabeled_triple)
+    k1, k2, k3 = x1[row], x2[row], x3[row]
+    if ((k2 - k1) % n * d1.denominator != d1.numerator % d1.denominator * n
+            or (k3 - k2) % n * d2.denominator != d2.numerator % d2.denominator * n):
         raise ConstructionError("character values do not realize the declared gaps")
-    if (spacing.c1, spacing.c2) != multiplicities_for(spacing.d1, spacing.d2):
+    if (spacing.c1, spacing.c2) != multiplicities_for(d1, d2):
         raise ConstructionError("multiplicities inconsistent with the gap pair")
-    chi_sq = chi * chi
+    chi_sq = _power(character_group(D.q), chi, 2)
     if chi_sq.is_principal:
         raise ConstructionError("chi^2 is principal; spacing geometry violated")
-    delta, y_worst = sim.envelope_min(spacing.d1, spacing.d2, spacing.c1, spacing.c2)
+    delta, y_worst = sim.envelope_min(d1, d2, spacing.c1, spacing.c2)
     gamma = max(p.gamma, 2.0 * p.tau, 1000.0)
     alpha_sigma = p.sigma1
     if not (0.5 <= p.beta1 < alpha_sigma <= p.sigma):
@@ -592,8 +645,8 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
         parameters={
             "alpha": alpha_sigma,
             "gamma": gamma,
-            "d1": [spacing.d1.numerator, spacing.d1.denominator],
-            "d2": [spacing.d2.numerator, spacing.d2.denominator],
+            "d1": [d1.numerator, d1.denominator],
+            "d2": [d2.numerator, d2.denominator],
             "c1": spacing.c1,
             "c2": spacing.c2,
             "witness_m": spacing.base_modulus,
@@ -609,7 +662,7 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
         },
     )
     assert barrier.size == spacing.c1 + spacing.c2 <= 14
-    if spacing.d1 > Fraction(1, 3):
+    if 3 * d1.numerator > d1.denominator:  # d1 > 1/3
         assert barrier.size == 3
     return barrier
 
@@ -879,15 +932,17 @@ def find_barrier(D: RaceTriple, params: BarrierParams | None = None) -> Barrier:
 def _equal_sum_from_deferral(D: RaceTriple, deferral: CaseIDeferral) -> EqualSumSet:
     chi = deferral.chi
     b = deferral.relabeled_triple
-    vals = [chi.evaluate(a) for a in b]
+    table = character_table(D.q)
+    row = chi.index
+    vals = [col[row] for col in table.columns(b)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
         kk = 3 - i - j
         if vals[i] == vals[j] != vals[kk]:
             triple = (b[i], b[j], b[kk])
             perm = tuple(D.residues.index(a) for a in triple)
-            cols = character_table(D.q).columns(D.residues)
+            cols = table.columns(D.residues)
             chi2 = _first_separating_character(D, cols, perm[0], perm[1])
-            sums = tuple(chi.value(a) for a in triple)
+            sums = tuple(table.roots[vals[x]] for x in (i, j, kk))
             return EqualSumSet(perm, triple, "deferral-singleton", (chi,), chi2, sums)
     raise ConstructionError("deferral character has no coinciding value pair")
 
@@ -985,6 +1040,21 @@ def _family_constants(j_max: int, sigma2: float, beta: float):
     return deltas, xi
 
 
+def _phase_offset(z: complex, sigma1: float, t: float) -> float:
+    """alpha = -(atan(sigma1 / t) + arg z) / pi, the drift of H's phase walk."""
+    return -(math.atan(sigma1 / t) + cmath.phase(z)) / math.pi
+
+
+def _gsh_coefficients(chi1, chi2, triple) -> tuple[complex, complex, float]:
+    """z, w and beta_phase of the relabeled triple (b1, b2, b3):
+    z = conj chi1(b2) - conj chi1(b3), w = conj chi2(b2) - conj chi2(b1),
+    beta_phase = arg(w) / 2 pi - 1/4."""
+    b1, b2, b3 = triple
+    z = chi1.value(b2).conjugate() - chi1.value(b3).conjugate()
+    w = chi2.value(b2).conjugate() - chi2.value(b1).conjugate()
+    return z, w, cmath.phase(w) / TWO_PI - 0.25
+
+
 def _phase_quality(alpha: float) -> float:
     # both alpha near an integer and alpha near a half-integer make the walk
     # h alpha + beta drift slowly, stretching the gaps of H
@@ -1013,8 +1083,7 @@ def find_gsh_characters(D: RaceTriple, sigma1: float = 0.6, t: float = 1000.0):
                 continue
             chi1 = chars[ci]
             z = chi1.value(b2).conjugate() - chi1.value(b3).conjugate()
-            alpha = -(math.atan(sigma1 / t) + cmath.phase(z)) / math.pi
-            score = _phase_quality(alpha)
+            score = _phase_quality(_phase_offset(z, sigma1, t))
             if score > best_score + 1e-12:
                 chi2 = _first_separating_character(D, cols, perm[0], perm[1])
                 best = (perm, (b1, b2, b3), chi1, chi2)
@@ -1037,19 +1106,17 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
     b1, b2, b3 = triple
     j_max = p.truncation
 
-    z = chi1.value(b2).conjugate() - chi1.value(b3).conjugate()
-    w = chi2.value(b2).conjugate() - chi2.value(b1).conjugate()
+    z, w, beta_phase = _gsh_coefficients(chi1, chi2, triple)
     assert abs(z) > 0 and abs(w) > 0
 
     for _ in range(64):
-        alpha = -(math.atan(sigma1 / t) + cmath.phase(z)) / math.pi
+        alpha = _phase_offset(z, sigma1, t)
         dist = abs(alpha - round(alpha))
         if 1.0 / (10.0 * t) <= dist <= 0.5 - 1.0 / (10.0 * t):
             break
         t *= 2.0
     else:
         raise ConstructionError("could not place the phase offset away from 0 and 1/2")
-    beta_phase = cmath.phase(w) / TWO_PI - 0.25
 
     def in_h_set(hs: np.ndarray) -> np.ndarray:
         frac = hs * alpha + beta_phase
@@ -1195,12 +1262,31 @@ def _relabeling(triple: RaceTriple, data: dict) -> tuple[tuple, tuple]:
     return permutation, relabeled
 
 
+def _check_gsh(barrier: GshBarrier) -> GshBarrier:
+    """A loaded GSH barrier has `truncation` entries in each per-term
+    sequence, and z, w, alpha and beta_phase equal what construction_gsh
+    computes from chi1, chi2, t and sigma1 on the relabeled triple."""
+    j_max = barrier.truncation
+    for name in ("h_values", "in_h", "gammas", "deltas"):
+        if len(getattr(barrier, name)) != j_max:
+            raise ValueError(f"{name} has {len(getattr(barrier, name))} entries, "
+                             f"truncation is {j_max}")
+    z, w, beta_phase = _gsh_coefficients(barrier.chi1, barrier.chi2, barrier.relabeled_triple)
+    expected = {"z": z, "w": w, "alpha": _phase_offset(z, barrier.sigma1, barrier.t),
+                "beta_phase": beta_phase}
+    for name, value in expected.items():
+        if getattr(barrier, name) != value:
+            raise ValueError(f"{name} = {getattr(barrier, name)!r} is not {value!r}, its value "
+                             "from chi1, chi2, t and sigma1")
+    return barrier
+
+
 def barrier_from_dict(data: dict):
     q = data["q"]
     triple = RaceTriple(q, *data["triple"])
     permutation, relabeled = _relabeling(triple, data)
     if data.get("kind") == "gsh":
-        return GshBarrier(
+        return _check_gsh(GshBarrier(
             triple=triple,
             permutation=permutation,
             relabeled_triple=relabeled,
@@ -1222,7 +1308,7 @@ def barrier_from_dict(data: dict):
             excluded_ordering=tuple(data["excluded_ordering"]),
             parameters=data.get("parameters", {}),
             margins=data.get("margins", {}),
-        )
+        ))
     zeros = tuple(
         ZeroSpec(
             DirichletCharacter(q, tuple(zd["character"])),

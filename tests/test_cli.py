@@ -337,3 +337,57 @@ class TestSimulateGshCommand:
         assert rows[0] == "u,D1,D2,ordering" and len(rows) > 300
         orderings = {row.split(",")[3] for row in rows[1:]}
         assert orderings and orderings <= _labels(gsh_file)
+
+
+@pytest.fixture(scope="module")
+def gsh_file_full(tmp_path_factory):
+    """A GSH barrier at the default truncation J = 10^4."""
+    path = tmp_path_factory.mktemp("gsh") / "g10k.json"
+    assert main(["gsh", "7", "1", "2", "5", "--out", str(path)]) == 0
+    return path
+
+
+class TestGshFileChecks:
+    """A GSH barrier file is checked at load: its per-term sequences have
+    `truncation` entries, and its phase data are recomputed from the
+    characters; either defect exits 1 as a malformed file."""
+
+    def _simulate(self, capsys, tmp_path, data):
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        return run(["simulate", str(path), "--samples", "50"], capsys)
+
+    def test_untampered_file_simulates(self, capsys, gsh_file_full, tmp_path):
+        data = json.loads(gsh_file_full.read_text())
+        assert data["truncation"] == 10_000 and len(data["h_values"]) == 10_000
+        code, _, err = self._simulate(capsys, tmp_path, data)
+        assert code == 0 and "malformed" not in err
+
+    def test_edited_alpha_rejected(self, capsys, gsh_file_full, tmp_path):
+        data = json.loads(gsh_file_full.read_text())
+        assert data["alpha"] != 0.123
+        data["alpha"] = 0.123
+        code, _, err = self._simulate(capsys, tmp_path, data)
+        assert code == 1 and "malformed barrier file" in err and "alpha" in err
+
+    @pytest.mark.parametrize("field", ["h_values", "in_h", "gammas", "deltas"])
+    def test_cut_sequence_rejected(self, capsys, gsh_file_full, tmp_path, field):
+        data = json.loads(gsh_file_full.read_text())
+        data[field] = data[field][:10]
+        code, _, err = self._simulate(capsys, tmp_path, data)
+        assert code == 1 and "malformed barrier file" in err and field in err
+
+    @pytest.mark.parametrize("field, index, factor", [
+        ("z", 0, 1 + 2**-40), ("w", 1, 1 + 2**-40), ("beta_phase", None, 1 + 2**-40),
+        ("t", None, 1.5), ("sigma1", None, 1.1),
+    ], ids=["z", "w", "beta_phase", "t", "sigma1"])
+    def test_edited_phase_data_rejected(self, capsys, gsh_file_full, tmp_path, field, index,
+                                        factor):
+        data = json.loads(gsh_file_full.read_text())
+        if index is None:
+            data[field] *= factor
+        else:
+            data[field][index] *= factor
+        code, _, err = self._simulate(capsys, tmp_path, data)
+        assert code == 1 and "malformed barrier file" in err

@@ -25,6 +25,7 @@ import pytest
 from racebarrier.barrier_search import (
     BarrierParams,
     RaceTriple,
+    barrier_from_dict,
     barrier_to_dict,
     construction_gsh,
     find_barrier,
@@ -99,3 +100,14 @@ def test_gsh_digest(triple):
     digest.update(repr((prof.tail_constant, prof.phase_bound_max)).encode())
     digest.update(repr((prof.controlled_positive, prof.controlled_total)).encode())
     assert digest.hexdigest() == GSH_DIGESTS[triple]
+
+
+@pytest.mark.parametrize("triple", sorted(GSH_DIGESTS))
+def test_gsh_barrier_round_trips(triple):
+    """Every golden GSH barrier passes the load-time checks (sequence
+    lengths, recomputed z, w, alpha and beta_phase) and comes back equal."""
+    gsh = construction_gsh(RaceTriple(*triple), BarrierParams(truncation=10_000))
+    text = json.dumps(barrier_to_dict(gsh), sort_keys=True)
+    back = barrier_from_dict(json.loads(text))
+    assert back == gsh
+    assert json.dumps(barrier_to_dict(back), sort_keys=True) == text

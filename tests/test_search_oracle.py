@@ -1,15 +1,22 @@
 """Oracles for the integer fast path of the construction-I and II searches.
 
-The existence tests that let `find_equal_sum_set` skip scans are checked on
+The existence tests that let `find_equal_sum_set` skip scans, and the
+stepped conjugate-pair and power scans of a cyclic group, are checked on
 every relabeling of every triple with q <= 60 against a scan over all
 characters.  `find_equal_sum_set` and `find_spacing_character` are compared
 with frozen copies of their earlier implementations, which worked through
 `mod_div`, `Fraction` angles and per-value `DirichletCharacter` calls, on
-random triples with q <= 300.
+random triples with q <= 300.  Construction II, with its gap and
+multiplicity checks on `Fraction`s, and the deferral to construction I are
+frozen too, and every q <= 50 barrier past the equal-sum search is compared
+byte for byte with that path.
 """
 
+import dataclasses
 import itertools
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,17 +24,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racebarrier import race_simulator as sim
 from racebarrier.barrier_search import (
+    Barrier,
+    BarrierParams,
     CaseIDeferral,
     ConstructionError,
     EqualSumSet,
     RaceTriple,
     SpacingCharacter,
+    ZeroSpec,
+    _conjugate_pair_row,
+    _equal_sum_from_deferral,
     _in_subgroup,
+    _multiples,
+    _power_row,
     _primitive_root_row,
+    barrier_to_dict,
+    construction_one,
+    construction_three,
+    construction_two,
+    find_barrier,
     find_equal_sum_set,
     find_spacing_character,
-    multiplicities_for,
+    verify_crossing_inequality,
 )
 from racebarrier.characters import (
     DirichletCharacter,
@@ -114,6 +134,45 @@ def test_existence_tests_agree_with_a_scan_over_every_relabeling_up_to_60():
                 if row is not None:
                     assert cols[i, row] == cols[j, row] != cols[k, row]
     assert cyclic_seen and noncyclic_seen
+
+
+def test_cyclic_stepping_matches_the_full_scan_up_to_60():
+    """With no singleton in a cyclic group, the conjugate-pair scan over the
+    multiples of n / gcd(l1 + l2, n) and the power scan over those of
+    n / gcd(l3, n) return the first row of a scan over all characters, on
+    every relabeling of every triple."""
+    stepped = Counter()
+    for q in valid_moduli(60):
+        group = unit_group_structure(q)
+        if len(group.generators) > 1:
+            continue
+        chars = character_group(q)
+        n = group.exponent
+        units, cols = angle_matrix(q)
+        order = n // np.gcd(np.arange(n), n)
+        combos = np.array(list(itertools.combinations(range(len(units)), 3)))
+        x = cols[combos]  # triples x 3 x characters
+        pairs = (x[:, 0] == x[:, 1]).astype(int) + (x[:, 0] == x[:, 2]) + (x[:, 1] == x[:, 2])
+        no_singleton = ~(pairs[:, 1:] == 1).any(axis=1)
+        rows = cols.tolist()
+        for combo in combos[no_singleton]:
+            for i, j, k in itertools.permutations(combo.tolist()):
+                k1, k2, k3 = cols[i], cols[j], cols[k]
+                conj = (((k1 == k2) | ((k1 + k2) % n == 0)) & (k3 != k1) & ((k1 + k3) % n != 0)
+                        & (order > 2))
+                power = ((k1 == 0) == (k2 == 0)) & ((k2 == 0) != (k3 == 0))
+                l1, l2, l3 = (group.index[units[t]] for t in (i, j, k))
+                c1, c2, c3 = rows[i], rows[j], rows[k]
+                for name, full, row in (
+                    ("conjugate-pair", conj,
+                     _conjugate_pair_row(chars, n, c1, c2, c3, _multiples(n, l1 + l2))),
+                    ("power", power, _power_row(c1, c2, c3, _multiples(n, l3))),
+                ):
+                    hits = np.flatnonzero(full[1:]) + 1
+                    expected = hits[0] if hits.size else None
+                    assert row == expected, (q, name, units[i], units[j], units[k])
+                    stepped[name, row is not None] += 1
+    assert all(stepped[name, hit] for name in ("conjugate-pair", "power") for hit in (True, False))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +305,16 @@ def _frozen_spacing_from_route(D, perm, triple, r, p):
     return _frozen_assemble_spacing(D, chi_k, m, k)
 
 
+def frozen_multiplicities_for(d1, d2):
+    if d1 > Fraction(1, 3):
+        return (1, 2)
+    if (d1, d2) == (Fraction(6, 19), Fraction(9, 19)):
+        return (5, 9)
+    if (d1, d2) == (Fraction(12, 37), Fraction(16, 37)):
+        return (3, 5)
+    raise ValueError(f"gap pair {(d1, d2)} outside the admissible spacing set")
+
+
 def _frozen_assemble_spacing(D, chi, m, k):
     res = D.residues
     for candidate in (chi, chi.conjugate()):
@@ -260,11 +329,94 @@ def _frozen_assemble_spacing(D, chi, m, k):
         for labels, (d1, d2) in rotations:
             if spacing_ok(d1, d2):
                 perm = tuple(res.index(a) for a in labels)
-                c1, c2 = multiplicities_for(d1, d2)
+                c1, c2 = frozen_multiplicities_for(d1, d2)
                 return SpacingCharacter(perm, labels, candidate, d1, d2, c1, c2, m, k)
     raise ConstructionError(
         f"witness k={k} (m={m}) did not produce admissible gaps on the values"
     )
+
+
+def frozen_construction_two(D, spacing, params):
+    p = params
+    ineq = verify_crossing_inequality(spacing.c1, spacing.c2, spacing.d1, spacing.d2)
+    if not ineq.ok:
+        raise ConstructionError(f"spacing inequality failed, margin {ineq.margin}")
+    chi = spacing.chi
+    b1_, b2_, b3_ = spacing.relabeled_triple
+    t1, t2, t3 = (chi.evaluate(a) for a in (b1_, b2_, b3_))
+    if ((t2 - t1) % 1, (t3 - t2) % 1) != (spacing.d1 % 1, spacing.d2 % 1):
+        raise ConstructionError("character values do not realize the declared gaps")
+    if (spacing.c1, spacing.c2) != frozen_multiplicities_for(spacing.d1, spacing.d2):
+        raise ConstructionError("multiplicities inconsistent with the gap pair")
+    chi_sq = chi * chi
+    if chi_sq.is_principal:
+        raise ConstructionError("chi^2 is principal; spacing geometry violated")
+    delta, y_worst = sim.envelope_min(spacing.d1, spacing.d2, spacing.c1, spacing.c2)
+    gamma = max(p.gamma, 2.0 * p.tau, 1000.0)
+    alpha_sigma = p.sigma1
+    if not (0.5 <= p.beta1 < alpha_sigma <= p.sigma):
+        raise ConstructionError("need 1/2 <= beta1 < alpha <= sigma")
+    b1, b2, b3 = spacing.relabeled_triple
+    zeros = (
+        ZeroSpec(chi, alpha_sigma, gamma, spacing.c1),
+        ZeroSpec(chi_sq, alpha_sigma, 2.0 * gamma, spacing.c2),
+    )
+    barrier = Barrier(
+        triple=D,
+        permutation=spacing.permutation,
+        relabeled_triple=spacing.relabeled_triple,
+        construction="II",
+        beta1=p.beta1,
+        zeros=zeros,
+        excluded_ordering=(b3, b2, b1),
+        parameters={
+            "alpha": alpha_sigma,
+            "gamma": gamma,
+            "d1": [spacing.d1.numerator, spacing.d1.denominator],
+            "d2": [spacing.d2.numerator, spacing.d2.denominator],
+            "c1": spacing.c1,
+            "c2": spacing.c2,
+            "witness_m": spacing.base_modulus,
+            "witness_k": spacing.witness_k,
+        },
+        margins={
+            "envelope_delta": delta,
+            "envelope_worst_y": y_worst,
+            "inequality_margin": ineq.margin,
+            "z1": ineq.z1,
+            "z2": ineq.z2,
+            "verdict_margin": delta,
+        },
+    )
+    assert barrier.size == spacing.c1 + spacing.c2 <= 14
+    if spacing.d1 > Fraction(1, 3):
+        assert barrier.size == 3
+    return barrier
+
+
+def frozen_equal_sum_from_deferral(D, deferral):
+    chi = deferral.chi
+    b = deferral.relabeled_triple
+    vals = [chi.evaluate(a) for a in b]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        kk = 3 - i - j
+        if vals[i] == vals[j] != vals[kk]:
+            triple = (b[i], b[j], b[kk])
+            perm = tuple(D.residues.index(a) for a in triple)
+            cols = character_table(D.q).columns(D.residues)
+            chi2 = _first_separating_character(D, cols, perm[0], perm[1])
+            sums = tuple(chi.value(a) for a in triple)
+            return EqualSumSet(perm, triple, "deferral-singleton", (chi,), chi2, sums)
+    raise ConstructionError("deferral character has no coinciding value pair")
+
+
+def frozen_barrier_past_the_equal_sum_search(D, params):
+    spacing = frozen_find_spacing_character(D)
+    if isinstance(spacing, CaseIDeferral):
+        return construction_one(D, frozen_equal_sum_from_deferral(D, spacing), params)
+    if isinstance(spacing, SpacingCharacter):
+        return frozen_construction_two(D, spacing, params)
+    return construction_three(D, params)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +462,88 @@ def test_equal_sum_set_matches_the_frozen_search(D):
 @given(triples())
 def test_spacing_character_matches_the_frozen_search(D):
     assert outcome(find_spacing_character, D) == outcome(frozen_find_spacing_character, D)
+
+
+def barrier_bytes(barrier):
+    return json.dumps(barrier_to_dict(barrier), sort_keys=True)
+
+
+def test_barriers_past_the_equal_sum_search_match_the_fraction_path_up_to_50():
+    """Every ordered q <= 50 triple with no equal-sum set gets the same
+    barrier bytes as the frozen Fraction path (construction II or III).
+
+    Whether the search fails does not depend on the order of the residues,
+    because every family condition is tried on each pair of them, so the
+    search runs once per unordered triple."""
+    params = BarrierParams()
+    seen = Counter()
+    for q in valid_moduli(50):
+        for combo in itertools.combinations(unit_group_structure(q).units, 3):
+            if find_equal_sum_set(RaceTriple(q, *combo)) is not None:
+                continue
+            for triple in itertools.permutations(combo):
+                D = RaceTriple(q, *triple)
+                assert find_equal_sum_set(D) is None
+                barrier = find_barrier(D, params)
+                seen[barrier.construction] += 1
+                assert barrier_bytes(barrier) == barrier_bytes(
+                    frozen_barrier_past_the_equal_sum_search(D, params)), D
+    assert seen == {"II": 17_760, "III": 888}
+
+
+def test_construction_two_rejects_what_the_fraction_path_rejects():
+    """Tampered spacing data (the conjugate character, swapped gaps, other
+    multiplicities) meets the same check, with the same outcome, in the
+    integer and the Fraction construction II, on every q = 23 triple with a
+    spacing character."""
+    params = BarrierParams()
+
+    def outcome(build, D, spacing):
+        try:
+            return barrier_bytes(build(D, spacing, params))
+        except (ConstructionError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    outcomes = Counter()
+    for combo in itertools.combinations(unit_group_structure(23).units, 3):
+        D = RaceTriple(23, *combo)
+        spacing = find_spacing_character(D)
+        if not isinstance(spacing, SpacingCharacter):
+            continue
+        for tampered in (
+            dataclasses.replace(spacing, chi=spacing.chi.conjugate()),
+            dataclasses.replace(spacing, d1=spacing.d2, d2=spacing.d1),
+            dataclasses.replace(spacing, c1=3, c2=5),
+        ):
+            got = outcome(construction_two, D, tampered)
+            assert got == outcome(frozen_construction_two, D, tampered), (D, tampered)
+            outcomes[got if got.startswith("ConstructionError") else "barrier"] += 1
+    assert outcomes.keys() >= {
+        "barrier", "ConstructionError: character values do not realize the declared gaps",
+        "ConstructionError: multiplicities inconsistent with the gap pair",
+    }, outcomes
+
+
+def test_deferrals_match_the_fraction_path_up_to_20():
+    """A deferral needs two coinciding values, which the equal-sum search
+    finds first, so `find_barrier` never defers; the deferral's
+    construction-I barrier is compared directly on every ordered q <= 20
+    triple whose spacing search defers."""
+    params = BarrierParams()
+    deferrals = 0
+    for q in valid_moduli(20):
+        for triple in itertools.permutations(unit_group_structure(q).units, 3):
+            D = RaceTriple(q, *triple)
+            spacing = find_spacing_character(D)
+            if not isinstance(spacing, CaseIDeferral):
+                continue
+            deferrals += 1
+            found = _equal_sum_from_deferral(D, spacing)
+            expected = frozen_equal_sum_from_deferral(D, spacing)
+            assert repr(found) == repr(expected)
+            assert (barrier_bytes(construction_one(D, found, params))
+                    == barrier_bytes(construction_one(D, expected, params)))
+    assert deferrals
 
 
 def test_frozen_comparison_reaches_every_family_and_spacing_outcome():
