@@ -22,7 +22,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,48 +60,56 @@ class ConstructionError(RuntimeError):
 # domain types
 
 
-@dataclass(frozen=True)
+# The records a barrier search builds on every triple (RaceTriple,
+# EqualSumSet, ZeroSpec, Barrier) stay frozen dataclasses, with the generated
+# __eq__, __hash__ and __repr__, but take a hand-written __init__: it checks
+# the arguments and sets every field with one __dict__ update, where the
+# generated one calls object.__setattr__ once per field.
+
+
+@dataclass(frozen=True, init=False)
 class RaceTriple:
     q: int
     a1: int
     a2: int
     a3: int
 
-    def __post_init__(self):
-        check_modulus(self.q)
-        res = [check_residue(self.q, a) for a in (self.a1, self.a2, self.a3)]
-        if len(set(res)) != 3:
-            raise ValueError(f"residues {res} are not pairwise distinct mod {self.q}")
-        object.__setattr__(self, "a1", res[0])
-        object.__setattr__(self, "a2", res[1])
-        object.__setattr__(self, "a3", res[2])
+    def __init__(self, q: int, a1: int, a2: int, a3: int) -> None:
+        check_modulus(q)
+        a1, a2, a3 = check_residue(q, a1), check_residue(q, a2), check_residue(q, a3)
+        if a1 == a2 or a1 == a3 or a2 == a3:
+            raise ValueError(f"residues {[a1, a2, a3]} are not pairwise distinct mod {q}")
+        self.__dict__.update(q=q, a1=a1, a2=a2, a3=a3)
 
     @property
     def residues(self) -> tuple[int, int, int]:
         return (self.a1, self.a2, self.a3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ZeroSpec:
     character: DirichletCharacter
     sigma: float
     gamma: float
     multiplicity: int
 
-    def __post_init__(self):
-        if not 0.5 < self.sigma <= 1.0:
-            raise ValueError(f"zero real part {self.sigma} outside (1/2, 1]")
-        if self.gamma <= 0:
+    def __init__(self, character: DirichletCharacter, sigma: float, gamma: float,
+                 multiplicity: int) -> None:
+        if not 0.5 < sigma <= 1.0:
+            raise ValueError(f"zero real part {sigma} outside (1/2, 1]")
+        if gamma <= 0:
             raise ValueError("zero ordinate must be positive")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
+        self.__dict__.update(character=character, sigma=sigma, gamma=gamma,
+                             multiplicity=multiplicity)
 
     @property
     def rho(self) -> complex:
         return complex(self.sigma, self.gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Barrier:
     triple: RaceTriple
     permutation: tuple[int, int, int]  # positions of the relabeled residues
@@ -112,14 +121,24 @@ class Barrier:
     parameters: dict = field(default_factory=dict, compare=False)
     margins: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self):
-        if not self.zeros:
+    def __init__(self, triple: RaceTriple, permutation: tuple[int, int, int],
+                 relabeled_triple: tuple[int, int, int], construction: str, beta1: float,
+                 zeros: tuple[ZeroSpec, ...], excluded_ordering: tuple[int, int, int],
+                 parameters: dict = MISSING, margins: dict = MISSING) -> None:
+        if not zeros:
             raise ValueError("barrier needs at least one zero")
-        beta2 = min(z.sigma for z in self.zeros)
-        if not 0.5 <= self.beta1 < beta2:
-            raise ValueError(f"beta1={self.beta1} not below the zero strip [{beta2}, ...]")
-        if sorted(self.excluded_ordering) != sorted(self.triple.residues):
+        beta2 = min(z.sigma for z in zeros)
+        if not 0.5 <= beta1 < beta2:
+            raise ValueError(f"beta1={beta1} not below the zero strip [{beta2}, ...]")
+        if sorted(excluded_ordering) != sorted(triple.residues):
             raise ValueError("excluded ordering is not a permutation of the triple")
+        self.__dict__.update(
+            triple=triple, permutation=permutation, relabeled_triple=relabeled_triple,
+            construction=construction, beta1=beta1, zeros=zeros,
+            excluded_ordering=excluded_ordering,
+            parameters={} if parameters is MISSING else parameters,
+            margins={} if margins is MISSING else margins,
+        )
 
     @property
     def q(self) -> int:
@@ -182,7 +201,7 @@ class BarrierParams:
 # first construction: search
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EqualSumSet:
     permutation: tuple[int, int, int]
     relabeled_triple: tuple[int, int, int]
@@ -190,6 +209,12 @@ class EqualSumSet:
     characters: tuple[DirichletCharacter, ...]
     chi2: DirichletCharacter
     sums: tuple[complex, complex, complex]
+
+    def __init__(self, permutation: tuple[int, int, int], relabeled_triple: tuple[int, int, int],
+                 family: str, characters: tuple[DirichletCharacter, ...],
+                 chi2: DirichletCharacter, sums: tuple[complex, complex, complex]) -> None:
+        self.__dict__.update(permutation=permutation, relabeled_triple=relabeled_triple,
+                             family=family, characters=characters, chi2=chi2, sums=sums)
 
 
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
@@ -1263,9 +1288,12 @@ def _relabeling(triple: RaceTriple, data: dict) -> tuple[tuple, tuple]:
 
 
 def _check_gsh(barrier: GshBarrier) -> GshBarrier:
-    """A loaded GSH barrier has `truncation` entries in each per-term
-    sequence, and z, w, alpha and beta_phase equal what construction_gsh
-    computes from chi1, chi2, t and sigma1 on the relabeled triple."""
+    """A loaded GSH barrier excludes an ordering of its triple, has
+    `truncation` entries in each per-term sequence, and z, w, alpha and
+    beta_phase equal what construction_gsh computes from chi1, chi2, t and
+    sigma1 on the relabeled triple."""
+    if sorted(barrier.excluded_ordering) != sorted(barrier.triple.residues):
+        raise ValueError("excluded ordering is not a permutation of the triple")
     j_max = barrier.truncation
     for name in ("h_values", "in_h", "gammas", "deltas"):
         if len(getattr(barrier, name)) != j_max:
@@ -1281,40 +1309,73 @@ def _check_gsh(barrier: GshBarrier) -> GshBarrier:
     return barrier
 
 
+def _integer(name: str, value):
+    """A barrier file's integer field; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    return value
+
+
+def _real(name: str, value):
+    """A barrier file's real-number field; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} = {value!r} is not a real number")
+    return value
+
+
+def _complex(name: str, value) -> complex:
+    """A barrier file's complex number, stored as [real, imag]."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{name} = {value!r} is not a [real, imag] pair")
+    return complex(_real(name, value[0]), _real(name, value[1]))
+
+
+def _character(q: int, name: str, exponents) -> DirichletCharacter:
+    """A barrier file's character: a list of integer exponents."""
+    if not isinstance(exponents, (list, tuple)):
+        raise ValueError(f"{name} = {exponents!r} is not a list of exponents")
+    for h in exponents:
+        _integer(f"{name} exponent", h)
+    return DirichletCharacter(q, tuple(exponents))
+
+
 def barrier_from_dict(data: dict):
+    """The barrier a `barrier_to_dict` dict describes.  Every field's type is
+    checked here, where files come in, and a defect raises ValueError (the
+    records' own constructors check values, not types)."""
     q = data["q"]
-    triple = RaceTriple(q, *data["triple"])
+    triple = RaceTriple(q, *(_integer("triple entry", a) for a in data["triple"]))
     permutation, relabeled = _relabeling(triple, data)
     if data.get("kind") == "gsh":
         return _check_gsh(GshBarrier(
             triple=triple,
             permutation=permutation,
             relabeled_triple=relabeled,
-            chi1=DirichletCharacter(q, tuple(data["chi1"])),
-            chi2=DirichletCharacter(q, tuple(data["chi2"])),
-            t=data["t"],
-            sigma1=data["sigma1"],
-            sigma2=data["sigma2"],
-            beta=data["beta"],
-            truncation=data["truncation"],
+            chi1=_character(q, "chi1", data["chi1"]),
+            chi2=_character(q, "chi2", data["chi2"]),
+            t=_real("t", data["t"]),
+            sigma1=_real("sigma1", data["sigma1"]),
+            sigma2=_real("sigma2", data["sigma2"]),
+            beta=_real("beta", data["beta"]),
+            truncation=_integer("truncation", data["truncation"]),
             h_values=tuple(data["h_values"]),
             in_h=tuple(bool(f) for f in data["in_h"]),
             gammas=tuple(data["gammas"]),
             deltas=tuple(data["deltas"]),
-            z=complex(*data["z"]),
-            w=complex(*data["w"]),
-            alpha=data["alpha"],
-            beta_phase=data["beta_phase"],
+            z=_complex("z", data["z"]),
+            w=_complex("w", data["w"]),
+            alpha=_real("alpha", data["alpha"]),
+            beta_phase=_real("beta_phase", data["beta_phase"]),
             excluded_ordering=tuple(data["excluded_ordering"]),
             parameters=data.get("parameters", {}),
             margins=data.get("margins", {}),
         ))
     zeros = tuple(
         ZeroSpec(
-            DirichletCharacter(q, tuple(zd["character"])),
-            zd["sigma"],
-            zd["gamma"],
-            zd["multiplicity"],
+            _character(q, "zero character", zd["character"]),
+            _real("zero sigma", zd["sigma"]),
+            _real("zero gamma", zd["gamma"]),
+            _integer("zero multiplicity", zd["multiplicity"]),
         )
         for zd in data["zeros"]
     )
@@ -1323,7 +1384,7 @@ def barrier_from_dict(data: dict):
         permutation=permutation,
         relabeled_triple=relabeled,
         construction=data["construction"],
-        beta1=data["beta1"],
+        beta1=_real("beta1", data["beta1"]),
         zeros=zeros,
         excluded_ordering=tuple(data["excluded_ordering"]),
         parameters=data.get("parameters", {}),

@@ -121,18 +121,28 @@ def _amplitude(offset: float, us: np.ndarray) -> np.ndarray:
     return -2.0 * np.exp(offset * us)
 
 
-# (ordinate, window) rotations and (offset, window) amplitudes kept for
-# simulate; every census barrier has the ordinates t = 1000 and 2t and at most
-# one offset below sigma_max, so all barriers checked on one window share three
+# windows, (ordinate, window) rotations and (offset, window) amplitudes kept
+# for simulate; every census barrier has the ordinates t = 1000 and 2t and at
+# most one offset below sigma_max, so all barriers checked on one window share
+# one grid and three arrays
+_GRIDS = 2
 _ROTATIONS = 8
 _AMPLITUDES = 4
+
+
+@lru_cache(maxsize=_GRIDS)
+def _window_grid(u0: float, u1: float, n: int) -> np.ndarray:
+    """Read-only simulate grid np.linspace(u0, u1, n)."""
+    us = np.linspace(u0, u1, n)
+    us.setflags(write=False)
+    return us
 
 
 @lru_cache(maxsize=_ROTATIONS)
 def _window_rotation(gamma: float, u0: float, u1: float, n: int) -> np.ndarray:
     """Read-only rows cos(gamma u), sin(gamma u) over simulate's grid
-    np.linspace(u0, u1, n), each contiguous."""
-    rot = _sincos(gamma, np.linspace(u0, u1, n))
+    `_window_grid(u0, u1, n)`, each contiguous."""
+    rot = _sincos(gamma, _window_grid(u0, u1, n))
     out = np.stack((rot.real, rot.imag))
     out.setflags(write=False)
     return out
@@ -140,8 +150,8 @@ def _window_rotation(gamma: float, u0: float, u1: float, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=_AMPLITUDES)
 def _window_amplitude(offset: float, u0: float, u1: float, n: int) -> np.ndarray:
-    """Read-only -2 e^(offset u) over simulate's grid np.linspace(u0, u1, n)."""
-    amp = _amplitude(offset, np.linspace(u0, u1, n))
+    """Read-only -2 e^(offset u) over simulate's grid `_window_grid(u0, u1, n)`."""
+    amp = _amplitude(offset, _window_grid(u0, u1, n))
     amp.setflags(write=False)
     return amp
 
@@ -327,9 +337,9 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
     Classifies every sample's strict ordering, counts occurrences of the
     barrier's excluded ordering, and reports the avoidance margin next to the
     remainder bound.  The differences of the pairs (ab, bc, ac) come from one
-    stacked kernel pass per distinct rho (`_main_terms`).  Its rotations
-    e^(i gamma u) and amplitudes -2 e^((sigma - sigma_max) u) over the grid
-    come from two small caches keyed by (gamma, u0, u1, n) and
+    stacked kernel pass per distinct rho (`_main_terms`).  The grid, its
+    rotations e^(i gamma u) and its amplitudes -2 e^((sigma - sigma_max) u)
+    come from three small caches keyed by (u0, u1, n), (gamma, u0, u1, n) and
     (sigma - sigma_max, u0, u1, n), shared by every barrier checked on the
     same window; at sigma = sigma_max the amplitude is the scalar -2.0.
     """
@@ -369,7 +379,7 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
     rem = max(remainder_sup(config, x, y, u0, u1, coeffs=c1),
               remainder_sup(config, y, z, u0, u1, coeffs=c2))
     return RaceProfile(
-        u=np.linspace(u0, u1, n),
+        u=_window_grid(u0, u1, n).copy(),
         d1=d1,
         d2=d2,
         ordering_histogram=histogram,

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import os
@@ -60,6 +61,131 @@ class TestZeroSpec:
             ZeroSpec(chi, 0.6, -1.0, 1)
         with pytest.raises(ValueError):
             ZeroSpec(chi, 0.6, 100.0, 0)
+
+
+# reprs of find_barrier(RaceTriple(7, 1, 2, 5)) and its equal-sum set,
+# recorded while the records had dataclass-generated __init__s
+_BARRIER_7_REPR = (
+    "Barrier(triple=RaceTriple(q=7, a1=1, a2=2, a3=5), permutation=(0, 1, 2), "
+    "relabeled_triple=(1, 2, 5), construction='I', beta1=0.5, zeros=(ZeroSpec("
+    "character=DirichletCharacter(q=7, exponents=(3,)), sigma=0.501, gamma=1000.0, "
+    "multiplicity=1), ZeroSpec(character=DirichletCharacter(q=7, exponents=(1,)), "
+    "sigma=0.5005, gamma=2000.0, multiplicity=1)), excluded_ordering=(1, 5, 2), "
+    "parameters={'sigma1': 0.501, 'sigma2': 0.5005, 't': 1000.0, 'family': "
+    "'primitive-root'}, margins={'B': -0.33333333333333337, 'B_times_t': "
+    "-333.33333333333337, 'F0': 0.0007517499213896524, 'cos_c_star': "
+    "-0.49934882425012367, 'phase_slack': 1.0479493011179875, 'abs_W': "
+    "1.7320508075688772, 'abs_Z': 2.0, 'verdict_margin': 1.0479493011179875})"
+)
+_EQUAL_SUM_7_REPR = (
+    "EqualSumSet(permutation=(0, 1, 2), relabeled_triple=(1, 2, 5), family="
+    "'primitive-root', characters=(DirichletCharacter(q=7, exponents=(3,)),), "
+    "chi2=DirichletCharacter(q=7, exponents=(1,)), sums=((1+0j), (1+0j), "
+    "(-1+1.2246467991473532e-16j)))"
+)
+
+
+class TestRecordContract:
+    """RaceTriple, EqualSumSet, ZeroSpec and Barrier set their fields with one
+    __dict__ update but keep the frozen dataclass contract: no assignment,
+    generated __eq__/__hash__/__repr__, fields/replace and every check."""
+
+    @pytest.fixture(scope="class")
+    def barrier7(self):
+        return find_barrier(RaceTriple(7, 1, 2, 5))
+
+    def _records(self, barrier7):
+        return {
+            "triple": (barrier7.triple, "q"),
+            "equal_sum": (find_equal_sum_set(RaceTriple(7, 1, 2, 5)), "family"),
+            "zero": (barrier7.zeros[0], "sigma"),
+            "barrier": (barrier7, "beta1"),
+        }
+
+    @pytest.mark.parametrize("kind", ["triple", "equal_sum", "zero", "barrier"])
+    def test_assignment_raises(self, barrier7, kind):
+        record, name = self._records(barrier7)[kind]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.unknown = 0
+
+    @pytest.mark.parametrize("kind", ["triple", "equal_sum", "zero", "barrier"])
+    def test_fields_replace_and_equality(self, barrier7, kind):
+        record, _ = self._records(barrier7)[kind]
+        names = [f.name for f in dataclasses.fields(record)]
+        assert list(record.__dict__) == names
+        copy = dataclasses.replace(record)
+        assert copy == record and hash(copy) == hash(record) and copy is not record
+        assert repr(copy) == repr(record)
+        assert type(record)(*(getattr(record, n) for n in names)) == record
+
+    def test_residues_reduced_before_comparing(self):
+        a, b = RaceTriple(7, 8, 2, 3), RaceTriple(7, 1, 2, 3)
+        assert a == b and hash(a) == hash(b)
+        assert a.residues == (1, 2, 3) and repr(a) == "RaceTriple(q=7, a1=1, a2=2, a3=3)"
+        assert RaceTriple(q=7, a1=-6, a2=9, a3=10) == b
+
+    @pytest.mark.parametrize("args, message", [
+        ((6, 1, 5, 7), "modulus must be 5 or >= 7, got 6"),
+        ((7.0, 1, 2, 3), "modulus must be an integer, got 7.0"),
+        ((9, 1, 3, 5), "3 is not coprime to 9"),
+        ((9, 6, 3, 5), "6 is not coprime to 9"),
+        ((7, 1, 2, 9), "residues [1, 2, 2] are not pairwise distinct mod 7"),
+        ((7, 3, 2, 10), "residues [3, 2, 3] are not pairwise distinct mod 7"),
+        ((7, 5, 12, 2), "residues [5, 5, 2] are not pairwise distinct mod 7"),
+    ])
+    def test_race_triple_checks(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            RaceTriple(*args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.5, 100.0, 1), "zero real part 0.5 outside (1/2, 1]"),
+        ((1.5, 100.0, 1), "zero real part 1.5 outside (1/2, 1]"),
+        ((0.6, -1.0, 1), "zero ordinate must be positive"),
+        ((0.6, 0.0, 0), "zero ordinate must be positive"),
+        ((0.6, 100.0, 0), "multiplicity must be >= 1"),
+    ])
+    def test_zero_spec_checks(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            ZeroSpec(DirichletCharacter(7, (1,)), *args)
+        assert str(exc.value) == message
+
+    def test_barrier_checks(self, barrier7):
+        def build(**changes):
+            return dataclasses.replace(barrier7, **changes)
+
+        with pytest.raises(ValueError) as exc:
+            build(zeros=())
+        assert str(exc.value) == "barrier needs at least one zero"
+        with pytest.raises(ValueError) as exc:
+            build(beta1=0.5005)
+        assert str(exc.value) == "beta1=0.5005 not below the zero strip [0.5005, ...]"
+        with pytest.raises(ValueError) as exc:
+            build(beta1=0.4)
+        assert str(exc.value) == "beta1=0.4 not below the zero strip [0.5005, ...]"
+        for excluded in [(1, 2, 2), (1, 2), (1, 2, 5, 5), (1, 2, 6)]:
+            with pytest.raises(ValueError) as exc:
+                build(excluded_ordering=excluded)
+            assert str(exc.value) == "excluded ordering is not a permutation of the triple"
+
+    def test_barrier_defaults_and_replace(self, barrier7):
+        kept = {f.name: getattr(barrier7, f.name) for f in dataclasses.fields(barrier7)
+                if f.name not in ("parameters", "margins")}
+        a, b = rb.Barrier(**kept), rb.Barrier(**kept)
+        assert a.parameters == {} and a.margins == {} and a.margins is not b.margins
+        assert a == barrier7 and hash(a) == hash(barrier7)  # compare=False fields
+        edited = dataclasses.replace(barrier7, margins={"verdict_margin": -1.0})
+        assert edited.margins == {"verdict_margin": -1.0}
+        assert edited.parameters is barrier7.parameters and edited.zeros is barrier7.zeros
+        assert edited == barrier7 and barrier7.margins["verdict_margin"] > 0
+
+    def test_reprs_as_recorded(self, barrier7):
+        assert repr(barrier7) == _BARRIER_7_REPR
+        assert repr(find_equal_sum_set(RaceTriple(7, 1, 2, 5))) == _EQUAL_SUM_7_REPR
 
 
 class TestFindEqualSumSet:

@@ -371,6 +371,15 @@ class TestGshFileChecks:
         code, _, err = self._simulate(capsys, tmp_path, data)
         assert code == 1 and "malformed barrier file" in err and "alpha" in err
 
+    @pytest.mark.parametrize("excluded", [[1, 2, 6], [2, 2, 2], [5, 1]])
+    def test_excluded_ordering_not_of_the_triple_rejected(self, capsys, gsh_file_full, tmp_path,
+                                                          excluded):
+        """It raised KeyError in gsh_simulate."""
+        data = json.loads(gsh_file_full.read_text())
+        data["excluded_ordering"] = excluded
+        code, _, err = self._simulate(capsys, tmp_path, data)
+        assert code == 1 and "malformed barrier file" in err and "excluded ordering" in err
+
     @pytest.mark.parametrize("field", ["h_values", "in_h", "gammas", "deltas"])
     def test_cut_sequence_rejected(self, capsys, gsh_file_full, tmp_path, field):
         data = json.loads(gsh_file_full.read_text())
@@ -391,3 +400,72 @@ class TestGshFileChecks:
             data[field][index] *= factor
         code, _, err = self._simulate(capsys, tmp_path, data)
         assert code == 1 and "malformed barrier file" in err
+
+
+class TestFieldTypesAtLoad:
+    """Field types are checked when a barrier file is loaded: a wrong type is a
+    malformed file (exit 1), not a traceback from deep in simulate."""
+
+    @pytest.fixture(scope="class")
+    def finite_data(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("finite") / "b7.json"
+        assert main(["barrier", "7", "1", "2", "5", "--out", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.fixture(scope="class")
+    def gsh_data(self, gsh_file):
+        return json.loads(gsh_file.read_text())
+
+    def _simulate(self, capsys, tmp_path, data):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        return run(["simulate", str(path), "--samples", "50"], capsys)
+
+    def _edited(self, data, path, value):
+        data = json.loads(json.dumps(data))
+        *keys, last = path
+        target = data
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return data
+
+    @pytest.mark.parametrize("path, value", [
+        (("zeros", 0, "character"), [3.5]),  # TypeError: array indices must be integers
+        (("zeros", 0, "character"), [True]),
+        (("zeros", 1, "sigma"), "0.5005"),
+        (("zeros", 0, "gamma"), None),
+        (("zeros", 0, "multiplicity"), 1.0),
+        (("beta1",), "0.5"),
+        (("triple",), ["1", 2, 5]),
+    ], ids=["exponent-3.5", "exponent-bool", "sigma-str", "gamma-null", "multiplicity-float",
+            "beta1-str", "triple-str"])
+    def test_finite_field_types(self, capsys, tmp_path, finite_data, path, value):
+        code, out, err = self._simulate(capsys, tmp_path, self._edited(finite_data, path, value))
+        assert code == 1 and "malformed barrier file" in err
+        assert "VERIFIED" not in out
+
+    @pytest.mark.parametrize("path, value", [
+        (("t",), "x"),
+        (("sigma1",), None),
+        (("chi1",), [1.5]),
+        (("chi2",), [False]),
+        (("chi1",), 3),
+        (("sigma2",), True),
+        (("beta",), [0.5]),
+        (("alpha",), "0.1"),
+        (("beta_phase",), None),
+        (("truncation",), 2000.0),
+        (("z",), ["x", 0.0]),
+        (("w",), [1.0]),
+    ], ids=["t-str", "sigma1-null", "chi1-float", "chi2-bool", "chi1-int", "sigma2-bool",
+            "beta-list", "alpha-str", "beta_phase-null", "truncation-float", "z-str",
+            "w-short"])
+    def test_gsh_field_types(self, capsys, tmp_path, gsh_data, path, value):
+        code, out, err = self._simulate(capsys, tmp_path, self._edited(gsh_data, path, value))
+        assert code == 1 and "malformed barrier file" in err
+
+    def test_untouched_files_load(self, finite_data, gsh_data):
+        for data in (finite_data, gsh_data):
+            assert bs.barrier_to_dict(barrier_from_dict(data)) == data

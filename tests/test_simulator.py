@@ -267,12 +267,14 @@ class TestRejectedInput:
     @pytest.mark.parametrize("u0, u1", [(math.nan, 2e5), (2e5, math.nan), (2e5, math.inf),
                                         (-math.inf, 2e5), (math.inf, math.inf)])
     def test_non_finite_window(self, barrier7, u0, u1):
-        race_simulator._window_rotation.cache_clear()
-        race_simulator._window_amplitude.cache_clear()
+        caches = (race_simulator._window_grid, race_simulator._window_rotation,
+                  race_simulator._window_amplitude)
+        for cache in caches:
+            cache.cache_clear()
         with pytest.raises(SimulationInputError, match="not finite"):
             simulate(barrier7, u0, u1, 10)
-        assert race_simulator._window_rotation.cache_info().currsize == 0
-        assert race_simulator._window_amplitude.cache_info().currsize == 0
+        for cache in caches:
+            assert cache.cache_info().currsize == 0
 
 
 def _classify(triple, dab, dbc, dac):
@@ -436,7 +438,8 @@ def _profile_bytes(profile):
 
 
 class TestWindowCache:
-    """simulate's rotations e^(i gamma u) are cached per (gamma, u0, u1, n)."""
+    """simulate's grid is cached per (u0, u1, n) and its rotations e^(i gamma u)
+    per (gamma, u0, u1, n)."""
 
     def test_one_rotation_per_ordinate(self, census_barriers, monkeypatch):
         window = _window(census_barriers[0])
@@ -524,9 +527,27 @@ class TestWindowCache:
         assert offsets
         assert sorted(calls) == sorted((o, *w) for o in offsets for w in windows)
 
+    def test_one_grid_per_window(self, census_barriers):
+        """Every barrier checked on one window reads one cached grid; each
+        profile gets a writable copy of it, equal to np.linspace."""
+        window = _window(census_barriers[0])
+        race_simulator._window_grid.cache_clear()
+        grid = race_simulator._window_grid(*window)
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+        for barrier in census_barriers:
+            u = simulate(barrier, *window).u
+            assert u.tobytes() == np.linspace(*window).tobytes()
+            assert u.flags.writeable and not np.shares_memory(u, grid)
+            u[0] = 0.0
+        assert grid.tobytes() == np.linspace(*window).tobytes()
+        info = race_simulator._window_grid.cache_info()
+        assert info.misses == 1 and info.currsize == 1
+
     def test_cache_is_bounded(self, barrier7):
         n = 10**5
-        caches = (race_simulator._window_rotation, race_simulator._window_amplitude)
+        caches = (race_simulator._window_grid, race_simulator._window_rotation,
+                  race_simulator._window_amplitude)
         maxsize = max(cache.cache_info().maxsize for cache in caches)
         for cache in caches:
             cache.cache_clear()
@@ -541,9 +562,11 @@ class TestWindowCache:
         for cache in caches:
             info = cache.cache_info()
             assert 0 < info.currsize <= info.maxsize
-        # one (cos, sin) pair of float64 rows (1.6 MB) per rotation entry and
-        # one float64 row (0.8 MB) per amplitude entry
-        assert retained <= 16 * 2**20
+        # one float64 row (0.8 MB) per grid entry, one (cos, sin) pair of
+        # float64 rows (1.6 MB) per rotation entry and one float64 row (0.8 MB)
+        # per amplitude entry, with 5% for bookkeeping
+        grids, rotations, amplitudes = (cache.cache_info().maxsize for cache in caches)
+        assert retained <= 1.05 * (grids + 2 * rotations + amplitudes) * n * 8
 
 
 def _parent_simulate(barrier, u0, u1, n):
