@@ -9,7 +9,6 @@ explicit-formula main terms to verify the excluded ordering numerically.
 from .barrier_search import (
     Barrier,
     BarrierParams,
-    CaseIDeferral,
     ConstructionError,
     GshBarrier,
     EqualSumSet,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Barrier",
     "BarrierParams",
-    "CaseIDeferral",
     "ConstructionError",
     "DirichletCharacter",
     "GoodnessCertificate",

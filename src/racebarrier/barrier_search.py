@@ -208,13 +208,12 @@ class EqualSumSet:
     family: str
     characters: tuple[DirichletCharacter, ...]
     chi2: DirichletCharacter
-    sums: tuple[complex, complex, complex]
 
     def __init__(self, permutation: tuple[int, int, int], relabeled_triple: tuple[int, int, int],
                  family: str, characters: tuple[DirichletCharacter, ...],
-                 chi2: DirichletCharacter, sums: tuple[complex, complex, complex]) -> None:
+                 chi2: DirichletCharacter) -> None:
         self.__dict__.update(permutation=permutation, relabeled_triple=relabeled_triple,
-                             family=family, characters=characters, chi2=chi2, sums=sums)
+                             family=family, characters=characters, chi2=chi2)
 
 
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
@@ -318,22 +317,15 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
     chars = character_group(q)
     group = unit_group_structure(q)
     table = character_table(q)
-    n, roots = table.exponent, table.roots
+    n = table.exponent
     cols = table.columns(res)
     cyclic = len(group.generators) == 1
     nonprinc = range(1, len(chars))  # row 0 is the principal character
 
-    def package(perm, family, row, powers):
+    def package(perm, family, members):
         i, j, k = perm
-        ks = (cols[i][row], cols[j][row], cols[k][row])
-        if powers == (1,):  # 0 + root, as sum() starts, keeps the sign of a zero part
-            sums = (0 + roots[ks[0]], 0 + roots[ks[1]], 0 + roots[ks[2]])
-            members = (chars[row],)
-        else:  # members chi^p with chi^p(a) = roots[p x % n] for chi(a) = roots[x]
-            sums = tuple(sum(roots[p * x % n] for p in powers) for x in ks)
-            members = tuple(_power(chars, chars[row], p) for p in powers)
         chi2 = _first_separating_character(D, cols, i, j)
-        return EqualSumSet(perm, (res[i], res[j], res[k]), family, members, chi2, sums)
+        return EqualSumSet(perm, (res[i], res[j], res[k]), family, tuple(members), chi2)
 
     if cyclic:
         # primitive-root shortcut; it finds a singleton whenever one exists,
@@ -342,13 +334,13 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
             row = _primitive_root_row(group, res[i], res[j], res[k])
             if row is not None:
                 assert cols[i][row] == cols[j][row] != cols[k][row]
-                return package((i, j, k), "primitive-root", row, (1,))
+                return package((i, j, k), "primitive-root", (chars[row],))
     else:
         for i, j, k in _PAIR_PERMS:
             c1, c2, c3 = cols[i], cols[j], cols[k]
             for ci in nonprinc:
                 if c1[ci] == c2[ci] != c3[ci]:
-                    return package((i, j, k), "singleton", ci, (1,))
+                    return package((i, j, k), "singleton", (chars[ci],))
 
     # conjugate pairs: sums are 2 cos(2 pi k / n)
     index = group.index
@@ -356,7 +348,8 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
         rows = _multiples(n, index[res[i]] + index[res[j]]) if cyclic else nonprinc
         row = _conjugate_pair_row(chars, n, cols[i], cols[j], cols[k], rows)
         if row is not None:
-            return package((i, j, k), "conjugate-pair", row, (1, -1))
+            chi = chars[row]
+            return package((i, j, k), "conjugate-pair", (chi, _power(chars, chi, -1)))
 
     # power families {chi, ..., chi^(ord-1)}: sums depend only on chi(a) = 1 or
     # not.  No singleton exists, so no character is 1 on b1 and b2 but not on
@@ -368,7 +361,8 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
         rows = _multiples(n, index[res[k]]) if cyclic else nonprinc
         row = _power_row(cols[i], cols[j], cols[k], rows)
         if row is not None:
-            return package((i, j, k), "power", row, range(1, chars[row].order))
+            chi = chars[row]
+            return package((i, j, k), "power", (_power(chars, chi, p) for p in range(1, chi.order)))
     return None
 
 
@@ -464,16 +458,6 @@ class SpacingCharacter:
     witness_k: int
 
 
-@dataclass(frozen=True)
-class CaseIDeferral:
-    """A character making two of the three values coincide: the first
-    construction applies with the singleton family."""
-
-    permutation: tuple[int, int, int]
-    relabeled_triple: tuple[int, int, int]
-    chi: DirichletCharacter
-
-
 _SMALL_PRIME_SET = frozenset((3, 7, 13))
 
 
@@ -490,14 +474,16 @@ def multiplicities_for(d1: Fraction, d2: Fraction) -> tuple[int, int]:
     raise ValueError(f"gap pair {(d1, d2)} outside the admissible spacing set")
 
 
-def find_spacing_character(D: RaceTriple):
-    """Character with admissibly spaced values, or a coincidence deferral, or None.
+def find_spacing_character(D: RaceTriple) -> SpacingCharacter | None:
+    """Character with admissibly spaced values, or None.
 
     Follows the order decomposition of the ratio orders s_i: a prime-power
     route when some s_i has a prime-power divisor outside {3, 7, 13}, the
     {39, 91, 273} route otherwise, then powers the base character by the
     goodness witness to land the gaps in the admissible spacing set.
-    Returns None exactly when every s_i lies in {3, 7, 13, 21}.
+    Returns None when no route applies (every s_i lies in {3, 7, 13, 21}),
+    or when the route's character makes two values coincide: it is then a
+    singleton equal-sum set, and construction I has decided the triple.
     """
     q, res = D.q, D.residues
     # ord(x) = ord(1/x): a triple has three ratio orders, shared by every relabeling
@@ -531,11 +517,11 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
     s1 and s2 are the orders of b2/b1 and b3/b2; the route guarantees the
     preconditions of `character_pair_constraint`: r = p^e divides s1 and
     p^(e+1) does not divide s2, or r = s1 in {39, 91, 273} with s2 | 273.
+    None where exactly two values coincide (chi2(b2/b1) = e(1/m), m >= 3).
     """
     q = D.q
     chars = character_group(q)
-    triple = tuple(D.residues[i] for i in perm)
-    b1, b2, b3 = triple
+    b1, b2, b3 = (D.residues[i] for i in perm)
     ratio21 = b2 * pow(b1, -1, q) % q
     ratio32 = b3 * pow(b2, -1, q) % q
     r_primes = [p] if p is not None else [f for f, _ in factorize(r)]
@@ -551,20 +537,15 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
     n = chi2.group.exponent
     k32 = chi2.angle_numerator(ratio32)
     assert k32 * m % n == 0  # chi2(b3/b2) is an m-th root of unity
-    j_tilde = k32 * m // n
-    if j_tilde == 0:
-        return CaseIDeferral(perm, triple, chi2)  # chi2(b2) = chi2(b3)
-    j_good = j_tilde + 1
-    if j_good == m:
-        return CaseIDeferral(perm, triple, chi2)  # chi2(b1) = chi2(b3)
+    j_good = k32 * m // n + 1
+    if j_good in (1, m):
+        return None  # chi2(b3) = chi2(b2), resp. chi2(b1)
     k = witness_for(m, j_good)
     if k is None:
         raise ConstructionError(f"base modulus m={m} has no witness for j={j_good}")
-    chi_k = _power(chars, chi2, k)
-    points = (0, k % m, k * j_good % m)
-    if len(set(points)) < 3:
-        return CaseIDeferral(perm, triple, chi_k)
-    return _assemble_spacing(D, chi_k, m, k)
+    if k * j_good % m in (0, k):  # chi2^k at b1, b2, b3 sits at 0, k, k j_good (mod m)
+        return None
+    return _assemble_spacing(D, _power(chars, chi2, k), m, k)
 
 
 def _assemble_spacing(D: RaceTriple, chi: DirichletCharacter, m: int, k: int):
@@ -935,16 +916,10 @@ def find_barrier(D: RaceTriple, params: BarrierParams | None = None) -> Barrier:
     found = find_equal_sum_set(D)
     if found is not None:
         barrier = construction_one(D, found, params)
+    elif (spacing := find_spacing_character(D)) is not None:
+        barrier = construction_two(D, spacing, params)
     else:
-        spacing = find_spacing_character(D)
-        if isinstance(spacing, CaseIDeferral):
-            # two values coincide: the singleton family qualifies after all
-            found = _equal_sum_from_deferral(D, spacing)
-            barrier = construction_one(D, found, params)
-        elif isinstance(spacing, SpacingCharacter):
-            barrier = construction_two(D, spacing, params)
-        else:
-            barrier = construction_three(D, params)
+        barrier = construction_three(D, params)
     for z in barrier.zeros:
         if z.sigma > params.sigma or z.gamma <= params.tau:
             raise ConstructionError(
@@ -952,24 +927,6 @@ def find_barrier(D: RaceTriple, params: BarrierParams | None = None) -> Barrier:
                 f"gamma > {params.tau})"
             )
     return barrier
-
-
-def _equal_sum_from_deferral(D: RaceTriple, deferral: CaseIDeferral) -> EqualSumSet:
-    chi = deferral.chi
-    b = deferral.relabeled_triple
-    table = character_table(D.q)
-    row = chi.index
-    vals = [col[row] for col in table.columns(b)]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        kk = 3 - i - j
-        if vals[i] == vals[j] != vals[kk]:
-            triple = (b[i], b[j], b[kk])
-            perm = tuple(D.residues.index(a) for a in triple)
-            cols = table.columns(D.residues)
-            chi2 = _first_separating_character(D, cols, perm[0], perm[1])
-            sums = tuple(table.roots[vals[x]] for x in (i, j, kk))
-            return EqualSumSet(perm, triple, "deferral-singleton", (chi,), chi2, sums)
-    raise ConstructionError("deferral character has no coinciding value pair")
 
 
 # ---------------------------------------------------------------------------
@@ -1277,10 +1234,10 @@ def barrier_to_dict(barrier) -> dict:
 def _relabeling(triple: RaceTriple, data: dict) -> tuple[tuple, tuple]:
     """A file's permutation and relabeled triple, checked against each other:
     the relabeled triple must be the triple's residues in permutation order."""
-    permutation = tuple(data["permutation"])
+    permutation = _list("permutation", data["permutation"])
     if not (all(type(i) is int for i in permutation) and sorted(permutation) == [0, 1, 2]):
         raise ValueError(f"permutation {list(permutation)} is not a permutation of (0, 1, 2)")
-    relabeled = tuple(data["relabeled_triple"])
+    relabeled = _list("relabeled_triple", data["relabeled_triple"])
     if relabeled != tuple(triple.residues[i] for i in permutation):
         raise ValueError(f"relabeled triple {list(relabeled)} is not the triple "
                          f"{list(triple.residues)} in permutation {list(permutation)}")
@@ -1307,6 +1264,31 @@ def _check_gsh(barrier: GshBarrier) -> GshBarrier:
             raise ValueError(f"{name} = {getattr(barrier, name)!r} is not {value!r}, its value "
                              "from chi1, chi2, t and sigma1")
     return barrier
+
+
+def _list(name: str, value) -> tuple:
+    """A barrier file's list field, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} = {value!r} is not a list")
+    return tuple(value)
+
+
+# numpy dtype kinds each GSH per-term sequence may convert to: one conversion
+# checks its 10^4 entries (a None or a string gives an object or str array)
+_SEQUENCE_KINDS = {"h_values": "iu", "in_h": "b", "gammas": "iuf", "deltas": "iuf"}
+
+
+def _sequence(name: str, values) -> tuple:
+    """A GSH per-term sequence: a flat list whose entries convert to one
+    numpy dtype of the sequence's kinds."""
+    values = _list(name, values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.empty((0, 0))
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in _SEQUENCE_KINDS[name]):
+        raise ValueError(f"{name} holds an entry of the wrong type")
+    return values
 
 
 def _integer(name: str, value):
@@ -1343,9 +1325,12 @@ def barrier_from_dict(data: dict):
     """The barrier a `barrier_to_dict` dict describes.  Every field's type is
     checked here, where files come in, and a defect raises ValueError (the
     records' own constructors check values, not types)."""
+    if not isinstance(data, dict):
+        raise ValueError("a barrier file holds one JSON object")
     q = data["q"]
-    triple = RaceTriple(q, *(_integer("triple entry", a) for a in data["triple"]))
+    triple = RaceTriple(q, *(_integer("triple entry", a) for a in _list("triple", data["triple"])))
     permutation, relabeled = _relabeling(triple, data)
+    excluded = _list("excluded_ordering", data["excluded_ordering"])
     if data.get("kind") == "gsh":
         return _check_gsh(GshBarrier(
             triple=triple,
@@ -1358,35 +1343,36 @@ def barrier_from_dict(data: dict):
             sigma2=_real("sigma2", data["sigma2"]),
             beta=_real("beta", data["beta"]),
             truncation=_integer("truncation", data["truncation"]),
-            h_values=tuple(data["h_values"]),
-            in_h=tuple(bool(f) for f in data["in_h"]),
-            gammas=tuple(data["gammas"]),
-            deltas=tuple(data["deltas"]),
+            h_values=_sequence("h_values", data["h_values"]),
+            in_h=_sequence("in_h", data["in_h"]),
+            gammas=_sequence("gammas", data["gammas"]),
+            deltas=_sequence("deltas", data["deltas"]),
             z=_complex("z", data["z"]),
             w=_complex("w", data["w"]),
             alpha=_real("alpha", data["alpha"]),
             beta_phase=_real("beta_phase", data["beta_phase"]),
-            excluded_ordering=tuple(data["excluded_ordering"]),
+            excluded_ordering=excluded,
             parameters=data.get("parameters", {}),
             margins=data.get("margins", {}),
         ))
-    zeros = tuple(
-        ZeroSpec(
+    zeros = []
+    for zd in _list("zeros", data["zeros"]):
+        if not isinstance(zd, dict):
+            raise ValueError(f"zero {zd!r} is not an object")
+        zeros.append(ZeroSpec(
             _character(q, "zero character", zd["character"]),
             _real("zero sigma", zd["sigma"]),
             _real("zero gamma", zd["gamma"]),
             _integer("zero multiplicity", zd["multiplicity"]),
-        )
-        for zd in data["zeros"]
-    )
+        ))
     return Barrier(
         triple=triple,
         permutation=permutation,
         relabeled_triple=relabeled,
         construction=data["construction"],
         beta1=_real("beta1", data["beta1"]),
-        zeros=zeros,
-        excluded_ordering=tuple(data["excluded_ordering"]),
+        zeros=tuple(zeros),
+        excluded_ordering=excluded,
         parameters=data.get("parameters", {}),
         margins=data.get("margins", {}),
     )

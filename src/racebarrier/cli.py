@@ -62,15 +62,17 @@ def _build_parser() -> argparse.ArgumentParser:
     gd.add_argument("--full-range", action="store_true", help="search j over [1, m-1]")
     gd.add_argument("--out", help="write certificate records to a file")
 
-    b = sub.add_parser("barrier", help="synthesize a barrier for a triple")
-    b.add_argument("q", type=int)
-    b.add_argument("a1", type=int)
-    b.add_argument("a2", type=int)
-    b.add_argument("a3", type=int)
-    b.add_argument("--construction", choices=["auto", "I", "II", "III", "GSH"], default="auto")
-    b.add_argument("--out", help="barrier file path (JSON)")
+    # the triple, output path and parameter flags shared by `barrier` and `gsh`
+    build = argparse.ArgumentParser(add_help=False)
+    for name in ("q", "a1", "a2", "a3"):
+        build.add_argument(name, type=int)
+    build.add_argument("--out", help="barrier file path (JSON)")
     for flag, typ in _PARAM_FLAGS.items():
-        b.add_argument(f"--{flag}", type=typ, default=None)
+        build.add_argument(f"--{flag}", type=typ, default=None)
+
+    b = sub.add_parser("barrier", parents=[build], help="synthesize a barrier for a triple")
+    b.add_argument("--construction", choices=["auto", "I", "II", "III", "GSH"], default="auto")
+    b.set_defaults(out_prefix="barrier")
 
     s = sub.add_parser("simulate", help="verify a barrier file on a u grid")
     s.add_argument("barrier_file")
@@ -84,14 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--jobs", type=int, default=None)
     w.add_argument("--out", help="census CSV path")
 
-    gs = sub.add_parser("gsh", help="infinite construction for a triple")
-    gs.add_argument("q", type=int)
-    gs.add_argument("a1", type=int)
-    gs.add_argument("a2", type=int)
-    gs.add_argument("a3", type=int)
-    gs.add_argument("--out", help="barrier file path (JSON)")
-    for flag, typ in _PARAM_FLAGS.items():
-        gs.add_argument(f"--{flag}", type=typ, default=None)
+    gs = sub.add_parser("gsh", parents=[build], help="infinite construction for a triple")
+    gs.set_defaults(construction="GSH", out_prefix="gsh")
     return ap
 
 
@@ -157,6 +153,8 @@ def cmd_good(args, config) -> int:
 
 
 def cmd_barrier(args, config) -> int:
+    """`barrier`, and `gsh` as `barrier --construction GSH` with its own
+    default file name."""
     try:
         triple = bs.RaceTriple(args.q, args.a1, args.a2, args.a3)
     except ValueError as exc:
@@ -173,8 +171,8 @@ def cmd_barrier(args, config) -> int:
             barrier = bs.construction_one(triple, found, params)
         elif args.construction == "II":
             spacing = bs.find_spacing_character(triple)
-            if not isinstance(spacing, bs.SpacingCharacter):
-                raise bs.ConstructionError(f"no spacing character: got {spacing}")
+            if spacing is None:
+                raise bs.ConstructionError("no spacing character")
             barrier = bs.construction_two(triple, spacing, params)
         elif args.construction == "III":
             barrier = bs.construction_three(triple, params)
@@ -184,7 +182,7 @@ def cmd_barrier(args, config) -> int:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     _print_barrier(barrier)
-    out = args.out or f"barrier_q{args.q}_{args.a1}_{args.a2}_{args.a3}.json"
+    out = args.out or f"{args.out_prefix}_q{args.q}_{args.a1}_{args.a2}_{args.a3}.json"
     with open(out, "w") as fh:
         json.dump(bs.barrier_to_dict(barrier), fh, indent=1)
         fh.write("\n")
@@ -260,15 +258,7 @@ def cmd_simulate(args, config) -> int:
         sim.write_profile(profile, args.out)
         print(f"profile written to {args.out}")
     if not ok:
-        first = None
-        import numpy as np
-
-        if not gsh:
-            slack = np.minimum(profile.d1, profile.d2)
-            idx = np.flatnonzero(slack > (profile.remainder or 0.0))
-            if idx.size:
-                first = profile.u[idx[0]]
-        print(f"counterexample near u = {first}", file=sys.stderr)
+        print(f"counterexample near u = {profile.first_violation_u}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -322,27 +312,6 @@ def cmd_sweep(args, config) -> int:
     return EXIT_OK if not failed else EXIT_CONSTRUCTION
 
 
-def cmd_gsh(args, config) -> int:
-    try:
-        triple = bs.RaceTriple(args.q, args.a1, args.a2, args.a3)
-    except ValueError as exc:
-        print(f"invalid triple: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    params = _params_from(args, config)
-    try:
-        barrier = bs.construction_gsh(triple, params)
-    except bs.ConstructionError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    _print_barrier(barrier)
-    out = args.out or f"gsh_q{args.q}_{args.a1}_{args.a2}_{args.a3}.json"
-    with open(out, "w") as fh:
-        json.dump(bs.barrier_to_dict(barrier), fh, indent=1)
-        fh.write("\n")
-    print(f"barrier written to {out}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "group": cmd_group,
     "chars": cmd_chars,
@@ -350,7 +319,7 @@ _COMMANDS = {
     "barrier": cmd_barrier,
     "simulate": cmd_simulate,
     "sweep": cmd_sweep,
-    "gsh": cmd_gsh,
+    "gsh": cmd_barrier,
 }
 
 

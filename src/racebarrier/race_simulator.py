@@ -259,6 +259,7 @@ class RaceProfile:
     excluded_robust: int = 0
     ordering_codes: np.ndarray | None = None  # int8 per sample: index into ordering_labels, -1 tie
     ordering_labels: tuple = ()
+    first_violation_u: float | None = None  # first u with slack above the remainder
 
     def total(self) -> int:
         return sum(self.ordering_histogram.values()) + self.ties
@@ -322,6 +323,23 @@ def classify_orderings(triple, diffs) -> tuple[np.ndarray, tuple, dict[tuple, in
     return table.take(keys), labels, histogram, len(keys) - sum(histogram.values())
 
 
+# row of each pair of triple positions i < j in the stacked differences (ab, bc, ac)
+_PAIR_ROW = {(0, 1): 0, (1, 2): 1, (0, 2): 2}
+
+
+def _excluded_pairs(triple: tuple, diffs, ordering):
+    """x - y and y - z for the excluded ordering x > y > z of the triple, each
+    as its stacked row of `diffs` (negated for a reversed pair) and that
+    row's index."""
+    x, y, z = ordering
+    out = []
+    for s, t in ((x, y), (y, z)):
+        i, j = triple.index(s), triple.index(t)
+        row = _PAIR_ROW[min(i, j), max(i, j)]
+        out.append((diffs[row] if i < j else -diffs[row], row))
+    return out
+
+
 def _check_window(u0: float, u1: float, n: int) -> None:
     if n < 2:
         raise SimulationInputError("need at least 2 samples")
@@ -364,22 +382,17 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
                         _window_amplitude(offset, u0, u1, n))
     codes, labels, histogram, ties = classify_orderings(triple, diffs)
 
-    def oriented(x, y):
-        """The difference of (x, y) and its pair's coefficients (the bound
-        reads only |c|), negating the stacked row of (y, x) when needed."""
-        if (x, y) in pairs:
-            i = pairs.index((x, y))
-            return diffs[i], coeffs[i]
-        i = pairs.index((y, x))
-        return -diffs[i], coeffs[i]
-
+    # the remainder bound reads only |c|, so a reversed pair keeps its coefficients
     x, y, z = barrier.excluded_ordering
-    (d1, c1), (d2, c2) = oriented(x, y), oriented(y, z)
+    (d1, r1), (d2, r2) = _excluded_pairs(triple, diffs, (x, y, z))
     slack = np.minimum(d1, d2)
-    rem = max(remainder_sup(config, x, y, u0, u1, coeffs=c1),
-              remainder_sup(config, y, z, u0, u1, coeffs=c2))
+    rem = max(remainder_sup(config, x, y, u0, u1, coeffs=coeffs[r1]),
+              remainder_sup(config, y, z, u0, u1, coeffs=coeffs[r2]))
+    robust = slack > rem
+    excluded_robust = int(np.count_nonzero(robust))
+    us = _window_grid(u0, u1, n).copy()
     return RaceProfile(
-        u=_window_grid(u0, u1, n).copy(),
+        u=us,
         d1=d1,
         d2=d2,
         ordering_histogram=histogram,
@@ -388,9 +401,10 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
         remainder=rem,
         excluded_ordering=(x, y, z),
         excluded_raw=int(np.count_nonzero(slack > 0)),
-        excluded_robust=int(np.count_nonzero(slack > rem)),
+        excluded_robust=excluded_robust,
         ordering_codes=codes,
         ordering_labels=labels,
+        first_violation_u=float(us[robust.argmax()]) if excluded_robust else None,
     )
 
 
@@ -477,6 +491,7 @@ class GshProfile:
     dominance_violations: int
     ordering_codes: np.ndarray  # int8 per sample: index into ordering_labels, -1 tie
     ordering_labels: tuple
+    first_violation_u: float | None  # first u where the excluded ordering shows
 
 
 def _nearest_int_dist(x):
@@ -636,19 +651,13 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     dom_viol = int(((np.abs(d2) * scale) <= np.abs(d1))[~regime2].sum())
 
     # orderings: d1 = phi(q)(pi_a1 - pi_a2) scaled, d2 = phi(q)(pi_a3 - pi_a2) scaled
-    a1, a2, a3 = gsh.relabeled_triple
+    triple = tuple(gsh.relabeled_triple)
     d_a1a2 = d1 * np.exp((sigma2 - sigma1) * us)  # common x^{sigma1} scale
-    d_a3a2 = d2
-    d_a1a3 = d_a1a2 - d_a3a2
-    codes, labels, histogram, ties = classify_orderings((a1, a2, a3), (d_a1a2, -d_a3a2, d_a1a3))
-    x_, y_, z_ = gsh.excluded_ordering
-    dmap = {
-        (a1, a2): d_a1a2, (a2, a1): -d_a1a2,
-        (a3, a2): d_a3a2, (a2, a3): -d_a3a2,
-        (a1, a3): d_a1a3, (a3, a1): -d_a1a3,
-    }
-    slack = np.minimum(dmap[(x_, y_)], dmap[(y_, z_)])
-    excluded_raw = int((slack > 0).sum())
+    diffs = (d_a1a2, -d2, d_a1a2 - d2)  # (ab, bc, ac) over (a1, a2, a3)
+    codes, labels, histogram, ties = classify_orderings(triple, diffs)
+    (e1, _), (e2, _) = _excluded_pairs(triple, diffs, gsh.excluded_ordering)
+    raw = np.minimum(e1, e2) > 0
+    excluded_raw = int(raw.sum())
 
     # tail constant: the tail sum against u^{-3/4}
     tail_c = float((tails * us ** 0.75).max())
@@ -663,11 +672,12 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     return GshProfile(
         u=us, d1=d1, d2=d2, regime2=regime2, controlled=controlled,
         ordering_histogram=histogram, ties=ties,
-        excluded_ordering=(x_, y_, z_), excluded_raw=excluded_raw,
+        excluded_ordering=tuple(gsh.excluded_ordering), excluded_raw=excluded_raw,
         phase_bound_max=phase_bound_max, tail_constant=tail_c,
         controlled_positive=ctrl_pos, controlled_total=ctrl_tot,
         dominance_violations=dom_viol,
         ordering_codes=codes, ordering_labels=labels,
+        first_violation_u=float(us[raw.argmax()]) if excluded_raw else None,
     )
 
 

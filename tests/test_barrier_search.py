@@ -15,7 +15,6 @@ import pytest
 import racebarrier as rb
 from racebarrier.barrier_search import (
     BarrierParams,
-    CaseIDeferral,
     ConstructionError,
     RaceTriple,
     SpacingCharacter,
@@ -80,8 +79,7 @@ _BARRIER_7_REPR = (
 _EQUAL_SUM_7_REPR = (
     "EqualSumSet(permutation=(0, 1, 2), relabeled_triple=(1, 2, 5), family="
     "'primitive-root', characters=(DirichletCharacter(q=7, exponents=(3,)),), "
-    "chi2=DirichletCharacter(q=7, exponents=(1,)), sums=((1+0j), (1+0j), "
-    "(-1+1.2246467991473532e-16j)))"
+    "chi2=DirichletCharacter(q=7, exponents=(1,)))"
 )
 
 
@@ -202,7 +200,7 @@ class TestFindEqualSumSet:
         assert found.family == "conjugate-pair"
         assert found.relabeled_triple == (4, 7, 1)
         assert all(chi.order == 6 for chi in found.characters)
-        sums = [complex(s) for s in found.sums]
+        sums = [sum(chi.value(a) for chi in found.characters) for a in found.relabeled_triple]
         assert sums[0] == pytest.approx(-1) and sums[1] == pytest.approx(-1)
         assert sums[2] == pytest.approx(2)
 
@@ -321,12 +319,13 @@ class TestConstructionOne:
 
 
 class TestFindSpacingCharacter:
-    def test_p2_route_defers(self):
-        # ord(3 / 1) = 4 mod 16: the even prime power collapses to coinciding values
-        result = find_spacing_character(RaceTriple(16, 1, 3, 5))
-        assert isinstance(result, CaseIDeferral)
-        vals = [result.chi.evaluate(a) for a in result.relabeled_triple]
-        assert len(set(vals)) == 2  # two coincide
+    def test_p2_route_coincidence_gives_none(self):
+        # ord(3 / 1) = 4 mod 16: the even prime power collapses to coinciding
+        # values, so the search gives None and a singleton decides the triple
+        D = RaceTriple(16, 1, 3, 5)
+        assert find_spacing_character(D) is None
+        assert find_equal_sum_set(D).family == "singleton"
+        assert find_barrier(D).construction == "I"
 
     def test_q11_order5(self):
         result = find_spacing_character(RaceTriple(11, 1, 4, 5))

@@ -94,6 +94,16 @@ class TestBarrierCommand:
         )
         assert code == 2
 
+    def test_coincidence_has_no_spacing_character(self, capsys, tmp_path):
+        """16 1 3 5: the spacing route's character makes two values coincide,
+        so the search gives None (a singleton decides the triple in auto)."""
+        code, _, err = run(
+            ["barrier", "16", "1", "3", "5", "--construction", "II",
+             "--out", str(tmp_path / "x.json")],
+            capsys,
+        )
+        assert code == 2 and "construction failed: no spacing character" in err
+
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t": 4000.0}))
@@ -295,6 +305,23 @@ class TestGshCommand:
         code, _, err = run(["gsh", "29", "1", "16", "24"], capsys)
         assert code == 2
 
+    def test_same_build_as_barrier_gsh(self, capsys, tmp_path):
+        """`gsh` is `barrier --construction GSH` with its own default file name:
+        the same JSON bytes, and the same exit on a triple with no GSH pair."""
+        paths = (tmp_path / "gsh.json", tmp_path / "barrier.json")
+        for path, argv in zip(paths, (["gsh"], ["barrier", "--construction", "GSH"])):
+            assert main([*argv, "7", "1", "2", "5", "--truncation", "2000",
+                         "--out", str(path)]) == 0
+            assert run([*argv, "29", "1", "16", "24"], capsys)[0] == 2
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_default_file_names(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gsh", "7", "1", "2", "5", "--truncation", "2000"]) == 0
+        assert main(["barrier", "7", "1", "2", "5"]) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {"gsh_q7_1_2_5.json",
+                                                        "barrier_q7_1_2_5.json"}
+
 
 @pytest.fixture(scope="module")
 def gsh_file(tmp_path_factory):
@@ -323,6 +350,21 @@ class TestSimulateGshCommand:
             ["simulate", str(gsh_file), "--u0", "1e9", "--u1", "2e9", "--samples", "10"], capsys
         )
         assert code == 1 and "truncation" in err
+
+    def test_counterexample_has_a_u(self, capsys, gsh_file, tmp_path):
+        """With the ordering it should exclude edited to one that shows, the
+        failure names the first u where it shows."""
+        data = json.loads(gsh_file.read_text())
+        assert data["excluded_ordering"] == [5, 1, 2]
+        data["excluded_ordering"] = [1, 2, 5]
+        path = tmp_path / "shows.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code, _, err = run(["simulate", str(path), "--u0", "1000", "--u1", "1004",
+                            "--samples", "300"], capsys)
+        assert code == EXIT_VERIFICATION
+        u = float(err.split("counterexample near u = ")[1])
+        assert 1000.0 <= u <= 1004.0
 
     def test_profile_ordering_column(self, capsys, gsh_file, tmp_path):
         capsys.readouterr()
@@ -439,8 +481,10 @@ class TestFieldTypesAtLoad:
         (("zeros", 0, "multiplicity"), 1.0),
         (("beta1",), "0.5"),
         (("triple",), ["1", 2, 5]),
+        (("triple",), 5),  # TypeError: 'int' object is not iterable
+        (("zeros",), [[1]]),  # TypeError: list indices must be integers
     ], ids=["exponent-3.5", "exponent-bool", "sigma-str", "gamma-null", "multiplicity-float",
-            "beta1-str", "triple-str"])
+            "beta1-str", "triple-str", "triple-int", "zeros-list"])
     def test_finite_field_types(self, capsys, tmp_path, finite_data, path, value):
         code, out, err = self._simulate(capsys, tmp_path, self._edited(finite_data, path, value))
         assert code == 1 and "malformed barrier file" in err
@@ -459,9 +503,13 @@ class TestFieldTypesAtLoad:
         (("truncation",), 2000.0),
         (("z",), ["x", 0.0]),
         (("w",), [1.0]),
+        (("h_values", 0), "x"),  # "could not convert string to float" in gsh_simulate
+        (("gammas", 0), None),  # TypeError in gsh_simulate
+        (("in_h",), 7),
+        (("deltas", 0), [0.1]),
     ], ids=["t-str", "sigma1-null", "chi1-float", "chi2-bool", "chi1-int", "sigma2-bool",
             "beta-list", "alpha-str", "beta_phase-null", "truncation-float", "z-str",
-            "w-short"])
+            "w-short", "h_values-str", "gammas-null", "in_h-int", "deltas-nested"])
     def test_gsh_field_types(self, capsys, tmp_path, gsh_data, path, value):
         code, out, err = self._simulate(capsys, tmp_path, self._edited(gsh_data, path, value))
         assert code == 1 and "malformed barrier file" in err

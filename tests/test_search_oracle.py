@@ -7,9 +7,10 @@ characters.  `find_equal_sum_set` and `find_spacing_character` are compared
 with frozen copies of their earlier implementations, which worked through
 `mod_div`, `Fraction` angles and per-value `DirichletCharacter` calls, on
 random triples with q <= 300.  Construction II, with its gap and
-multiplicity checks on `Fraction`s, and the deferral to construction I are
-frozen too, and every q <= 50 barrier past the equal-sum search is compared
-byte for byte with that path.
+multiplicity checks on `Fraction`s, is frozen too, and every q <= 50 barrier
+past the equal-sum search is compared byte for byte with that path.  The
+frozen spacing search marks where two values coincide; there the live
+search returns None, and the equal-sum search decides the triple.
 """
 
 import dataclasses
@@ -28,20 +29,17 @@ from racebarrier import race_simulator as sim
 from racebarrier.barrier_search import (
     Barrier,
     BarrierParams,
-    CaseIDeferral,
     ConstructionError,
     EqualSumSet,
     RaceTriple,
     SpacingCharacter,
     ZeroSpec,
     _conjugate_pair_row,
-    _equal_sum_from_deferral,
     _in_subgroup,
     _multiples,
     _power_row,
     _primitive_root_row,
     barrier_to_dict,
-    construction_one,
     construction_three,
     construction_two,
     find_barrier,
@@ -199,6 +197,16 @@ def _first_separating_character(D, cols, i, j):
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class Coincidence:
+    """Where the frozen spacing search met a character with two coinciding
+    values on the relabeled triple."""
+
+    permutation: tuple
+    relabeled_triple: tuple
+    chi: DirichletCharacter
+
+
 def frozen_find_equal_sum_set(D):
     q = D.q
     chars = character_group(q)
@@ -207,9 +215,8 @@ def frozen_find_equal_sum_set(D):
     cols = character_table(q).columns(D.residues)
 
     def package(perm, triple, family, char_list):
-        sums = tuple(sum(chi.value(a) for chi in char_list) for a in triple)
         chi2 = _first_separating_character(D, cols, perm[0], perm[1])
-        return EqualSumSet(perm, triple, family, tuple(char_list), chi2, sums)
+        return EqualSumSet(perm, triple, family, tuple(char_list), chi2)
 
     if len(group.generators) == 1:
         phi = group.phi
@@ -291,17 +298,17 @@ def _frozen_spacing_from_route(D, perm, triple, r, p):
     assert m % angle.denominator == 0
     j_tilde = int(angle * m)
     if j_tilde == 0:
-        return CaseIDeferral(perm, triple, chi2)
+        return Coincidence(perm, triple, chi2)
     j_good = j_tilde + 1
     if j_good == m:
-        return CaseIDeferral(perm, triple, chi2)
+        return Coincidence(perm, triple, chi2)
     k = witness_for(m, j_good)
     if k is None:
         raise ConstructionError(f"base modulus m={m} has no witness for j={j_good}")
     chi_k = chi2**k
     points = (0, k % m, k * j_good % m)
     if len(set(points)) < 3:
-        return CaseIDeferral(perm, triple, chi_k)
+        return Coincidence(perm, triple, chi_k)
     return _frozen_assemble_spacing(D, chi_k, m, k)
 
 
@@ -394,26 +401,16 @@ def frozen_construction_two(D, spacing, params):
     return barrier
 
 
-def frozen_equal_sum_from_deferral(D, deferral):
-    chi = deferral.chi
-    b = deferral.relabeled_triple
-    vals = [chi.evaluate(a) for a in b]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        kk = 3 - i - j
-        if vals[i] == vals[j] != vals[kk]:
-            triple = (b[i], b[j], b[kk])
-            perm = tuple(D.residues.index(a) for a in triple)
-            cols = character_table(D.q).columns(D.residues)
-            chi2 = _first_separating_character(D, cols, perm[0], perm[1])
-            sums = tuple(chi.value(a) for a in triple)
-            return EqualSumSet(perm, triple, "deferral-singleton", (chi,), chi2, sums)
-    raise ConstructionError("deferral character has no coinciding value pair")
+def frozen_spacing_outcome(D):
+    """The frozen spacing search as the live one reports it: None at a
+    coincidence."""
+    spacing = frozen_find_spacing_character(D)
+    return None if isinstance(spacing, Coincidence) else spacing
 
 
 def frozen_barrier_past_the_equal_sum_search(D, params):
     spacing = frozen_find_spacing_character(D)
-    if isinstance(spacing, CaseIDeferral):
-        return construction_one(D, frozen_equal_sum_from_deferral(D, spacing), params)
+    assert not isinstance(spacing, Coincidence)  # a singleton would have decided D
     if isinstance(spacing, SpacingCharacter):
         return frozen_construction_two(D, spacing, params)
     return construction_three(D, params)
@@ -455,13 +452,13 @@ def outcome(fn, D):
 def test_equal_sum_set_matches_the_frozen_search(D):
     found, expected = find_equal_sum_set(D), frozen_find_equal_sum_set(D)
     assert found == expected
-    assert repr(found) == repr(expected)  # sums included, down to the sign of zero
+    assert repr(found) == repr(expected)
 
 
 @settings(max_examples=400, deadline=None)
 @given(triples())
 def test_spacing_character_matches_the_frozen_search(D):
-    assert outcome(find_spacing_character, D) == outcome(frozen_find_spacing_character, D)
+    assert outcome(find_spacing_character, D) == outcome(frozen_spacing_outcome, D)
 
 
 def barrier_bytes(barrier):
@@ -524,26 +521,25 @@ def test_construction_two_rejects_what_the_fraction_path_rejects():
     }, outcomes
 
 
-def test_deferrals_match_the_fraction_path_up_to_20():
-    """A deferral needs two coinciding values, which the equal-sum search
-    finds first, so `find_barrier` never defers; the deferral's
-    construction-I barrier is compared directly on every ordered q <= 20
-    triple whose spacing search defers."""
-    params = BarrierParams()
-    deferrals = 0
+def test_coincidences_are_decided_by_the_equal_sum_search_up_to_20():
+    """On every ordered q <= 20 triple where the frozen spacing search meets
+    two coinciding values, the live search returns None, and the equal-sum
+    search finds a singleton (through the primitive-root shortcut in a cyclic
+    group), so `find_barrier` builds construction I."""
+    families = Counter()
     for q in valid_moduli(20):
         for triple in itertools.permutations(unit_group_structure(q).units, 3):
             D = RaceTriple(q, *triple)
-            spacing = find_spacing_character(D)
-            if not isinstance(spacing, CaseIDeferral):
+            coincidence = frozen_find_spacing_character(D)
+            if not isinstance(coincidence, Coincidence):
                 continue
-            deferrals += 1
-            found = _equal_sum_from_deferral(D, spacing)
-            expected = frozen_equal_sum_from_deferral(D, spacing)
-            assert repr(found) == repr(expected)
-            assert (barrier_bytes(construction_one(D, found, params))
-                    == barrier_bytes(construction_one(D, expected, params)))
-    assert deferrals
+            values = [coincidence.chi.evaluate(a) for a in coincidence.relabeled_triple]
+            assert len(set(values)) == 2 and not coincidence.chi.is_principal, D
+            assert find_spacing_character(D) is None, D
+            found = find_equal_sum_set(D)
+            assert found.family in ("primitive-root", "singleton"), D
+            families[found.family] += 1
+    assert families["primitive-root"] and families["singleton"], families
 
 
 def test_frozen_comparison_reaches_every_family_and_spacing_outcome():
@@ -558,10 +554,10 @@ def test_frozen_comparison_reaches_every_family_and_spacing_outcome():
         assert found.family == family
         assert repr(found) == repr(frozen_find_equal_sum_set(D))
     for t, kind in (((23, 2, 3, 4), SpacingCharacter), ((19, 2, 3, 14), type(None)),
-                    ((5, 1, 2, 3), CaseIDeferral), ((79, 1, 9, 2), SpacingCharacter)):
+                    ((5, 1, 2, 3), Coincidence), ((79, 1, 9, 2), SpacingCharacter)):
         D = RaceTriple(*t)
-        assert isinstance(find_spacing_character(D), kind)
-        assert outcome(find_spacing_character, D) == outcome(frozen_find_spacing_character, D)
+        assert isinstance(frozen_find_spacing_character(D), kind)
+        assert outcome(find_spacing_character, D) == outcome(frozen_spacing_outcome, D)
 
 
 # ---------------------------------------------------------------------------

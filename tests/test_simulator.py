@@ -423,6 +423,18 @@ class TestPairKernel:
             0, -0.0013072176651708109, 1.5968061868255863e-07, 333, 333,
         )
 
+    def test_first_violation_u(self, barrier7):
+        """The first u whose slack min(x - y, y - z) on the excluded ordering
+        exceeds the remainder; None when the barrier verifies."""
+        assert simulate(barrier7, *_window(barrier7)).first_violation_u is None
+        z0 = barrier7.zeros[0]
+        flipped = dataclasses.replace(z0, character=DirichletCharacter(7, (1,)))
+        mutant = dataclasses.replace(barrier7, zeros=(flipped,) + tuple(barrier7.zeros[1:]))
+        prof = simulate(mutant, *_window(barrier7))
+        hits = np.flatnonzero(np.minimum(prof.d1, prof.d2) > prof.remainder)
+        assert hits.size == prof.excluded_robust > 0
+        assert prof.first_violation_u == prof.u[hits[0]]
+
 
 _CENSUS = ((7, 1, 2, 5), (23, 2, 3, 4), (19, 2, 3, 14), (13, 2, 5, 7))
 
