@@ -1246,9 +1246,10 @@ def _relabeling(triple: RaceTriple, data: dict) -> tuple[tuple, tuple]:
 
 def _check_gsh(barrier: GshBarrier) -> GshBarrier:
     """A loaded GSH barrier excludes an ordering of its triple, has
-    `truncation` entries in each per-term sequence, and z, w, alpha and
+    `truncation` entries in each per-term sequence, z, w, alpha and
     beta_phase equal what construction_gsh computes from chi1, chi2, t and
-    sigma1 on the relabeled triple."""
+    sigma1 on the relabeled triple, and deltas and gammas equal their values
+    from J, sigma2, beta, t and h_values."""
     if sorted(barrier.excluded_ordering) != sorted(barrier.triple.residues):
         raise ValueError("excluded ordering is not a permutation of the triple")
     j_max = barrier.truncation
@@ -1263,6 +1264,13 @@ def _check_gsh(barrier: GshBarrier) -> GshBarrier:
         if getattr(barrier, name) != value:
             raise ValueError(f"{name} = {getattr(barrier, name)!r} is not {value!r}, its value "
                              "from chi1, chi2, t and sigma1")
+    deltas, xi = _family_constants(j_max, barrier.sigma2, barrier.beta)
+    gammas = 2.0 * barrier.t * np.asarray(barrier.h_values) + xi  # construction_gsh's gam
+    for name, expected in (("deltas", deltas), ("gammas", gammas)):
+        off = np.flatnonzero(np.asarray(getattr(barrier, name), dtype=float) != expected)
+        if off.size:
+            raise ValueError(f"{name}[{off[0]}] is not {float(expected[off[0]])!r}, its value "
+                             "from J, sigma2, beta, t and h_values")
     return barrier
 
 

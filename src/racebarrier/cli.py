@@ -9,6 +9,9 @@ Exit codes: 0 success, 1 validation error, 2 construction failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import itertools
 import json
 import math
 import sys
@@ -264,12 +267,12 @@ def cmd_simulate(args, config) -> int:
 
 
 def _sweep_q(task) -> list[tuple]:
-    q, params = task
-    import itertools
-
+    """Census rows of the triples (q, a1, a2, a3) for the task's q and a1, in
+    (a2, a3) order."""
+    q, params, a1 = task
     rows = []
-    units = unit_group_structure(q).units
-    for a1, a2, a3 in itertools.permutations(units, 3):
+    others = [a for a in unit_group_structure(q).units if a != a1]
+    for a2, a3 in itertools.permutations(others, 2):
         triple = bs.RaceTriple(q, a1, a2, a3)
         try:
             barrier = bs.find_barrier(triple, params)
@@ -286,28 +289,33 @@ def cmd_sweep(args, config) -> int:
         return EXIT_VALIDATION
     params = _params_from(args, config)
     qs = [q for q in range(5, args.qmax + 1) if q == 5 or q >= 7]
-    tasks = [(q, params) for q in qs]
-    rows = []
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for chunk in pool.map(_sweep_q, tasks):
-            rows.extend(chunk)
-    rows.sort(key=lambda r: r[:4])
-    total = len(rows)
-    failed = [r for r in rows if r[5] < 0]
-    small = sum(1 for r in rows if 0 < r[5] <= 3)
+    # one task per (q, a1), so that no worker or result holds more than
+    # phi(q)^2 rows; a whole modulus is up to phi(q)^3 (857k rows at q = 97)
+    tasks = [(q, params, a1) for q in qs for a1 in unit_group_structure(q).units]
+    total = failed = small = 0
     by_construction: dict[str, int] = {}
-    for r in rows:
-        by_construction[r[4]] = by_construction.get(r[4], 0) + 1
-    print(f"triples: {total}, failures: {len(failed)}")
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if args.out:
+            writer = csv.writer(stack.enter_context(open(args.out, "w", newline="")))
+            writer.writerow(["q", "a1", "a2", "a3", "construction", "size", "margin"])
+        pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+        # pool.map yields the tasks in order, and each task's rows come in
+        # (a2, a3) order (ascending units, lexicographic permutations), so the
+        # rows are written sorted as they arrive and only counts are kept
+        for rows in pool.map(_sweep_q, tasks):
+            if writer is not None:
+                writer.writerows(rows)
+            for row in rows:
+                construction, size = row[4], row[5]
+                by_construction[construction] = by_construction.get(construction, 0) + 1
+                failed += size < 0
+                small += 0 < size <= 3
+            total += len(rows)
+    print(f"triples: {total}, failures: {failed}")
     print(f"constructions: {by_construction}")
     print(f"|B| <= 3: {small} ({small / total:.2%})")
     if args.out:
-        import csv
-
-        with open(args.out, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["q", "a1", "a2", "a3", "construction", "size", "margin"])
-            wr.writerows(rows)
         print(f"census written to {args.out}")
     return EXIT_OK if not failed else EXIT_CONSTRUCTION
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -498,11 +499,12 @@ def _nearest_int_dist(x):
     return np.abs(x - np.round(x))
 
 
-# gsh_simulate's phase tile: the complex temporaries of 15 x 512 terms take
-# 120 KiB, under glibc's 128 KiB mmap threshold, so a tile reuses heap memory
-# instead of mapping fresh pages.  The chunk width fixes the summation order
-# of d1 and so its bytes.
-_GSH_ROWS = 15
+# gsh_simulate's phase tile: each float64 and uint64 array of 30 x 512 terms
+# takes 120 KiB, under glibc's 128 KiB mmap threshold, so it comes from the
+# heap instead of fresh pages; at 15 rows, threads spent more time passing
+# the GIL between twice as many numpy calls.  The chunk width fixes the
+# summation order of d1 and the tails and so their bytes.
+_GSH_ROWS = 30
 _GSH_CHUNK = 512
 
 
@@ -517,6 +519,8 @@ def _cpu_count() -> int:
 def _run_pooled(tasks) -> None:
     """Run the callables on one thread per CPU (at most one per task), in
     submission order, and re-raise the first failure after all have ended."""
+    if not tasks:
+        return
     # imported here: concurrent.futures pulls in logging, about 5 ms of
     # start-up that no finite-barrier caller needs
     from concurrent.futures import ThreadPoolExecutor
@@ -527,28 +531,47 @@ def _run_pooled(tasks) -> None:
         future.result()
 
 
-def _gsh_family_tasks(us, gam, del_, wj):
+def _gsh_family_tasks(us, phases, gam, del_, wj):
     """First main term d1 = 2 sum_j Re(wj e^{(-delta_j + i gamma_j) u}) and
     damping tail sum_j e^{-delta_j u} / gamma_j^2 at every sample u, as two
-    zeroed arrays and the row-block tasks that fill them.
+    zeroed arrays and the row-block tasks that fill them.  The rotations
+    e^{i gamma_j u} come from the exact turns of ``phases``, a
+    `gsh_phases.FamilyPhases`.
 
     Tiles of _GSH_ROWS samples by _GSH_CHUNK terms: each row sums its chunks
     in the same order with the same expressions as one pass over all
     samples, so the bytes of both sums depend neither on the tiling nor on
-    how many threads run the row blocks (numpy releases the GIL in exp).
+    how many threads run the row blocks (the tasks run numpy calls only,
+    which release the GIL).
     """
+    from .gsh_phases import rotation
+
     d1 = np.zeros_like(us)
     tails = np.zeros_like(us)
+    # each thread's five tile arrays, kept from tile to tile: a loop that
+    # allocated its temporaries afresh made glibc trim and re-fault the heap
+    # top, about 26 minor faults per tile
+    local = threading.local()
 
     def row_block(r0):
+        if not hasattr(local, "tile"):
+            local.tile = [np.empty(_GSH_ROWS * _GSH_CHUNK) for _ in range(5)]
         rows = slice(r0, min(r0 + _GSH_ROWS, len(us)))
-        u = us[rows]
+        neg_u = -us[rows]
         for s in range(0, len(gam), _GSH_CHUNK):
             sl = slice(s, min(s + _GSH_CHUNK, len(gam)))
-            damp = np.exp(-np.outer(u, del_[sl]))
-            rot = np.exp(1j * np.outer(u, gam[sl]))
-            d1[rows] += 2.0 * (damp * (rot.real * wj[sl].real - rot.imag * wj[sl].imag)).sum(axis=1)
-            tails[rows] += (damp / (gam[sl] ** 2)).sum(axis=1)
+            shape = (rows.stop - rows.start, sl.stop - sl.start)
+            turns, scratch, *work = (a[:shape[0] * shape[1]].reshape(shape) for a in local.tile)
+            turns, scratch = turns.view(np.uint64), scratch.view(np.uint64)
+            cos, sin = rotation(phases.turns(rows, sl, turns, scratch), scratch, work)
+            # (-u) delta is -(u delta) bit for bit
+            damp = np.exp(np.multiply.outer(neg_u, del_[sl], out=work[0]), out=work[0])
+            cos *= wj[sl].real
+            sin *= wj[sl].imag
+            cos -= sin
+            cos *= damp
+            d1[rows] += 2.0 * cos.sum(axis=1)
+            tails[rows] += np.divide(damp, gam[sl] ** 2, out=sin).sum(axis=1)
 
     return d1, tails, [partial(row_block, r0) for r0 in range(0, len(us), _GSH_ROWS)]
 
@@ -564,6 +587,12 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     samples; at desk scale the window phases are only pinned where
     ||t u / pi - alpha|| * max h_j is small, so the rest are reported, not
     asserted.
+
+    The first term's phases are reduced exactly (`gsh_phases`), so each
+    term's cos and sin are within 4 2^-53 of those of fl(gamma_j) fl(u) at
+    any u; a barrier outside that module's exact range raises
+    SimulationInputError.  The regime split, the certificate and the second
+    term stay in float.
     """
     _check_window(u0, u1, n)
     t = gsh.t
@@ -596,14 +625,20 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
 
     # first term: 2 sum_j Re(W e^{(-delta_j + i gamma_j) u} / rho_j), x^{sigma2}/u scale,
     # and the tail sum_j e^{-delta_j u} / gamma_j^2 from the same damping.  The
-    # phases gamma_j u reach 1e14, where argument reduction is most of the
-    # cost; exp(i gamma_j u) reduces once per term for both cos and sin
-    # (one sincos, equal bit for bit to np.cos and np.sin on glibc)
+    # phases gamma_j u reach 1e18, where a float product has no correct
+    # digit; they are reduced exactly instead
     rho = (sigma2 - del_) + 1j * gam
-    d1, tails, tasks = _gsh_family_tasks(us, gam, del_, w / rho)
+    # imported here, as only GSH barriers need it
+    from .gsh_phases import PhaseRangeError, family_phases
+
+    try:
+        phases = family_phases(t, gsh.h_values, gam, us)
+    except PhaseRangeError as exc:
+        raise SimulationInputError(str(exc)) from None
+    d1, tails, tasks = _gsh_family_tasks(us, phases, gam, del_, w / rho)
 
     # regime split and per-sample positivity certificate, certified row by
-    # row on the same pool as the family sum; each row keeps its own
+    # row on a thread pool after the family sum's; each row keeps its own
     # 10^4-element temporaries (80 KB, under the mmap threshold)
     dist = _nearest_int_dist(t * us / math.pi - gsh.alpha)
     regime2 = dist <= us ** -0.9
@@ -638,8 +673,8 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
                 phase_bounds[i] = float(_nearest_int_dist(np.angle(bj) / TWO_PI_).max())
 
     rows2 = np.flatnonzero(regime2).tolist()
-    tasks += [partial(certify, rows2[r:r + _GSH_ROWS]) for r in range(0, len(rows2), _GSH_ROWS)]
-    _run_pooled(tasks)
+    _run_pooled(tasks)  # its threads, and with them their tile arrays, end here
+    _run_pooled([partial(certify, rows2[r:r + _GSH_ROWS]) for r in range(0, len(rows2), _GSH_ROWS)])
     ctrl_tot = int(controlled.sum())
     ctrl_pos = int((d1[controlled] > 0).sum())
     phase_bound_max = 0.0

@@ -267,12 +267,13 @@ class TestSweepCommand:
             return find_barrier
 
         monkeypatch.setattr(bs, "find_barrier", failing(bs.ConstructionError("no barrier")))
-        rows = _sweep_q((5, bs.BarrierParams()))
+        rows = [row for a1 in (1, 2, 3, 4) for row in _sweep_q((5, bs.BarrierParams(), a1))]
         assert len(rows) == 24 and all(r[4:] == ("FAIL:no barrier", -1, 0.0) for r in rows)
+        assert [r[:4] for r in rows] == sorted(r[:4] for r in rows)
         for exc in (TypeError("bug"), ValueError("bug"), ArithmeticError("bug")):
             monkeypatch.setattr(bs, "find_barrier", failing(exc))
             with pytest.raises(type(exc), match="bug"):
-                _sweep_q((5, bs.BarrierParams()))
+                _sweep_q((5, bs.BarrierParams(), 1))
 
     def test_invalid_qmax(self, capsys):
         code, _, _ = run(["sweep", "4"], capsys)
@@ -428,6 +429,23 @@ class TestGshFileChecks:
         data[field] = data[field][:10]
         code, _, err = self._simulate(capsys, tmp_path, data)
         assert code == 1 and "malformed barrier file" in err and field in err
+
+    @pytest.mark.parametrize("field, index", [("gammas", 0), ("gammas", 7000), ("deltas", 3)])
+    def test_sequence_entry_moved_by_one_ulp_rejected(self, capsys, gsh_file_full, tmp_path,
+                                                      field, index):
+        """gammas and deltas are recomputed from J, sigma2, beta, t and
+        h_values: the lattice identity gamma_j = 2t h_j + xi_j that the exact
+        phases of gsh_simulate rest on holds entry by entry."""
+        data = json.loads(gsh_file_full.read_text())
+        data[field][index] = math.nextafter(data[field][index], math.inf)
+        code, _, err = self._simulate(capsys, tmp_path, data)
+        assert code == 1 and "malformed barrier file" in err and f"{field}[{index}]" in err
+
+    def test_shifted_h_value_rejected(self, capsys, gsh_file_full, tmp_path):
+        data = json.loads(gsh_file_full.read_text())
+        data["h_values"][100] += 1
+        code, _, err = self._simulate(capsys, tmp_path, data)
+        assert code == 1 and "malformed barrier file" in err and "gammas[100]" in err
 
     @pytest.mark.parametrize("field, index, factor", [
         ("z", 0, 1 + 2**-40), ("w", 1, 1 + 2**-40), ("beta_phase", None, 1 + 2**-40),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -11,8 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import racebarrier as rb
 from racebarrier import barrier_search
@@ -28,6 +32,7 @@ from racebarrier.barrier_search import (
     find_gsh_characters,
 )
 from racebarrier.characters import nonprincipal_characters
+from racebarrier.gsh_phases import INV_PI, INV_PI_BITS, family_phases, root_table, rotation
 from racebarrier.race_simulator import (
     TWO_PI_,
     SimulationError,
@@ -316,7 +321,9 @@ class TestSimulation:
             gsh_simulate(gsh7, 12.0, 14.0, 100)
 
     def test_failed_certificate_is_not_an_input_error(self, gsh7):
-        """Far beyond its window the truncated family loses positivity: a
+        """Far beyond its window the float regime split and certificate mark
+        samples controlled whose exactly evaluated first term is not
+        positive (612 of 1200 here; 634 while d1 came from float phases): a
         verification failure, reported as SimulationError proper."""
         with pytest.raises(SimulationError) as info:
             gsh_simulate(gsh7, 1e9, 2e9, 100)
@@ -324,17 +331,20 @@ class TestSimulation:
 
 
 def serial_family_sums(gsh, us):
-    """The first-term kernel as one pass over all samples per 512-term chunk."""
+    """The first-term kernel as one pass over all samples per 512-term chunk:
+    the exact turns and their rotation for d1, and the damping tail in its
+    original expression."""
     gam = np.asarray(gsh.gammas)
     del_ = np.asarray(gsh.deltas)
     wj = complex(gsh.w) / ((gsh.sigma2 - del_) + 1j * gam)
+    phases = family_phases(gsh.t, gsh.h_values, gam, us)
     d1 = np.zeros_like(us)
     tails = np.zeros_like(us)
     for s in range(0, len(gam), 512):
         sl = slice(s, min(s + 512, len(gam)))
         damp = np.exp(-np.outer(us, del_[sl]))
-        rot = np.exp(1j * np.outer(us, gam[sl]))
-        d1 += 2.0 * (damp * (rot.real * wj[sl].real - rot.imag * wj[sl].imag)).sum(axis=1)
+        cos, sin = rotation(phases.turns(slice(0, len(us)), sl))
+        d1 += 2.0 * ((cos * wj[sl].real - sin * wj[sl].imag) * damp).sum(axis=1)
         tails += (damp / (gam[sl] ** 2)).sum(axis=1)
     return d1, tails
 
@@ -343,7 +353,8 @@ def family_sums(gsh, us):
     gam = np.asarray(gsh.gammas)
     del_ = np.asarray(gsh.deltas)
     wj = complex(gsh.w) / ((gsh.sigma2 - del_) + 1j * gam)
-    d1, tails, tasks = _gsh_family_tasks(us, gam, del_, wj)
+    d1, tails, tasks = _gsh_family_tasks(us, family_phases(gsh.t, gsh.h_values, gam, us),
+                                         gam, del_, wj)
     _run_pooled(tasks)
     return d1, tails
 
@@ -355,7 +366,8 @@ def gsh5():
 
 
 class TestPhaseKernel:
-    """The row-blocked, threaded kernel reproduces the serial one bit for bit."""
+    """The row-blocked, threaded kernel reproduces the serial one bit for bit,
+    and its damping tail keeps the bytes of the float-phase kernel."""
 
     @pytest.mark.parametrize("which, lock_points", [("gsh7", False), ("gsh5", True)])
     def test_bit_identical_to_serial_loop(self, request, which, lock_points):
@@ -442,6 +454,149 @@ def serial_certificate(gsh, us, d1):
         if d1[i] > 0:
             ctrl_pos += 1
     return controlled, ctrl_tot, ctrl_pos, phase_bound_max
+
+
+def float_phase_d1(gsh, us):
+    """d1 as the kernel formed it before exact phases: e^(i gamma_j u) from
+    one complex exp of the float64 product gamma_j u."""
+    gam = np.asarray(gsh.gammas)
+    del_ = np.asarray(gsh.deltas)
+    wj = complex(gsh.w) / ((gsh.sigma2 - del_) + 1j * gam)
+    d1 = np.zeros_like(us)
+    for s in range(0, len(gam), 512):
+        sl = slice(s, min(s + 512, len(gam)))
+        damp = np.exp(-np.outer(us, del_[sl]))
+        rot = np.exp(1j * np.outer(us, gam[sl]))
+        d1 += 2.0 * (damp * (rot.real * wj[sl].real - rot.imag * wj[sl].imag)).sum(axis=1)
+    return d1
+
+
+def turn_distance(got: int, exact: Fraction) -> Fraction:
+    """Distance mod 1 between a 64-bit turn and an exact fraction of a turn,
+    in units of 2^-64."""
+    diff = (Fraction(got, 2**64) - exact) % 1
+    return min(diff, 1 - diff) * 2**64
+
+
+# 1 / 2 pi to 400 bits, for exact reference turns
+with mpmath.workprec(480):
+    INV_TWO_PI = Fraction(int(mpmath.floor(mpmath.mpf(2) ** 400 / (2 * mpmath.pi))), 2**400)
+
+
+class TestExactPhases:
+    """The family's phases gamma_j u / 2 pi are reduced exactly in integer
+    fixed point, and their cos and sin are within 4 2^-53 of the exact
+    values of fl(gamma_j) fl(u)."""
+
+    def test_inverse_pi_constant(self):
+        with mpmath.workprec(400):
+            assert INV_PI == int(mpmath.floor(mpmath.mpf(2) ** INV_PI_BITS / mpmath.pi))
+        assert INV_PI.bit_length() >= 256
+
+    def test_root_table_correctly_rounded(self):
+        root_cos, root_sin = root_table()
+        with mpmath.workdps(40):
+            for k in range(4096):
+                angle = 2 * mpmath.pi * (k + mpmath.mpf(1) / 2) / 4096
+                assert (root_cos[k], root_sin[k]) == (float(mpmath.cos(angle)),
+                                                      float(mpmath.sin(angle))), k
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.integers(0, 2**32 - 1), u=st.floats(10.0, 1e10), k=st.integers(0, 12),
+           xi=st.one_of(st.just(0.0), st.floats(-0.414, 0.414)))
+    def test_turns_match_fractions(self, h, u, k, xi):
+        """frac(gamma u / 2 pi) with gamma = fl(2t h + xi), t = 1000 2^k,
+        within 3 units of 2^-64 of the Fraction value (the bound asked of the
+        helper, 2 units of 2^-60, is 32 of these)."""
+        t = 1000.0 * 2.0**k
+        gamma = 2.0 * t * h + xi
+        phases = family_phases(t, (h,), np.array([gamma]), np.array([u]))
+        got = int(phases.turns(slice(0, 1), slice(0, 1))[0, 0])
+        exact = Fraction(gamma) * Fraction(u) * INV_TWO_PI % 1
+        assert turn_distance(got, exact) <= 3
+
+    def test_rotation_of_random_turns(self):
+        turns = np.random.default_rng(7).integers(0, 2**64, size=3000, dtype=np.uint64)
+        cos, sin = rotation(turns.copy())
+        with mpmath.workdps(40):
+            for x, c, s in zip(turns.tolist(), cos, sin):
+                exact_c, exact_s = mpmath.cos_sin(2 * mpmath.pi * mpmath.mpf(x) / 2**64)
+                assert abs(c - exact_c) <= 4 * 2**-53 and abs(s - exact_s) <= 4 * 2**-53
+
+    @pytest.mark.parametrize("u0", [1000.0, 6.25e6, 1.5e9])
+    def test_terms_and_d1_against_oracle(self, gsh7, u0):
+        """7 1 2 5 at J = 10^4: every term's cos and sin against 90 digits, and
+        d1 closer to the oracle than the float-phase d1.  The oracle sums
+        2 damp_j (Re w_j cos - Im w_j sin) over the exact cos and sin of
+        fl(gamma_j) fl(u), with the same float damp_j and w_j.  The samples
+        sit off u0 itself: at u0 = 1000 or 6.25e6, gamma_j u0 is an exact
+        float product for every j >= 12, where gamma_j = 2000 h_j."""
+        gam = np.asarray(gsh7.gammas)
+        del_ = np.asarray(gsh7.deltas)
+        wj = complex(gsh7.w) / ((gsh7.sigma2 - del_) + 1j * gam)
+        us = np.array([u0 + 0.37, u0 + 0.71])
+        phases = family_phases(gsh7.t, gsh7.h_values, gam, us)
+        cos, sin = rotation(phases.turns(slice(0, 2), slice(0, len(gam))))
+        new_d1 = family_sums(gsh7, us)[0]
+        old_d1 = float_phase_d1(gsh7, us)
+        with mpmath.workdps(90):
+            for i, u in enumerate(us.tolist()):
+                damp = np.exp(-u * del_)
+                oracle = mpmath.mpf(0)
+                scale = 0.0
+                for j, g in enumerate(gam.tolist()):
+                    exact_c, exact_s = mpmath.cos_sin(mpmath.mpf(g) * mpmath.mpf(u))
+                    assert abs(cos[i, j] - exact_c) <= 4 * 2**-53, (u, j)
+                    assert abs(sin[i, j] - exact_s) <= 4 * 2**-53, (u, j)
+                    oracle += damp[j] * (wj[j].real * exact_c - wj[j].imag * exact_s)
+                    scale += damp[j] * abs(wj[j])
+                oracle *= 2
+                new_err = abs(new_d1[i] - oracle)
+                assert new_err < abs(old_d1[i] - oracle), u
+                assert new_err <= 2**-45 * scale, u
+
+    def test_runtime_imports_no_mpmath(self):
+        probe = ("import sys, racebarrier as rb\n"
+                 "g = rb.construction_gsh(rb.RaceTriple(7, 1, 2, 5),\n"
+                 "                        rb.BarrierParams(truncation=2000))\n"
+                 "rb.gsh_simulate(g, 1000.0, 1001.0, 50)\n"
+                 "print('mpmath' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+            str(Path(rb.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        assert out.strip() == "False"
+
+
+class TestExactRange:
+    """A barrier built in code never passes the load-time check, so
+    gsh_simulate rejects one outside the phase kernel's exact range."""
+
+    def _edited(self, gsh, **changes):
+        return dataclasses.replace(gsh, **changes)
+
+    def test_h_beyond_range(self, gsh7):
+        h = list(gsh7.h_values)
+        h[-1] = 2**32
+        with pytest.raises(SimulationInputError, match="exact range"):
+            gsh_simulate(self._edited(gsh7, h_values=tuple(h)), 1000.0, 1001.0, 20)
+
+    def test_gamma_off_its_lattice_point(self, gsh7):
+        gammas = list(gsh7.gammas)
+        gammas[5] *= 3.0  # gamma_6 - 2t h_6 is then no exact difference
+        with pytest.raises(SimulationInputError, match="lattice"):
+            gsh_simulate(self._edited(gsh7, gammas=tuple(gammas)), 1000.0, 1001.0, 20)
+
+    def test_inexact_lattice_product(self, gsh7):
+        with pytest.raises(SimulationInputError, match="not exact in float64"):
+            gsh_simulate(self._edited(gsh7, t=1000.0 + 2**-40), 1000.0, 1001.0, 20)
+
+    def test_t_u_beyond_range(self, gsh7):
+        t = 2.0**195
+        gammas = tuple(2.0 * t * h for h in gsh7.h_values)
+        with pytest.raises(SimulationInputError, match="range"):
+            gsh_simulate(self._edited(gsh7, t=t, gammas=gammas), 1000.0, 1001.0, 20,
+                         include_lock_points=False)
 
 
 class TestPooledCertificate:
