@@ -1248,8 +1248,9 @@ def _check_gsh(barrier: GshBarrier) -> GshBarrier:
     """A loaded GSH barrier excludes an ordering of its triple, has
     `truncation` entries in each per-term sequence, z, w, alpha and
     beta_phase equal what construction_gsh computes from chi1, chi2, t and
-    sigma1 on the relabeled triple, and deltas and gammas equal their values
-    from J, sigma2, beta, t and h_values."""
+    sigma1 on the relabeled triple, deltas and gammas equal their values
+    from J, sigma2, beta, t and h_values, and each h_j lies in
+    [j^2, j^2 + j], in H where in_h is set and equal to j^2 where not."""
     if sorted(barrier.excluded_ordering) != sorted(barrier.triple.residues):
         raise ValueError("excluded ordering is not a permutation of the triple")
     j_max = barrier.truncation
@@ -1271,6 +1272,13 @@ def _check_gsh(barrier: GshBarrier) -> GshBarrier:
         if off.size:
             raise ValueError(f"{name}[{off[0]}] is not {float(expected[off[0]])!r}, its value "
                              "from J, sigma2, beta, t and h_values")
+    # H membership is construction_gsh's float test
+    h, js = np.asarray(barrier.h_values), np.arange(1, j_max + 1)
+    frac = h * barrier.alpha + barrier.beta_phase
+    ok = np.where(barrier.in_h, np.abs(frac - np.round(frac)) <= 0.2, h == js * js)
+    bad = np.flatnonzero(~ok | (h < js * js) | (h > js * js + js))
+    if bad.size:
+        raise ValueError(f"h_values[{bad[0]}] is not in window {bad[0] + 1} of H as in_h says")
     return barrier
 
 

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import threading
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +23,6 @@ from .characters import DirichletCharacter, character_table, nonprincipal_charac
 from .residue_group import unit_group_structure
 
 LN2 = math.log(2.0)
-TWO_PI_ = 2.0 * math.pi
 
 
 class SimulationError(ValueError):
@@ -495,87 +492,6 @@ class GshProfile:
     first_violation_u: float | None  # first u where the excluded ordering shows
 
 
-def _nearest_int_dist(x):
-    return np.abs(x - np.round(x))
-
-
-# gsh_simulate's phase tile: each float64 and uint64 array of 30 x 512 terms
-# takes 120 KiB, under glibc's 128 KiB mmap threshold, so it comes from the
-# heap instead of fresh pages; at 15 rows, threads spent more time passing
-# the GIL between twice as many numpy calls.  The chunk width fixes the
-# summation order of d1 and the tails and so their bytes.
-_GSH_ROWS = 30
-_GSH_CHUNK = 512
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_pooled(tasks) -> None:
-    """Run the callables on one thread per CPU (at most one per task), in
-    submission order, and re-raise the first failure after all have ended."""
-    if not tasks:
-        return
-    # imported here: concurrent.futures pulls in logging, about 5 ms of
-    # start-up that no finite-barrier caller needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(tasks))) as pool:
-        futures = [pool.submit(task) for task in tasks]
-    for future in futures:
-        future.result()
-
-
-def _gsh_family_tasks(us, phases, gam, del_, wj):
-    """First main term d1 = 2 sum_j Re(wj e^{(-delta_j + i gamma_j) u}) and
-    damping tail sum_j e^{-delta_j u} / gamma_j^2 at every sample u, as two
-    zeroed arrays and the row-block tasks that fill them.  The rotations
-    e^{i gamma_j u} come from the exact turns of ``phases``, a
-    `gsh_phases.FamilyPhases`.
-
-    Tiles of _GSH_ROWS samples by _GSH_CHUNK terms: each row sums its chunks
-    in the same order with the same expressions as one pass over all
-    samples, so the bytes of both sums depend neither on the tiling nor on
-    how many threads run the row blocks (the tasks run numpy calls only,
-    which release the GIL).
-    """
-    from .gsh_phases import rotation
-
-    d1 = np.zeros_like(us)
-    tails = np.zeros_like(us)
-    # each thread's five tile arrays, kept from tile to tile: a loop that
-    # allocated its temporaries afresh made glibc trim and re-fault the heap
-    # top, about 26 minor faults per tile
-    local = threading.local()
-
-    def row_block(r0):
-        if not hasattr(local, "tile"):
-            local.tile = [np.empty(_GSH_ROWS * _GSH_CHUNK) for _ in range(5)]
-        rows = slice(r0, min(r0 + _GSH_ROWS, len(us)))
-        neg_u = -us[rows]
-        for s in range(0, len(gam), _GSH_CHUNK):
-            sl = slice(s, min(s + _GSH_CHUNK, len(gam)))
-            shape = (rows.stop - rows.start, sl.stop - sl.start)
-            turns, scratch, *work = (a[:shape[0] * shape[1]].reshape(shape) for a in local.tile)
-            turns, scratch = turns.view(np.uint64), scratch.view(np.uint64)
-            cos, sin = rotation(phases.turns(rows, sl, turns, scratch), scratch, work)
-            # (-u) delta is -(u delta) bit for bit
-            damp = np.exp(np.multiply.outer(neg_u, del_[sl], out=work[0]), out=work[0])
-            cos *= wj[sl].real
-            sin *= wj[sl].imag
-            cos -= sin
-            cos *= damp
-            d1[rows] += 2.0 * cos.sum(axis=1)
-            tails[rows] += np.divide(damp, gam[sl] ** 2, out=sin).sum(axis=1)
-
-    return d1, tails, [partial(row_block, r0) for r0 in range(0, len(us), _GSH_ROWS)]
-
-
 def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = True,
                  max_lock_points: int = 2000) -> GshProfile:
     """Two-regime evaluation of a truncated infinite barrier.
@@ -591,10 +507,16 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     The first term's phases are reduced exactly (`gsh_phases`), so each
     term's cos and sin are within 4 2^-53 of those of fl(gamma_j) fl(u) at
     any u; a barrier outside that module's exact range raises
-    SimulationInputError.  The regime split, the certificate and the second
-    term stay in float.
+    SimulationInputError.  The regime split and the second term stay in
+    float.  The certificate (`gsh_family.Certificate`) decides each regime-2
+    sample from an interval built from three weighted sums of the family
+    tiles' damping, and runs its float per-term expression only where the
+    interval lies within a margin of 0, so its decisions are that
+    expression's.
     """
     _check_window(u0, u1, n)
+    if max_lock_points < 0:
+        raise SimulationInputError(f"max_lock_points = {max_lock_points} is negative")
     t = gsh.t
     if gsh.truncation < u1 ** 0.4:
         raise SimulationInputError(
@@ -628,58 +550,28 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     # phases gamma_j u reach 1e18, where a float product has no correct
     # digit; they are reduced exactly instead
     rho = (sigma2 - del_) + 1j * gam
-    # imported here, as only GSH barriers need it
+    # imported here, as only GSH barriers need them
+    from .gsh_family import Certificate, family_tasks, nearest_int_dist, run_pooled
     from .gsh_phases import PhaseRangeError, family_phases
 
     try:
         phases = family_phases(t, gsh.h_values, gam, us)
     except PhaseRangeError as exc:
         raise SimulationInputError(str(exc)) from None
-    d1, tails, tasks = _gsh_family_tasks(us, phases, gam, del_, w / rho)
+    certificate = Certificate(gsh, gam, del_)
+    d1, tails, sums, tasks = family_tasks(us, phases, gam, del_, w / rho, certificate.weights)
 
-    # regime split and per-sample positivity certificate, certified row by
-    # row on a thread pool after the family sum's; each row keeps its own
-    # 10^4-element temporaries (80 KB, under the mmap threshold)
-    dist = _nearest_int_dist(t * us / math.pi - gsh.alpha)
+    # regime split, and the positivity certificate of the regime-2 samples
+    # from the sums the family tiles formed
+    dist = nearest_int_dist(t * us / math.pi - gsh.alpha)
     regime2 = dist <= us ** -0.9
+    run_pooled(tasks)  # its threads, and with them their tile arrays, end here
     controlled = np.zeros_like(regime2)
-    phase_bounds = {}  # row -> largest phase distance of its locked terms
-    h_arr = np.asarray(gsh.h_values, dtype=float)
-    in_h_arr = np.asarray(gsh.in_h, dtype=bool)
-    xi_arr = gam - 2.0 * t * h_arr
-    neg_del = -del_
-    rho_ratio = sigma2 / gam
-    abs_w = abs(w)
-
-    def certify(rows):
-        for i in rows:
-            u = us[i]
-            mag = abs_w * np.exp(neg_del * u) / gam  # |B_j|
-            rho_corr = mag * rho_ratio  # 1/rho_j vs 1/(i gamma_j) drift
-            # rigorous per-term phase budget: H membership (0.2) plus the drift
-            # from the sample's offset and the ordinate perturbation
-            budget = 0.2 + h_arr * dist[i] + xi_arr * u / TWO_PI_
-            certified = in_h_arr & (budget < 0.24)
-            lower = (mag[certified] * np.cos(TWO_PI_ * budget[certified])).sum()
-            lower -= mag[~certified].sum() + rho_corr.sum()
-            if lower <= 0.0:
-                continue
-            controlled[i] = True
-            j_lo = max(2, math.ceil(u ** 0.25))
-            j_hi = min(len(gam), math.floor(u ** 0.4))
-            if j_hi >= j_lo:
-                js = np.arange(j_lo - 1, j_hi)
-                bj = w * np.exp((-del_[js] + 1j * gam[js]) * u) / (1j * gam[js])
-                phase_bounds[i] = float(_nearest_int_dist(np.angle(bj) / TWO_PI_).max())
-
-    rows2 = np.flatnonzero(regime2).tolist()
-    _run_pooled(tasks)  # its threads, and with them their tile arrays, end here
-    _run_pooled([partial(certify, rows2[r:r + _GSH_ROWS]) for r in range(0, len(rows2), _GSH_ROWS)])
+    rows2 = np.flatnonzero(regime2)
+    controlled[rows2] = certificate.controlled(us, dist, rows2, sums)
     ctrl_tot = int(controlled.sum())
     ctrl_pos = int((d1[controlled] > 0).sum())
-    phase_bound_max = 0.0
-    for i in sorted(phase_bounds):
-        phase_bound_max = max(phase_bound_max, phase_bounds[i])
+    phase_bound_max = certificate.phase_bound_max(us[controlled])
 
     # regime 1 dominance: |D2| at x^{sigma1} beats D1 at x^{sigma2}
     scale = np.exp(np.minimum((sigma1 - sigma2) * us, 700.0))

@@ -447,6 +447,37 @@ class TestGshFileChecks:
         code, _, err = self._simulate(capsys, tmp_path, data)
         assert code == 1 and "malformed barrier file" in err and "gammas[100]" in err
 
+    @pytest.mark.parametrize("edit", ["every_in_h_set", "h_beyond_window", "in_h_cleared",
+                                      "h_off_h"])
+    def test_h_windows_checked(self, capsys, gsh_file_full, tmp_path, edit):
+        """h_j lies in [j^2, j^2 + j], is j^2 where in_h is false, and passes
+        construction_gsh's float membership test where it is true; each edit
+        keeps gammas on the lattice, so only this check can reject it."""
+        data = json.loads(gsh_file_full.read_text())
+        xi = bs._family_constants(data["truncation"], data["sigma2"], data["beta"])[1]
+
+        def member(h):
+            frac = h * data["alpha"] + data["beta_phase"]
+            return abs(frac - round(frac)) <= 0.2
+
+        def move(j, h):
+            data["h_values"][j] = h
+            data["gammas"][j] = 2.0 * data["t"] * h + float(xi[j])
+
+        j = 499  # window 500
+        assert data["in_h"][j] and data["h_values"][j] != 500 ** 2 and not data["in_h"][0]
+        if edit == "every_in_h_set":  # window 1 misses H
+            data["in_h"] = [True] * len(data["in_h"])
+            j = 0
+        elif edit == "h_beyond_window":
+            move(j, 500 ** 2 + 501)
+        elif edit == "in_h_cleared":
+            data["in_h"][j] = False
+        else:
+            move(j, next(h for h in range(500 ** 2, 500 ** 2 + 501) if not member(h)))
+        code, _, err = self._simulate(capsys, tmp_path, data)
+        assert code == 1 and "malformed barrier file" in err and f"h_values[{j}]" in err
+
     @pytest.mark.parametrize("field, index, factor", [
         ("z", 0, 1 + 2**-40), ("w", 1, 1 + 2**-40), ("beta_phase", None, 1 + 2**-40),
         ("t", None, 1.5), ("sigma1", None, 1.1),

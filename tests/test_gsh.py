@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import racebarrier as rb
-from racebarrier import barrier_search
+from racebarrier import barrier_search, gsh_family
 from racebarrier.barrier_search import (
     BarrierParams,
     ConstructionError,
@@ -32,14 +32,17 @@ from racebarrier.barrier_search import (
     find_gsh_characters,
 )
 from racebarrier.characters import nonprincipal_characters
+from racebarrier.gsh_family import (
+    TWO_PI_,
+    Certificate,
+    family_tasks,
+    nearest_int_dist,
+    run_pooled,
+)
 from racebarrier.gsh_phases import INV_PI, INV_PI_BITS, family_phases, root_table, rotation
 from racebarrier.race_simulator import (
-    TWO_PI_,
     SimulationError,
     SimulationInputError,
-    _gsh_family_tasks,
-    _nearest_int_dist,
-    _run_pooled,
     gsh_simulate,
 )
 
@@ -325,9 +328,14 @@ class TestSimulation:
         samples controlled whose exactly evaluated first term is not
         positive (612 of 1200 here; 634 while d1 came from float phases): a
         verification failure, reported as SimulationError proper."""
-        with pytest.raises(SimulationError) as info:
+        with pytest.raises(SimulationError, match="failed on 612 of 1200 controlled") as info:
             gsh_simulate(gsh7, 1e9, 2e9, 100)
         assert not isinstance(info.value, SimulationInputError)
+
+    def test_negative_lock_point_count(self, gsh7):
+        """numpy's linspace raised a bare ValueError for it."""
+        with pytest.raises(SimulationInputError, match="max_lock_points"):
+            gsh_simulate(gsh7, 1000.0, 1001.0, 10, max_lock_points=-1)
 
 
 def serial_family_sums(gsh, us):
@@ -349,13 +357,16 @@ def serial_family_sums(gsh, us):
     return d1, tails
 
 
-def family_sums(gsh, us):
+def family_sums(gsh, us, with_certificate_sums=False):
     gam = np.asarray(gsh.gammas)
     del_ = np.asarray(gsh.deltas)
     wj = complex(gsh.w) / ((gsh.sigma2 - del_) + 1j * gam)
-    d1, tails, tasks = _gsh_family_tasks(us, family_phases(gsh.t, gsh.h_values, gam, us),
-                                         gam, del_, wj)
-    _run_pooled(tasks)
+    weights = Certificate(gsh, gam, del_).weights
+    d1, tails, sums, tasks = family_tasks(us, family_phases(gsh.t, gsh.h_values, gam, us),
+                                          gam, del_, wj, weights)
+    run_pooled(tasks)
+    if with_certificate_sums:
+        return d1, tails, sums
     return d1, tails
 
 
@@ -422,7 +433,7 @@ def serial_certificate(gsh, us, d1):
     del_ = np.asarray(gsh.deltas)
     w = complex(gsh.w)
     sigma2 = gsh.sigma2
-    dist = _nearest_int_dist(t * us / math.pi - gsh.alpha)
+    dist = nearest_int_dist(t * us / math.pi - gsh.alpha)
     regime2 = dist <= us ** -0.9
     controlled = np.zeros_like(regime2)
     phase_bound_max = 0.0
@@ -449,7 +460,7 @@ def serial_certificate(gsh, us, d1):
         if j_hi >= j_lo:
             js = np.arange(j_lo - 1, j_hi)
             bj = w * np.exp((-del_[js] + 1j * gam[js]) * u) / (1j * gam[js])
-            pb = _nearest_int_dist(np.angle(bj) / TWO_PI_)
+            pb = nearest_int_dist(np.angle(bj) / TWO_PI_)
             phase_bound_max = max(phase_bound_max, float(pb.max()))
         if d1[i] > 0:
             ctrl_pos += 1
@@ -599,14 +610,60 @@ class TestExactRange:
                          include_lock_points=False)
 
 
-class TestPooledCertificate:
-    """The certificate rows run on the family sum's pool; flags, counts and
-    phase bound equal the serial loop's at any worker count."""
+def spy_on_certificate(monkeypatch):
+    """Record the samples, rows and flags of every Certificate.controlled
+    call, and count the samples that reach the term-by-term expression."""
+    calls, fallbacks = [], []
+    controlled, lower = Certificate.controlled, Certificate.lower
+
+    def spy_controlled(self, us, dist, rows, sums):
+        flags = controlled(self, us, dist, rows, sums)
+        calls.append((us, rows, flags))
+        return flags
+
+    def spy_lower(self, u, dist):
+        fallbacks.append(u)
+        return lower(self, u, dist)
+
+    monkeypatch.setattr(Certificate, "controlled", spy_controlled)
+    monkeypatch.setattr(Certificate, "lower", spy_lower)
+    return calls, fallbacks
+
+
+def profile_bytes(prof):
+    """Every GshProfile field, arrays as bytes and the rest as repr."""
+    return [getattr(prof, f.name).tobytes() if isinstance(getattr(prof, f.name), np.ndarray)
+            else repr(getattr(prof, f.name)) for f in dataclasses.fields(prof)]
+
+
+def shuffled(gsh, seed=0):
+    """The barrier with its per-term sequences in one random order, which
+    only a barrier built in code can have: a loaded file's h_values ascend."""
+    order = np.random.default_rng(seed).permutation(gsh.truncation).tolist()
+    return dataclasses.replace(gsh, **{name: tuple(getattr(gsh, name)[j] for j in order)
+                                       for name in ("h_values", "in_h", "gammas", "deltas")})
+
+
+class TestCertificateFilter:
+    """The certificate decides each regime-2 sample from an interval of
+    three tile sums and falls back to its per-term expression only near 0;
+    flags, counts and phase bound equal the serial loop's at any worker
+    count, and with the interval switched off the profile keeps its bytes."""
 
     @pytest.mark.parametrize("which, u0, certified", [
-        ("gsh7", 1000.0, 200), ("gsh5", 1000.0, 200), ("gsh5", None, 0)])
+        ("gsh7", 1000.0, 200), ("gsh5", 1000.0, 200), ("gsh5", None, 0),
+        ("gsh7", 6.25e6, 106), ("gsh7", 984150.0, 200), ("gsh25", None, 0),
+        ("gsh7_shuffled", 1000.0, 200), ("gsh7_shuffled", 984150.0, 200)])
     def test_matches_serial_loop(self, request, monkeypatch, which, u0, certified):
-        gsh = request.getfixturevalue(which)
+        """Above u0 = 1000 some regime-2 samples certify only the locked
+        terms of small h: 94 of 200 for gsh7 and 104 of 200 for gsh5 at
+        6.25e6, and 46 controlled ones at 984150 (gsh25's recommended u0)."""
+        if which == "gsh25":
+            gsh = gsh_at_j4((25, 11, 8, 24))
+        elif which == "gsh7_shuffled":
+            gsh = shuffled(request.getfixturevalue("gsh7"))
+        else:
+            gsh = request.getfixturevalue(which)
         u0 = u0 or gsh.margins["recommended_u0"]
         interval = sys.getswitchinterval()
         try:
@@ -623,6 +680,62 @@ class TestPooledCertificate:
         finally:
             sys.setswitchinterval(interval)
         assert total == certified
+
+    def test_failing_window_matches_serial_loop(self, gsh7, monkeypatch):
+        """Far beyond its window the certificate still makes the serial
+        loop's decisions, so the failure keeps its count."""
+        calls, _ = spy_on_certificate(monkeypatch)
+        with pytest.raises(SimulationError, match="positivity failed on 612 of 1200 "):
+            gsh_simulate(gsh7, 1e9, 2e9, 100)
+        [(us, rows, flags)] = calls
+        controlled = serial_certificate(gsh7, us, np.zeros_like(us))[0]
+        assert flags.tobytes() == controlled[rows].tobytes()
+        assert flags.sum() == 1200
+
+    @pytest.mark.parametrize("which, u0", [("gsh7", 1000.0), ("gsh5", None), ("gsh7", 6.25e6)])
+    def test_exact_fallback_keeps_every_byte(self, request, monkeypatch, which, u0):
+        """With an infinite margin no sample is decided by the interval: each
+        runs the per-term expression, and the profile is byte-identical."""
+        gsh = request.getfixturevalue(which)
+        u0 = u0 or gsh.margins["recommended_u0"]
+        calls, fallbacks = spy_on_certificate(monkeypatch)
+        filtered = gsh_simulate(gsh, u0, u0 + 10.0, 200, max_lock_points=200)
+        assert not fallbacks
+        monkeypatch.setattr(gsh_family, "_MARGIN", math.inf)
+        exact = gsh_simulate(gsh, u0, u0 + 10.0, 200, max_lock_points=200)
+        assert len(fallbacks) == int(exact.regime2.sum()) > 0
+        assert profile_bytes(exact) == profile_bytes(filtered)
+
+    def test_sign_change_inside_the_budget(self, monkeypatch):
+        """A four-term family whose lower bound changes sign while its terms
+        are still certified, one of them with xi' != 0: the interval decides
+        away from 0, the per-term expression near it, and every flag is that
+        expression's."""
+        t = 1000.0
+        h = np.array([1, 4, 9, 16])
+        gam = 2.0 * t * h
+        gam[3] += 1e-3
+        del_ = np.array([1e-3, 2e-3, 3e-3, 4e-3])
+        gsh = SimpleNamespace(h_values=tuple(h.tolist()), in_h=(True,) * 4, t=t, w=1 + 1j,
+                              sigma2=0.2 * gam[0])
+        certificate = Certificate(gsh, gam, del_)
+        dist = np.linspace(0.0, 0.045, 901)
+        us = np.full_like(dist, 10.0)
+        expected = [not certificate.lower(u, d) <= 0.0 for u, d in zip(us, dist)]
+        _, fallbacks = spy_on_certificate(monkeypatch)
+        sums = np.exp(-np.outer(us, del_)) @ np.concatenate(certificate.weights)
+        flags = certificate.controlled(us, dist, np.arange(len(us)), sums)
+        assert flags.tolist() == expected
+        assert 0 < sum(expected) < len(expected) and 0 < len(fallbacks) < len(expected) / 2
+
+    def test_tile_sums_are_the_damping_rows_times_the_weights(self, gsh5):
+        us = np.linspace(6.25e6, 6.25e6 + 10.0, 47)
+        gam = np.asarray(gsh5.gammas)
+        del_ = np.asarray(gsh5.deltas)
+        sums = family_sums(gsh5, us, with_certificate_sums=True)[2]
+        weights = np.concatenate(Certificate(gsh5, gam, del_).weights)
+        expected = np.exp(-np.outer(us, del_)) @ weights
+        np.testing.assert_allclose(sums, expected, rtol=1e-12, atol=0.0)
 
 
 FAULT_PROBE = """
