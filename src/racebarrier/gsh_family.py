@@ -22,13 +22,21 @@ from .gsh_phases import rotation
 
 TWO_PI_ = 2.0 * math.pi
 
-# the phase tile: each float64 and uint64 array of 30 x 512 terms takes
-# 120 KiB, under glibc's 128 KiB mmap threshold, so it comes from the heap
-# instead of fresh pages; at 15 rows, threads spent more time passing the
-# GIL between twice as many numpy calls.  The chunk width fixes the
-# summation order of d1 and the tails and so their bytes.
-_ROWS = 30
+# the phase tile: 64 samples by 512 terms, 2^15 terms, so each thread's five
+# tile arrays (float64, two also used as uint64 views) take 256 KiB each and
+# 1.25 MiB together, inside a 2 MiB per-core L2.  Each tile makes about 40
+# numpy calls, and the GIL changes hands at every one: at 30 rows the second
+# thread gained nothing; at 100 rows the arrays outgrow the L2 and a warm
+# call faulted about 1,050 pages against about 40.  The chunk width fixes
+# the summation order of d1 and the tails and so their bytes; the row count
+# fixes neither.
+_ROWS = 64
 _CHUNK = 512
+# (sample, term) pairs per block of the phase bound: 128 KiB per complex
+# array.  From 256 KiB numpy reuses a temporary in place, which turns
+# w * e into e * w, and its fused complex product then differs in the last
+# bit from the one-sample loop's
+_PAIRS = 1 << 13
 
 # cos 2 pi b at b = 0.2, its largest value over a certified budget b
 _COS_CAP = math.cos(0.4 * math.pi)
@@ -49,19 +57,28 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def run_pooled(tasks) -> None:
+def run_pooled(tasks: list) -> None:
     """Run the callables on one thread per CPU (at most one per task), in
-    submission order, and re-raise the first failure after all have ended."""
-    if not tasks:
-        return
-    # imported here: concurrent.futures pulls in logging, about 5 ms of
-    # start-up that no finite-barrier caller needs
-    from concurrent.futures import ThreadPoolExecutor
+    submission order, and re-raise the first failure after all have ended.
+    With one worker they run in order on the calling thread, and a failure
+    ends the run.  Either way ``tasks`` is emptied once they have run, so
+    whatever they hold (the family sum's tile arrays) is freed."""
+    try:
+        workers = min(_cpu_count(), len(tasks))
+        if workers <= 1:
+            for task in tasks:
+                task()
+            return
+        # imported here: concurrent.futures pulls in logging, about 5 ms of
+        # start-up that no finite-barrier caller and no one-worker call needs
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(tasks))) as pool:
-        futures = [pool.submit(task) for task in tasks]
-    for future in futures:
-        future.result()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(task) for task in tasks]
+        for future in futures:
+            future.result()
+    finally:
+        tasks.clear()
 
 
 def family_tasks(us, phases, gam, del_, wj, weights):
@@ -82,6 +99,9 @@ def family_tasks(us, phases, gam, del_, wj, weights):
     d1 = np.zeros_like(us)
     tails = np.zeros_like(us)
     sums = np.zeros((len(us), 3))
+    # the per-term factors, formed once per call and sliced per chunk
+    gam2 = gam ** 2
+    w_re, w_im = wj.real.copy(), wj.imag.copy()
     # each thread's five tile arrays, kept from tile to tile: a loop that
     # allocated its temporaries afresh made glibc trim and re-fault the heap
     # top, about 26 minor faults per tile
@@ -101,12 +121,12 @@ def family_tasks(us, phases, gam, del_, wj, weights):
             # (-u) delta is -(u delta) bit for bit
             damp = np.exp(np.multiply.outer(neg_u, del_[sl], out=work[0]), out=work[0])
             sums[rows] += damp @ weights[s // _CHUNK]
-            cos *= wj[sl].real
-            sin *= wj[sl].imag
+            cos *= w_re[sl]
+            sin *= w_im[sl]
             cos -= sin
             cos *= damp
             d1[rows] += 2.0 * cos.sum(axis=1)
-            tails[rows] += np.divide(damp, gam[sl] ** 2, out=sin).sum(axis=1)
+            tails[rows] += np.divide(damp, gam2[sl], out=sin).sum(axis=1)
 
     return d1, tails, sums, [partial(row_block, r0) for r0 in range(0, len(us), _ROWS)]
 
@@ -207,13 +227,22 @@ class Certificate:
 
     def phase_bound_max(self, us) -> float:
         """The largest phase distance of the locked terms j in
-        [u^(1/4), u^(2/5)] over the controlled samples ``us``."""
+        [u^(1/4), u^(2/5)] over the controlled samples ``us``: every
+        (sample, term) pair with its own expression, in blocks of at most
+        _PAIRS pairs."""
+        # the 0-based term range [lo, hi) of each sample, from the C pow of
+        # each Python float: numpy's vectorised pow need not round as it
+        # does, and an end can sit exactly on a sample (50^4 = 6.25e6)
+        u_list = us.tolist()
+        lo = np.array([max(2, math.ceil(u ** 0.25)) - 1 for u in u_list], dtype=np.int64)
+        hi = np.array([min(len(self.gam), math.floor(u ** 0.4)) for u in u_list], dtype=np.int64)
+        counts = np.maximum(hi - lo, 0)
+        rows = np.repeat(np.arange(len(u_list)), counts)
+        # each pair's term: its sample's lo plus its place in the sample's run
+        cols = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
         bound = 0.0
-        for u in us:
-            j_lo = max(2, math.ceil(u ** 0.25))
-            j_hi = min(len(self.gam), math.floor(u ** 0.4))
-            if j_hi >= j_lo:
-                js = np.arange(j_lo - 1, j_hi)
-                bj = self.w * np.exp((-self.del_[js] + 1j * self.gam[js]) * u) / (1j * self.gam[js])
-                bound = max(bound, float(nearest_int_dist(np.angle(bj) / TWO_PI_).max()))
+        for s in range(0, len(rows), _PAIRS):
+            u, js = us[rows[s:s + _PAIRS]], cols[s:s + _PAIRS]
+            bj = self.w * np.exp((-self.del_[js] + 1j * self.gam[js]) * u) / (1j * self.gam[js])
+            bound = max(bound, float(nearest_int_dist(np.angle(bj) / TWO_PI_).max()))
         return bound
