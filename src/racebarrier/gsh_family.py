@@ -32,11 +32,6 @@ TWO_PI_ = 2.0 * math.pi
 # fixes neither.
 _ROWS = 64
 _CHUNK = 512
-# (sample, term) pairs per block of the phase bound: 128 KiB per complex
-# array.  From 256 KiB numpy reuses a temporary in place, which turns
-# w * e into e * w, and its fused complex product then differs in the last
-# bit from the one-sample loop's
-_PAIRS = 1 << 13
 
 # cos 2 pi b at b = 0.2, its largest value over a certified budget b
 _COS_CAP = math.cos(0.4 * math.pi)
@@ -57,28 +52,19 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def run_pooled(tasks: list) -> None:
+def run_pooled(tasks) -> None:
     """Run the callables on one thread per CPU (at most one per task), in
-    submission order, and re-raise the first failure after all have ended.
-    With one worker they run in order on the calling thread, and a failure
-    ends the run.  Either way ``tasks`` is emptied once they have run, so
-    whatever they hold (the family sum's tile arrays) is freed."""
-    try:
-        workers = min(_cpu_count(), len(tasks))
-        if workers <= 1:
-            for task in tasks:
-                task()
-            return
-        # imported here: concurrent.futures pulls in logging, about 5 ms of
-        # start-up that no finite-barrier caller and no one-worker call needs
-        from concurrent.futures import ThreadPoolExecutor
+    submission order, and re-raise the first failure after all have ended."""
+    if not tasks:
+        return
+    # imported here: concurrent.futures pulls in logging, about 5 ms of
+    # start-up that no finite-barrier caller needs
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task) for task in tasks]
-        for future in futures:
-            future.result()
-    finally:
-        tasks.clear()
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(tasks))) as pool:
+        futures = [pool.submit(task) for task in tasks]
+    for future in futures:
+        future.result()
 
 
 def family_tasks(us, phases, gam, del_, wj, weights):
@@ -227,22 +213,13 @@ class Certificate:
 
     def phase_bound_max(self, us) -> float:
         """The largest phase distance of the locked terms j in
-        [u^(1/4), u^(2/5)] over the controlled samples ``us``: every
-        (sample, term) pair with its own expression, in blocks of at most
-        _PAIRS pairs."""
-        # the 0-based term range [lo, hi) of each sample, from the C pow of
-        # each Python float: numpy's vectorised pow need not round as it
-        # does, and an end can sit exactly on a sample (50^4 = 6.25e6)
-        u_list = us.tolist()
-        lo = np.array([max(2, math.ceil(u ** 0.25)) - 1 for u in u_list], dtype=np.int64)
-        hi = np.array([min(len(self.gam), math.floor(u ** 0.4)) for u in u_list], dtype=np.int64)
-        counts = np.maximum(hi - lo, 0)
-        rows = np.repeat(np.arange(len(u_list)), counts)
-        # each pair's term: its sample's lo plus its place in the sample's run
-        cols = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        [u^(1/4), u^(2/5)] over the controlled samples ``us``."""
         bound = 0.0
-        for s in range(0, len(rows), _PAIRS):
-            u, js = us[rows[s:s + _PAIRS]], cols[s:s + _PAIRS]
-            bj = self.w * np.exp((-self.del_[js] + 1j * self.gam[js]) * u) / (1j * self.gam[js])
-            bound = max(bound, float(nearest_int_dist(np.angle(bj) / TWO_PI_).max()))
+        for u in us:
+            j_lo = max(2, math.ceil(u ** 0.25))
+            j_hi = min(len(self.gam), math.floor(u ** 0.4))
+            if j_hi >= j_lo:
+                js = np.arange(j_lo - 1, j_hi)
+                bj = self.w * np.exp((-self.del_[js] + 1j * self.gam[js]) * u) / (1j * self.gam[js])
+                bound = max(bound, float(nearest_int_dist(np.angle(bj) / TWO_PI_).max()))
         return bound

@@ -439,55 +439,6 @@ class TestPhaseKernel:
             prof = gsh_simulate(gsh7, 1000.0, 1010.0, 101, max_lock_points=50)
             assert profile_bytes(prof) == reference
 
-    def test_one_worker_runs_on_the_calling_thread(self, gsh7, monkeypatch):
-        """On one CPU the row blocks run on the calling thread, with no
-        thread pool built, and the profile keeps its bytes."""
-        import concurrent.futures
-
-        reference = profile_bytes(gsh_simulate(gsh7, 1000.0, 1010.0, 203, max_lock_points=200))
-        pools = []
-
-        class CountingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-        for cpus, built in ((1, []), (2, [2])):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
-                                raising=False)
-            prof = gsh_simulate(gsh7, 1000.0, 1010.0, 203, max_lock_points=200)
-            assert pools == built
-            assert profile_bytes(prof) == reference
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_run_pooled_empties_its_task_list(self, monkeypatch, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        ran = []
-        tasks = [functools.partial(ran.append, k) for k in range(5)]
-        run_pooled(tasks)
-        assert tasks == [] and sorted(ran) == list(range(5))
-
-        def fail():
-            raise ValueError("row block failed")
-
-        tasks = [fail, functools.partial(ran.append, 5)]
-        with pytest.raises(ValueError, match="row block failed"):
-            run_pooled(tasks)
-        assert tasks == []
-
-
-def one_sample_phase_distances(w, gam, del_, u):
-    """The phase distances of the locked terms j in [u^(1/4), u^(2/5)] at one
-    sample, or None where that range is empty."""
-    j_lo = max(2, math.ceil(u ** 0.25))
-    j_hi = min(len(gam), math.floor(u ** 0.4))
-    if j_hi < j_lo:
-        return None
-    js = np.arange(j_lo - 1, j_hi)
-    bj = w * np.exp((-del_[js] + 1j * gam[js]) * u) / (1j * gam[js])
-    return nearest_int_dist(np.angle(bj) / TWO_PI_)
-
 
 def serial_certificate(gsh, us, d1):
     """The regime-2 positivity certificate as one loop over the samples on
@@ -520,8 +471,12 @@ def serial_certificate(gsh, us, d1):
             continue
         controlled[i] = True
         ctrl_tot += 1
-        pb = one_sample_phase_distances(w, gam, del_, u)
-        if pb is not None:
+        j_lo = max(2, math.ceil(u ** 0.25))
+        j_hi = min(len(gam), math.floor(u ** 0.4))
+        if j_hi >= j_lo:
+            js = np.arange(j_lo - 1, j_hi)
+            bj = w * np.exp((-del_[js] + 1j * gam[js]) * u) / (1j * gam[js])
+            pb = nearest_int_dist(np.angle(bj) / TWO_PI_)
             phase_bound_max = max(phase_bound_max, float(pb.max()))
         if d1[i] > 0:
             ctrl_pos += 1
@@ -741,27 +696,6 @@ class TestCertificateFilter:
         finally:
             sys.setswitchinterval(interval)
         assert total == certified
-
-    @pytest.mark.parametrize("u0", [1000.0, 6.25e6])
-    def test_every_phase_distance_matches_serial_loop(self, gsh7, monkeypatch, u0):
-        """Every (sample, j) distance of the phase bound, not only the largest,
-        is the one-sample loop's to the bit.  At 6.25e6 = 50^4 the first
-        sample sits on the end of its j range, and 300 samples make 141,600
-        pairs in 18 blocks; in blocks of 2^14 pairs numpy's in-place reuse of
-        the 256 KiB temporary moved the last bit of some."""
-        gam = np.asarray(gsh7.gammas)
-        del_ = np.asarray(gsh7.deltas)
-        certificate = Certificate(gsh7, gam, del_)
-        us = np.linspace(u0, u0 + 10.0, 300)
-        blocks = []
-        monkeypatch.setattr(gsh_family, "nearest_int_dist",
-                            lambda x: blocks.append(nearest_int_dist(x)) or blocks[-1])
-        bound = certificate.phase_bound_max(us)
-        expected = [one_sample_phase_distances(certificate.w, gam, del_, u) for u in us]
-        expected = np.concatenate([pb for pb in expected if pb is not None])
-        assert np.concatenate(blocks).tobytes() == expected.tobytes()
-        assert len(blocks) == {1000.0: 1, 6.25e6: 18}[u0]
-        assert repr(bound) == repr(float(expected.max()))
 
     def test_failing_window_matches_serial_loop(self, gsh7, monkeypatch):
         """Far beyond its window the certificate still makes the serial
