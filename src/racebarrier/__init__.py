@@ -33,7 +33,6 @@ from .characters import (
     RationalAngle,
     character_group,
     character_pair_constraint,
-    character_with_unit_value,
     nonprincipal_characters,
     principal_character,
 )
@@ -43,8 +42,6 @@ from .race_simulator import (
     RaceProfile,
     envelope_min,
     gsh_simulate,
-    independence_scenario,
-    main_term_pair_diff,
     remainder_bound,
     simulate,
     v_lambda,
@@ -79,7 +76,6 @@ __all__ = [
     "barrier_to_dict",
     "character_group",
     "character_pair_constraint",
-    "character_with_unit_value",
     "construction_gsh",
     "construction_one",
     "construction_three",
@@ -91,9 +87,7 @@ __all__ = [
     "find_order7_character",
     "find_spacing_character",
     "gsh_simulate",
-    "independence_scenario",
     "is_good",
-    "main_term_pair_diff",
     "mod_div",
     "multiplicative_order",
     "nonprincipal_characters",

@@ -194,7 +194,6 @@ class BarrierParams:
     gsh_sigma2: float = 0.55
     gsh_beta: float = 0.5
     truncation: int = 10_000
-    gap_check_limit: int = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -933,9 +932,9 @@ def find_barrier(D: RaceTriple, params: BarrierParams | None = None) -> Barrier:
 # infinite construction
 
 
-# construction_gsh scans H in blocks of 2^13 integers: 64 KiB per int64 or
-# float64 temporary, under glibc's 128 KiB mmap threshold, so the scans reuse
-# heap memory instead of faulting in fresh pages on every block
+# the first-hit search probes H in blocks of at most 2^13 integers: 64 KiB
+# per int64 or float64 temporary, under glibc's 128 KiB mmap threshold, so
+# it reuses heap memory rather than faulting in fresh pages
 _H_BLOCK = 1 << 13
 
 
@@ -1006,6 +1005,22 @@ def _first_h_offsets(in_h_set, js: np.ndarray, lo: np.ndarray) -> np.ndarray:
         width = min(2 * width, _H_BLOCK)
         unresolved = unresolved[(first[unresolved] < 0) & (lo[unresolved] + pos <= js[unresolved])]
     return first
+
+
+def _h_max_gap(alpha: float) -> int | None:
+    """Least N such that any N consecutive h meet H = {h : ||h alpha + b||
+    <= 1/5} for all b (None: no N).  Three-distance theorem (Sos 1958;
+    Slater 1967): N = m q_k + q_{k-1} multiples of alpha, p_k/q_k its
+    convergents, 1 <= m <= a_{k+1}, leave a largest gap
+    eta_{k-1} - (m-1) eta_k, eta_k = |q_k alpha - p_k|; H's band is 2/5."""
+    q_prev, q, eta_prev, eta = 0, 1, Fraction(1), Fraction(alpha) % 1
+    while eta:
+        a = eta_prev // eta
+        m = max(1, math.ceil((eta_prev - Fraction(2, 5)) / eta) + 1)
+        if m <= a:
+            return m * q + q_prev
+        q_prev, q, eta_prev, eta = q, a * q + q_prev, eta, eta_prev - a * eta
+    return None
 
 
 @lru_cache(maxsize=8)
@@ -1099,6 +1114,9 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
         t *= 2.0
     else:
         raise ConstructionError("could not place the phase offset away from 0 and 1/2")
+    max_gap, bound = _h_max_gap(alpha), int(10.0 * t) + 1
+    if max_gap is None or max_gap > bound:
+        raise ConstructionError(f"H gaps exceed {bound}: {max_gap}")
 
     def in_h_set(hs: np.ndarray) -> np.ndarray:
         frac = hs * alpha + beta_phase
@@ -1120,24 +1138,6 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
     if np.unique(gam).size != gam.size:
         raise ConstructionError("ordinate collision in the truncated family")
     gammas = gam.tolist()
-
-    # gap property of H on the configured check range, in blocks of
-    # _H_BLOCK that carry the last member across each block edge
-    limit = p.gap_check_limit
-    max_gap, count = 0, 0
-    last = np.empty(0, dtype=np.int64)
-    for start in range(0, limit + 1, _H_BLOCK):
-        hs = np.arange(start, min(start + _H_BLOCK, limit + 1), dtype=np.int64)
-        members = np.concatenate((last, hs[in_h_set(hs)]))
-        if members.size >= 2:
-            max_gap = max(max_gap, int(np.diff(members).max()))
-        count += members.size - last.size
-        last = members[-1:]
-    if count < 2:
-        raise ConstructionError("H has too few members on the check range")
-    bound = int(10.0 * t) + 1
-    if max_gap > bound:
-        raise ConstructionError(f"H gap {max_gap} exceeds {bound} on [0, {limit}]")
 
     # samples below this see non-negligible mass from phase-uncontrolled terms;
     # j <= 2 count as uncontrolled because their ordinate perturbations xi_j
@@ -1168,7 +1168,7 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
         beta_phase=beta_phase,
         excluded_ordering=(b2, b3, b1),
         parameters={"t": t, "sigma1": sigma1, "sigma2": sigma2, "beta": beta,
-                    "J": j_max, "gap_check_limit": limit},
+                    "J": j_max},
         margins={"h_max_gap": max_gap, "h_gap_bound": bound,
                  "alpha_dist": abs(alpha - round(alpha)),
                  "recommended_u0": rec_u0,

@@ -235,29 +235,6 @@ def nonprincipal_characters(q: int) -> tuple[DirichletCharacter, ...]:
     return tuple(map(chars.__getitem__, range(1, len(chars))))
 
 
-def character_with_unit_value(q: int, b: int) -> DirichletCharacter:
-    """A character with chi(b) = e(1/m), m the order of b mod q.
-
-    Solves sum_i h_i * (f_i m / s_i) ≡ 1 (mod m) over the generator basis,
-    f the dlog vector of b; each f_i m / s_i is an integer because
-    s_i / gcd(f_i, s_i) divides m, and the gcd of m and those t numbers is 1,
-    so the congruence is solvable.
-    """
-    q = check_modulus(q)
-    b = check_residue(q, b)
-    orders = unit_group_structure(q).orders
-    f = dlog_vector(q, b)
-    m = vector_order(f, orders)
-    if m == 1:
-        return principal_character(q)
-    coefs = [fi * m // s for fi, s in zip(f, orders)]
-    h = _solve_unit_combination(m, coefs)
-    exps = tuple(hi % s for hi, s in zip(h, orders))
-    chi = DirichletCharacter(q, exps)
-    assert chi.evaluate(b) == Fraction(1, m)
-    return chi
-
-
 def _solve_unit_combination(m: int, coefs: list[int]) -> list[int]:
     """Integers h_i with sum h_i coefs[i] ≡ 1 (mod m); requires gcd(m, *coefs) = 1."""
     g = m

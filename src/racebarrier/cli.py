@@ -94,15 +94,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _params_from(args, config: dict) -> bs.BarrierParams:
-    params = bs.BarrierParams()
-    names = {f.name for f in fields(bs.BarrierParams)}
+def _load_config(path: str) -> dict:
+    """The JSON object in the file, each key a `BarrierParams` field and each
+    value of that field's type (an int also serves a float field)."""
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"expected a JSON object, not {type(config).__name__}")
+    kinds = {f.name: type(f.default) for f in fields(bs.BarrierParams)}
     for key, value in config.items():
-        if key in names:
-            setattr(params, key, value)
+        if key not in kinds:
+            raise ValueError(f"unknown parameter {key!r}")
+        allowed = (int, float) if kinds[key] is float else int
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"parameter {key!r} must be of type {kinds[key].__name__}, "
+                             f"not {value!r}")
+    return config
+
+
+def _params_from(args, config: dict) -> bs.BarrierParams:
+    params = bs.BarrierParams(**config)
     for flag in _PARAM_FLAGS:
         value = getattr(args, flag, None)
-        if value is not None and flag in names:
+        if value is not None:
             setattr(params, flag, value)
     return params
 
@@ -336,10 +350,9 @@ def main(argv=None) -> int:
     config = {}
     if args.config:
         try:
-            with open(args.config) as fh:
-                config = json.load(fh)
+            config = _load_config(args.config)
         except (OSError, ValueError) as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
+            print(f"invalid config: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     try:
         return _COMMANDS[args.command](args, config)

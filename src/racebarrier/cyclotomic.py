@@ -65,18 +65,6 @@ def root_sum_is_zero(counts: Sequence[int], n: int) -> bool:
     return not any(reduce_root_sum(counts, n))
 
 
-def root_sums_equal(a: Sequence[int], b: Sequence[int], n: int) -> bool:
-    diff = [x - y for x, y in zip(_pad(a, n), _pad(b, n))]
-    return root_sum_is_zero(diff, n)
-
-
-def _pad(c: Sequence[int], n: int) -> list[int]:
-    out = list(c)
-    if len(out) < n:
-        out += [0] * (n - len(out))
-    return out
-
-
 def angles_to_counts(numerators: Sequence[int], n: int) -> list[int]:
     """Coefficient vector of sum_j e(k_j / n) for integer numerators k_j."""
     counts = [0] * n

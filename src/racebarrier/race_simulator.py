@@ -19,8 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, character_table, nonprincipal_characters
-from .residue_group import unit_group_structure
+from .characters import DirichletCharacter, character_table
 
 LN2 = math.log(2.0)
 
@@ -68,11 +67,6 @@ class MainTermConfig:
             for coeffs, (a, b) in zip(out, pairs):
                 coeffs[rho] = coeffs.get(rho, 0j) + (conj[a] - conj[b]) * mult
         return out
-
-
-def main_term_pair_diff(config: MainTermConfig, a: int, b: int, u: float) -> float:
-    """Normalized main term of phi(q)(pi(x;a) - pi(x;b)) at u = log x."""
-    return float(pair_diff_grid(config, a, b, np.asarray([u], dtype=float))[0])
 
 
 def pair_diff_grid(config: MainTermConfig, a: int, b: int, us: np.ndarray) -> np.ndarray:
@@ -246,8 +240,8 @@ def remainder_sup(config: MainTermConfig, a: int, b: int, u0: float, u1: float,
 @dataclass
 class RaceProfile:
     u: np.ndarray
-    d1: np.ndarray | None
-    d2: np.ndarray | None
+    d1: np.ndarray
+    d2: np.ndarray
     ordering_histogram: dict[tuple, int] = field(default_factory=dict)
     ties: int = 0
     margin: float | None = None
@@ -609,48 +603,6 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
 
 
 # ---------------------------------------------------------------------------
-# independence scenario
-
-
-def independence_scenario(q: int, sigma: float, gammas: dict, u0: float = 50.0,
-                          u1: float = 1000.0, n: int = 10**6) -> RaceProfile:
-    """One simple zero per non-principal character; census of observed orderings.
-
-    With rationally independent ordinates every ordering of the phi(q) race
-    functions is expected to appear eventually; the census reports what a
-    finite grid sees and asserts nothing.
-    """
-    chars = nonprincipal_characters(q)
-    if set(gammas) != set(chars):
-        raise ValueError("need exactly one ordinate per non-principal character")
-    vals = sorted(gammas.values())
-    if any(abs(x - y) < 1e-12 for x, y in zip(vals, vals[1:])):
-        raise ValueError("ordinates must be pairwise distinct")
-
-    units = unit_group_structure(q).units
-    table = character_table(q)
-    roots = table.roots
-    rhos = {chi: complex(sigma, gammas[chi]) for chi in chars}
-    config = MainTermConfig(q, tuple((chi, rho, 1) for chi, rho in rhos.items()), sigma_max=sigma)
-    # one row per unit a, with coefficient conj chi(a) at each rho; every zero
-    # sits at sigma_max, so each amplitude is -2.0
-    coeffs = [{rho: roots[col[chi.index]].conjugate() for chi, rho in rhos.items()}
-              for col in table.columns(units)]
-    us = np.linspace(u0, u1, n)
-    v = _main_terms(config, coeffs, n, _rotations(us), lambda offset: -2.0)
-
-    order_idx = np.argsort(-v, axis=0, kind="stable")
-    histogram: dict[tuple, int] = {}
-    # count distinct descending orderings
-    codes = order_idx.T
-    uniq, counts = np.unique(codes, axis=0, return_counts=True)
-    for row, cnt in zip(uniq, counts):
-        key = tuple(units[i] for i in row)
-        histogram[key] = int(cnt)
-    return RaceProfile(u=us, d1=None, d2=None, ordering_histogram=histogram, ties=0)
-
-
-# ---------------------------------------------------------------------------
 # export
 
 
@@ -659,12 +611,9 @@ def write_profile(profile, path) -> None:
 
     The ordering is written largest first as ``a>b>c``, or ``tie``.
     """
-    a_cols = profile.d1 is not None and profile.d2 is not None
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["u", "D1", "D2", "ordering"])
-        if not a_cols:
-            return
         # the tie code -1 picks the last entry
         names = [">".join(map(str, o)) for o in profile.ordering_labels] + ["tie"]
         for u, x, y, code in zip(profile.u, profile.d1, profile.d2, profile.ordering_codes):

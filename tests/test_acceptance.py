@@ -278,9 +278,13 @@ def test_criterion_9_gsh():
     gsh = rb.construction_gsh(RaceTriple(7, 1, 2, 5), BarrierParams(truncation=10_000))
     assert gsh.t >= 1000.0 and gsh.truncation == 10_000
 
-    # (a) gap property of H on [0, 10^6]
-    assert gsh.parameters["gap_check_limit"] == 10**6
+    # (a) gap property of H for every h, proved from the continued fraction
+    # of alpha, and no smaller than the largest gap a scan of [0, 10^6] sees
     assert gsh.margins["h_max_gap"] <= int(10 * gsh.t) + 1
+    hs = np.arange(10**6 + 1, dtype=np.int64)
+    frac = hs * gsh.alpha + gsh.beta_phase
+    members = np.flatnonzero(np.abs(frac - np.round(frac)) <= 0.2)
+    assert gsh.margins["h_max_gap"] >= int(np.diff(members).max())
 
     # (b) phase-locked second-regime samples all give a positive first term
     u0 = max(1000.0, gsh.margins["recommended_u0"])

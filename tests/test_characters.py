@@ -17,7 +17,6 @@ from racebarrier.characters import (
     character_pair_constraint,
     character_sum_reduced,
     character_table,
-    character_with_unit_value,
     nonprincipal_characters,
     principal_character,
 )
@@ -25,7 +24,6 @@ from racebarrier.cyclotomic import angles_to_counts, reduce_root_sum
 from racebarrier.residue_group import (
     check_modulus,
     dlog_vector,
-    multiplicative_order,
     unit_group_structure,
 )
 
@@ -123,8 +121,7 @@ class TestCharacterTable:
             chi = DirichletCharacter(q, (1,))
             k = chi.angle_numerator(2)
             assert chi.evaluate(2) == Fraction(k, q - 1)
-            assert character_with_unit_value(q, 2).evaluate(2) == Fraction(
-                1, multiplicative_order(q, 2))
+            assert character_pair_constraint(q, 2, 3, 7).evaluate(2) == Fraction(1, 7)
             k = chi.angle_numerator(3)
             assert character_table(q).column(3)[1] == k == chi.angle_numerator(3)
             peak = tracemalloc.get_traced_memory()[1]
@@ -246,41 +243,6 @@ class TestCharacterGroup:
         chars = nonprincipal_characters(7)
         red = character_sum_reduced(chars, 2)
         assert red == reduce_root_sum([-1], unit_group_structure(7).exponent)
-
-
-class TestCharacterWithUnitValue:
-    def test_b_equals_one(self):
-        assert character_with_unit_value(11, 1).is_principal
-
-    def test_q5(self):
-        chi = character_with_unit_value(5, 2)
-        assert chi.evaluate(2) == Fraction(1, 4)
-
-    def test_q7(self):
-        chi = character_with_unit_value(7, 2)
-        assert chi.evaluate(2) == Fraction(1, 3)
-
-    def test_exhaustive_scan_oracle_small_q(self):
-        # the returned character indeed achieves e(1/m), and some character does
-        # for every unit: cross-check against a full scan
-        from racebarrier.residue_group import multiplicative_order
-
-        for q in (5, 7, 8, 9, 12, 15, 16, 21, 24):
-            for b in units_of(q):
-                m = multiplicative_order(q, b)
-                chi = character_with_unit_value(q, b)
-                assert chi.evaluate(b) == (Fraction(1, m) % 1)
-                scan = [c for c in character_group(q) if c.evaluate(b) == Fraction(1, m) % 1]
-                assert chi in scan
-
-    def test_exhaustive_all_q_up_to_200(self):
-        from racebarrier.residue_group import multiplicative_order
-
-        for q in [5] + list(range(7, 201)):
-            for b in units_of(q):
-                chi = character_with_unit_value(q, b)
-                m = multiplicative_order(q, b)
-                assert chi.evaluate(b) == (Fraction(1, m) % 1), (q, b)
 
 
 class TestCharacterPairConstraint:

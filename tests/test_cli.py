@@ -127,6 +127,25 @@ class TestBarrierCommand:
         assert code == 0
         assert json.loads(out_file.read_text())["parameters"]["t"] == 8000.0
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "expected a JSON object, not list"),
+        ('{"truncation": "ten"}', "parameter 'truncation' must be of type int, not 'ten'"),
+        ('{"truncation": true}', "parameter 'truncation' must be of type int, not True"),
+        ('{"t": "4000"}', "parameter 't' must be of type float, not '4000'"),
+        ('{"truncaton": 50}', "unknown parameter 'truncaton'"),
+        ('{"gap_check_limit": 1000}', "unknown parameter 'gap_check_limit'"),
+    ])
+    def test_bad_config_is_a_validation_error(self, capsys, tmp_path, text, message):
+        """A config that is not an object of known, well-typed parameters exits
+        1 with one line, before anything is built or written."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out_file = tmp_path / "g.json"
+        code, out, err = run(["--config", str(cfg), "gsh", "7", "1", "2", "5",
+                              "--out", str(out_file)], capsys)
+        assert code == 1 and not out and not out_file.exists()
+        assert err == f"invalid config: {message}\n"
+
 
 def _labels(barrier_file):
     """Ordering column values a verified profile of the barrier may contain."""

@@ -9,7 +9,6 @@ from racebarrier.cyclotomic import (
     cyclotomic_polynomial,
     reduce_root_sum,
     root_sum_is_zero,
-    root_sums_equal,
 )
 
 
@@ -42,9 +41,13 @@ def test_cube_roots_sum_zero():
 
 
 def test_equal_sums_different_numerators():
-    # e(1/6) = e(2/6) - e(3/6) + 1 - 1 ... build a nontrivial equality:
-    # e(1/6) + e(5/6) = 1 (two primitive 6th roots sum to 1)
-    assert root_sums_equal(angles_to_counts([1, 5], 6), angles_to_counts([0], 6), 6)
+    # e(1/6) + e(5/6) = 1 (two primitive 6th roots sum to 1): the difference
+    # from e(0) reduces to zero, and the difference from e(1/6) does not
+    def difference(a, b):
+        return [x - y for x, y in zip(angles_to_counts(a, 6), angles_to_counts(b, 6))]
+
+    assert root_sum_is_zero(difference([1, 5], [0]), 6)
+    assert not root_sum_is_zero(difference([1, 5], [1]), 6)
 
 
 @given(st.integers(min_value=2, max_value=30), st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=30))

@@ -15,6 +15,9 @@ first recorded while the H-set search ran one window at a time and the phase
 kernel called `np.cos` and `np.sin` separately, and re-recorded when d1's
 phases became exact integer reductions: only the bytes of d1 moved, and
 every count, ordering code, tail constant and phase bound kept its value.
+They were re-recorded again when the gap of H came to be proved from the
+continued fraction of alpha instead of scanned on [0, 10^6]: the barrier
+JSON lost `parameters.gap_check_limit`, and no other byte moved.
 """
 
 import hashlib
@@ -50,10 +53,10 @@ LARGE_DIGEST = "143bcf5a570e85f3b234c822642a1e4b00dce41c9a8d4d2f9a264c6fcaeabeb9
 
 # 7 1 2 5 drifts fast; 5 1 2 3 and 21 1 2 10 have alpha 2e-4 from an integer
 GSH_DIGESTS = {
-    (7, 1, 2, 5): "9fba695999d14282751ce5ccf6049c3dc355cf33b262b4b2f64c4572ac920ec8",
-    (5, 1, 2, 3): "8aee4536720953cf7a9166b1ed9d2923365cd35c3f013eb867374c8374a91ea4",
-    (21, 1, 2, 10): "589172f272a66bef66bfdd70b0d206d42168ba8bd3696de30d45dc4a15507761",
-    (29, 2, 3, 5): "d8b6a68df59508a264e59d2c7ee52affe7b684d138a874e7eb37f472aede362d",
+    (7, 1, 2, 5): "588a6dbab6a647800bec7b4237489e0c9d2f58478a488bf617afdba1a44c8e11",
+    (5, 1, 2, 3): "c6478c339739384337eae34f6b500b692e183071c47c64c0c2bb2ec1a1f7831c",
+    (21, 1, 2, 10): "a557e79bd4e2fa5fa29a1435941176e08ebf7278c18a5c12660babb5c1e43a3d",
+    (29, 2, 3, 5): "4e29b7120ab6bfd5794ac11b81687ab7523dfdd603e514dc83fc1ef73a090ff9",
 }
 
 

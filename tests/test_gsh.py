@@ -28,6 +28,7 @@ from racebarrier.barrier_search import (
     barrier_to_dict,
     _first_h_offsets,
     _h_lower_bounds,
+    _h_max_gap,
     construction_gsh,
     find_gsh_characters,
 )
@@ -256,35 +257,76 @@ class TestFloatMembership:
 
 
 def full_range_max_gap(gsh):
-    """Largest gap between consecutive members of H on [0, gap_check_limit],
-    from one scan over the whole range."""
-    hs = np.arange(gsh.parameters["gap_check_limit"] + 1, dtype=np.int64)
-    frac = hs * gsh.alpha + gsh.beta_phase
+    """Largest gap between consecutive members of H on [0, 10^6], from one
+    scan over the whole range with the float membership test."""
+    return scan_max_gap(gsh.alpha, gsh.beta_phase, 10**6)
+
+
+def scan_max_gap(alpha, beta_phase, limit):
+    hs = np.arange(limit + 1, dtype=np.int64)
+    frac = hs * alpha + beta_phase
     return int(np.diff(np.flatnonzero(np.abs(frac - np.round(frac)) <= 0.2)).max())
 
 
-class TestGapCheck:
+def exact_max_circular_gap(alpha, n):
+    """Largest gap between the n points k alpha mod 1, k < n, on the circle,
+    in exact arithmetic."""
+    x = Fraction(alpha)
+    pts = sorted((k * x) % 1 for k in range(n))
+    return max(max(b - a for a, b in zip(pts, pts[1:])), 1 - pts[-1] + pts[0])
+
+
+class TestGapProof:
+    """`_h_max_gap` proves the gap property of H for every h: any N
+    consecutive integers hold a member, whatever the offset beta_phase."""
+
     @pytest.mark.parametrize("triple", GOLDEN_AND_BENCHMARK)
-    def test_blocked_scan_matches_full_range(self, triple):
+    def test_proof_matches_full_range_scan(self, triple):
         gsh = gsh_at_j4(triple)
-        assert gsh.margins["h_max_gap"] == full_range_max_gap(gsh)
+        assert gsh.margins["h_max_gap"] == _h_max_gap(gsh.alpha) == full_range_max_gap(gsh)
 
-    @pytest.mark.parametrize("limit", [8191, 8192, 8193, 20_000])
-    def test_limits_at_block_edges(self, limit):
-        # slow drift: the largest gap below 20000, 6283 -> 9425, crosses the
-        # first block edge at 8192
-        gsh = construction_gsh(RaceTriple(5, 1, 2, 3),
-                               BarrierParams(truncation=100, gap_check_limit=limit))
-        assert gsh.margins["h_max_gap"] == full_range_max_gap(gsh) > 3000
+    @pytest.mark.parametrize("alpha", [
+        0.3, 0.7, -0.3, 1.3, 2.0 / 7.0, 0.45, 0.55, 0.41, 0.59, 0.618, -0.618,
+        0.01, -0.01, 0.99, 0.5 + 0.004, 0.5 - 0.004, 2.0 + 0.002, -3.0 - 0.002,
+        0.25, 1.0 / 3.0, 0.4, 0.2, -0.75,
+    ])
+    def test_least_n_from_exact_gaps(self, alpha):
+        """N points leave no gap above 2/5, N - 1 points leave one: a band of
+        width 2/5 placed inside it misses N - 1 consecutive h."""
+        n = _h_max_gap(alpha)
+        assert exact_max_circular_gap(alpha, n) <= Fraction(2, 5)
+        assert n == 1 or exact_max_circular_gap(alpha, n - 1) > Fraction(2, 5)
 
-    @pytest.mark.parametrize("triple", [(5, 1, 2, 3), (21, 1, 2, 10), (7, 1, 2, 5)])
-    def test_gaps_spanning_empty_blocks(self, triple, monkeypatch):
-        # with blocks of 1000 every gap of H above 2000 starts and ends in
-        # different blocks, with blocks free of members between them
-        monkeypatch.setattr(barrier_search, "_H_BLOCK", 1000)
-        gsh = construction_gsh(RaceTriple(*triple),
-                               BarrierParams(truncation=100, gap_check_limit=40_000))
-        assert gsh.margins["h_max_gap"] == full_range_max_gap(gsh)
+    @pytest.mark.parametrize("alpha, n", [(0.25, 4), (-0.75, 4), (0.125, 6), (1.0 / 3.0, 3),
+                                          (0.5, None), (1.5, None), (0.0, None), (-2.0, None)])
+    def test_small_denominators(self, alpha, n):
+        # at alpha = p/q the points k alpha sit 1/q apart, so there is no bound
+        # for q <= 2; the float 1/3 is a dyadic just below 1/3 whose three
+        # points already leave no gap above 2/5
+        assert _h_max_gap(alpha) == n
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_never_below_the_scan(self, seed):
+        """Random offsets and drifts, slow ones near 0, 1/2 and 1 on both sides:
+        the proved N is at least every gap a scan of [0, 2 10^5] finds."""
+        rng = np.random.default_rng(seed)
+        for center in (0.0, 0.5, 1.0, None):
+            for sign in (1.0, -1.0):
+                if center is None:
+                    alpha = rng.uniform(-2.0, 2.0)
+                else:
+                    alpha = center + sign * 10.0 ** rng.uniform(-3.5, -1.0)
+                alpha += float(rng.integers(-3, 4))
+                beta_phase = rng.uniform(-0.5, 0.5)
+                n = _h_max_gap(alpha)
+                assert n is not None and n >= scan_max_gap(alpha, beta_phase, 200_000), \
+                    (alpha, beta_phase)
+
+    @pytest.mark.parametrize("proved", [None, 10**9])
+    def test_unbounded_gap_is_a_construction_error(self, proved, monkeypatch):
+        monkeypatch.setattr(barrier_search, "_h_max_gap", lambda alpha: proved)
+        with pytest.raises(ConstructionError, match="H gaps exceed 10001"):
+            construction_gsh(RaceTriple(7, 1, 2, 5), BarrierParams(truncation=100))
 
 
 class TestSimulation:

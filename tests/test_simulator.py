@@ -20,7 +20,6 @@ from racebarrier.race_simulator import (
     classify_orderings,
     envelope3_max,
     envelope_min,
-    main_term_pair_diff,
     pair_diff_grid,
     pair_diff_grids,
     remainder_bound,
@@ -47,27 +46,32 @@ def small_config(q=5, sigma=0.75, gammas=(100.0, 173.2), mults=(1, 2)):
     return MainTermConfig.from_zeros(q, zeros)
 
 
+def pair_diff_at(cfg, a, b, u):
+    """`pair_diff_grid` on the one-element grid [u]."""
+    return float(pair_diff_grid(cfg, a, b, np.asarray([u], dtype=float))[0])
+
+
 class TestMainTerm:
     def test_equal_residues_zero(self):
         cfg = small_config()
-        assert main_term_pair_diff(cfg, 2, 2, 60.0) == 0.0
+        assert pair_diff_at(cfg, 2, 2, 60.0) == 0.0
 
     def test_empty_config_zero(self):
         cfg = MainTermConfig.from_zeros(5, [])
-        assert main_term_pair_diff(cfg, 2, 3, 60.0) == 0.0
+        assert pair_diff_at(cfg, 2, 3, 60.0) == 0.0
 
     def test_antisymmetry_exact(self):
         cfg = small_config()
         for u in (50.0, 61.3, 77.7):
-            assert main_term_pair_diff(cfg, 2, 3, u) == -main_term_pair_diff(cfg, 3, 2, u)
+            assert pair_diff_at(cfg, 2, 3, u) == -pair_diff_at(cfg, 3, 2, u)
 
     @given(st.floats(min_value=50.0, max_value=200.0))
     @settings(max_examples=50, deadline=None)
     def test_cocycle(self, u):
         cfg = small_config()
-        d12 = main_term_pair_diff(cfg, 1, 2, u)
-        d23 = main_term_pair_diff(cfg, 2, 3, u)
-        d13 = main_term_pair_diff(cfg, 1, 3, u)
+        d12 = pair_diff_at(cfg, 1, 2, u)
+        d23 = pair_diff_at(cfg, 2, 3, u)
+        d13 = pair_diff_at(cfg, 1, 3, u)
         assert abs(d12 + d23 - d13) < 1e-12
 
     def test_single_zero_sinusoid_shape(self):
@@ -79,7 +83,7 @@ class TestMainTerm:
         r3, r2 = chi.evaluate(3), chi.evaluate(2)
         d = float(r3 - r2)
         for u in np.linspace(50, 51, 7):
-            got = main_term_pair_diff(cfg, 3, 2, u)
+            got = pair_diff_at(cfg, 3, 2, u)
             want = (4.0 / gamma) * math.sin(math.pi * d) * math.cos(
                 gamma * u - float(r2 + r3) * math.pi
             )
@@ -97,7 +101,7 @@ class TestMainTerm:
                     total += coeff * mult * x**rho / (rho * math.log(x))
                 direct = -2.0 * total.real
                 normalized = direct * u / math.exp(cfg.sigma_max * u)
-                got = main_term_pair_diff(cfg, a, b, u)
+                got = pair_diff_at(cfg, a, b, u)
                 assert got == pytest.approx(normalized, rel=1e-10, abs=1e-300)
 
     def test_conjugate_pairing_reality(self):
@@ -111,7 +115,7 @@ class TestMainTerm:
                 coeff = ch.value(a).conjugate() - ch.value(b).conjugate()
                 total += -coeff * mult * cmath.exp((rr - cfg.sigma_max) * u) / rr
         assert abs(total.imag) < 1e-12
-        assert total.real == pytest.approx(main_term_pair_diff(cfg, a, b, u), rel=1e-12)
+        assert total.real == pytest.approx(pair_diff_at(cfg, a, b, u), rel=1e-12)
 
     def test_period_consistency(self):
         cfg = MainTermConfig.from_zeros(5, [Z(DirichletCharacter(5, (1,)), 0.75, 100.0)])
@@ -721,70 +725,3 @@ class TestWriteProfile:
         path = tmp_path / "p.csv"
         write_profile(prof, path)
         assert [row.split(",")[3] for row in path.read_text().splitlines()[1:]] == ["tie"] * 5
-
-
-def _parent_independence_histogram(q, sigma, gammas, u0, u1, n):
-    """Frozen copy of independence_scenario's per-character, per-unit loop (oracle)."""
-    units = unit_group_structure(q).units
-    table = character_table(q)
-    cols = table.columns(units)
-    us = np.linspace(u0, u1, n)
-    v = np.zeros((len(units), n))
-    for chi in nonprincipal_characters(q):
-        g = gammas[chi]
-        rho = complex(sigma, g)
-        ph = g * us
-        cosp, sinp = np.cos(ph), np.sin(ph)
-        for ai, col in enumerate(cols):
-            w = table.roots[col[chi.index]].conjugate() / rho
-            v[ai] += -2.0 * (w.real * cosp - w.imag * sinp)
-    uniq, counts = np.unique(np.argsort(-v, axis=0, kind="stable").T, axis=0, return_counts=True)
-    return {tuple(units[i] for i in row): int(k) for row, k in zip(uniq, counts)}
-
-
-class TestIndependenceScenario:
-    @pytest.mark.parametrize("q, seed", [(5, 1), (5, 2), (7, 1), (7, 2)])
-    def test_matches_the_per_unit_loop(self, q, seed):
-        from racebarrier.race_simulator import independence_scenario
-
-        rng = np.random.default_rng(seed)
-        chars = nonprincipal_characters(q)
-        gammas = dict(zip(chars, (float(g) for g in rng.uniform(1.0, 50.0, len(chars)))))
-        args = (q, 0.75, gammas, 50.0, 5000.0, 30000)
-        prof = independence_scenario(*args)
-        assert repr(prof.ordering_histogram) == repr(_parent_independence_histogram(*args))
-        assert sum(prof.ordering_histogram.values()) == 30000
-
-    def test_q5_generic_sees_all_orderings(self):
-        from racebarrier.race_simulator import independence_scenario
-
-        gammas = {
-            c: 1.0 + 0.137 * i + 0.0091 * i * i
-            for i, c in enumerate(rb.nonprincipal_characters(5))
-        }
-        prof = independence_scenario(5, 0.75, gammas, u0=50, u1=20000, n=10**6)
-        assert len(prof.ordering_histogram) == 24
-        assert sum(prof.ordering_histogram.values()) == 10**6
-
-    def test_equal_ordinates_rejected(self):
-        from racebarrier.race_simulator import independence_scenario
-
-        chars = rb.nonprincipal_characters(5)
-        gammas = {c: 2.0 for c in chars}
-        with pytest.raises(ValueError):
-            independence_scenario(5, 0.75, gammas)
-
-    def test_rationally_dependent_sees_fewer(self):
-        from racebarrier.race_simulator import independence_scenario
-
-        chars = rb.nonprincipal_characters(5)
-        dependent = {c: 2.0 ** (i + 1) for i, c in enumerate(chars)}  # gamma_{i+1} = 2 gamma_i
-        prof = independence_scenario(5, 0.75, dependent, u0=50, u1=20000, n=200000)
-        assert len(prof.ordering_histogram) < 24
-
-    def test_wrong_character_set_rejected(self):
-        from racebarrier.race_simulator import independence_scenario
-
-        chars = rb.nonprincipal_characters(5)
-        with pytest.raises(ValueError):
-            independence_scenario(5, 0.75, {chars[0]: 1.0})
