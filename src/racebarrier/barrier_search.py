@@ -43,8 +43,9 @@ from .residue_group import (
     check_residue,
     factorize,
     mod_div,
-    multiplicative_order,
     unit_group_structure,
+    unravel,
+    vector_order,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -107,6 +108,13 @@ class ZeroSpec:
     @property
     def rho(self) -> complex:
         return complex(self.sigma, self.gamma)
+
+
+# The constructions draw their zeros from this cache: the barriers of one
+# modulus repeat a few (character, sigma, gamma, multiplicity), so each is
+# checked and built once and then shared.  typed=True keeps gamma 1000 and
+# 1000.0 apart, since a barrier file writes them differently.
+_zero_spec = lru_cache(maxsize=4096, typed=True)(ZeroSpec)
 
 
 @dataclass(frozen=True, init=False)
@@ -258,6 +266,15 @@ def _power(chars, chi: DirichletCharacter, i: int) -> DirichletCharacter:
     return chars[row]
 
 
+def _powers(chars, chi: DirichletCharacter) -> list[DirichletCharacter]:
+    """chi, chi**2, ..., chi**(ord - 1), taken from the character group in one
+    pass over chi's exponent vector."""
+    rows = [0] * (chi.order - 1)
+    for h, s in zip(chi.exponents, chars.orders):
+        rows = [row * s + h * p % s for p, row in enumerate(rows, 1)]
+    return list(map(chars.__getitem__, rows))
+
+
 def _multiples(n: int, l: int) -> range:
     """The rows h in [1, n) with h l ≡ 0 (mod n), ascending."""
     step = n // math.gcd(l, n)
@@ -360,8 +377,7 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
         rows = _multiples(n, index[res[k]]) if cyclic else nonprinc
         row = _power_row(cols[i], cols[j], cols[k], rows)
         if row is not None:
-            chi = chars[row]
-            return package((i, j, k), "power", (_power(chars, chi, p) for p in range(1, chi.order)))
+            return package((i, j, k), "power", _powers(chars, chars[row]))
     return None
 
 
@@ -414,8 +430,8 @@ def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -
     # D1 = phi(q)(pi_{b1} - pi_{b2}) keeps the sign of cos C* on the locked set
     excluded = (b2, b3, b1) if sign > 0 else (b1, b3, b2)
 
-    zeros = [ZeroSpec(chi, p.sigma1, t, 1) for chi in found.characters]
-    zeros.append(ZeroSpec(found.chi2, p.sigma2, 2.0 * t, 1))
+    zeros = [_zero_spec(chi, p.sigma1, t, 1) for chi in found.characters]
+    zeros.append(_zero_spec(found.chi2, p.sigma2, 2.0 * t, 1))
     barrier = Barrier(
         triple=D,
         permutation=found.permutation,
@@ -444,7 +460,7 @@ def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -
 # second construction: search
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpacingCharacter:
     permutation: tuple[int, int, int]
     relabeled_triple: tuple[int, int, int]
@@ -455,6 +471,13 @@ class SpacingCharacter:
     c2: int
     base_modulus: int  # m in the witness search
     witness_k: int
+
+    def __init__(self, permutation: tuple[int, int, int], relabeled_triple: tuple[int, int, int],
+                 chi: DirichletCharacter, d1: Fraction, d2: Fraction, c1: int, c2: int,
+                 base_modulus: int, witness_k: int) -> None:
+        self.__dict__.update(permutation=permutation, relabeled_triple=relabeled_triple,
+                             chi=chi, d1=d1, d2=d2, c1=c1, c2=c2, base_modulus=base_modulus,
+                             witness_k=witness_k)
 
 
 _SMALL_PRIME_SET = frozenset((3, 7, 13))
@@ -485,10 +508,14 @@ def find_spacing_character(D: RaceTriple) -> SpacingCharacter | None:
     singleton equal-sum set, and construction I has decided the triple.
     """
     q, res = D.q, D.residues
-    # ord(x) = ord(1/x): a triple has three ratio orders, shared by every relabeling
+    group = unit_group_structure(q)
+    index, orders = group.index, group.orders
+    # ord(x) = ord(1/x): a triple has three ratio orders, shared by every
+    # relabeling, each read from the dlog index of a product of units
     order = {}
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        order[i, j] = order[j, i] = multiplicative_order(q, res[j] * pow(res[i], -1, q) % q)
+        x = res[j] * pow(res[i], -1, q) % q
+        order[i, j] = order[j, i] = vector_order(unravel(index[x], orders), orders)
 
     def ratio_orders(perm):
         i, j, k = perm
@@ -518,11 +545,11 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
     p^(e+1) does not divide s2, or r = s1 in {39, 91, 273} with s2 | 273.
     None where exactly two values coincide (chi2(b2/b1) = e(1/m), m >= 3).
     """
-    q = D.q
+    q, res = D.q, D.residues
     chars = character_group(q)
-    b1, b2, b3 = (D.residues[i] for i in perm)
-    ratio21 = b2 * pow(b1, -1, q) % q
-    ratio32 = b3 * pow(b2, -1, q) % q
+    table = character_table(q)
+    i1, i2, i3 = perm
+    ratio21 = res[i2] * pow(res[i1], -1, q) % q
     r_primes = [p] if p is not None else [f for f, _ in factorize(r)]
     chi1 = _pair_constraint_character(q, ratio21, r, s1, s2, r_primes)
     if p is not None:
@@ -533,8 +560,9 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
     else:
         chi2 = chi1
         m = r
-    n = chi2.group.exponent
-    k32 = chi2.angle_numerator(ratio32)
+    n = table.exponent
+    col2, col3 = table.columns((res[i2], res[i3]))
+    k32 = (col3[chi2.index] - col2[chi2.index]) % n  # chi2(b3/b2) = e(k32 / n)
     assert k32 * m % n == 0  # chi2(b3/b2) is an m-th root of unity
     j_good = k32 * m // n + 1
     if j_good in (1, m):
@@ -583,7 +611,7 @@ def _assemble_spacing(D: RaceTriple, chi: DirichletCharacter, m: int, k: int):
 # second construction: inequality check and barrier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CrossingInequality:
     ok: bool
     margin: float
@@ -592,27 +620,43 @@ class CrossingInequality:
     lambda1: float
     lambda2: float
 
+    def __init__(self, ok: bool, margin: float, z1: float, z2: float, lambda1: float,
+                 lambda2: float) -> None:
+        self.__dict__.update(ok=ok, margin=margin, z1=z1, z2=z2, lambda1=lambda1,
+                             lambda2=lambda2)
+
 
 def verify_crossing_inequality(c1: int, c2: int, d1, d2) -> CrossingInequality:
-    """z1 + z2 < pi (d1 + d2) with z_j the envelope zero crossings."""
-    lam1 = (c2 / c1) * math.cos(math.pi * float(d1))
-    lam2 = (c2 / c1) * math.cos(math.pi * float(d2))
+    """z1 + z2 < pi (d1 + d2) with z_j the envelope zero crossings.
+
+    Each gap enters as numerator / denominator of its integer ratio, the
+    quotient float() returns."""
+    (n1, m1), (n2, m2) = d1.as_integer_ratio(), d2.as_integer_ratio()
+    f1, f2 = n1 / m1, n2 / m2
+    lam1 = (c2 / c1) * math.cos(math.pi * f1)
+    lam2 = (c2 / c1) * math.cos(math.pi * f2)
     z1 = sim.v_lambda(lam1)  # raises if lam outside (0, 1)
     z2 = sim.v_lambda(lam2)
-    margin = math.pi * (float(d1) + float(d2)) - (z1 + z2)
+    margin = math.pi * (f1 + f2) - (z1 + z2)
     return CrossingInequality(margin > 0.0, margin, z1, z2, lam1, lam2)
 
 
 def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierParams) -> Barrier:
     """Zero of order c1 for chi and order c2 for chi^2 at double height.
 
-    The declared gaps are checked against chi's angle numerators k1, k2, k3
-    on the relabeled triple, read from the table columns: (k2 - k1) mod n
-    over n must equal d1 mod 1 and (k3 - k2) mod n over n d2 mod 1, by
-    integer cross-multiplication with d's numerator and denominator.
+    The gap pair d = n / m must lie in the admissible spacing set, d1 <= d2
+    and `gaps_ok` over their common denominator, before the crossing
+    inequality reads it.  The declared gaps are checked against chi's angle
+    numerators k1, k2, k3 on the relabeled triple, read from the table
+    columns: (k2 - k1) mod n over n must equal d1 mod 1 and (k3 - k2) mod n
+    over n d2 mod 1, by integer cross-multiplication.
     """
     p = params
     d1, d2 = spacing.d1, spacing.d2
+    (n1, m1), (n2, m2) = d1.as_integer_ratio(), d2.as_integer_ratio()
+    m = math.lcm(m1, m2)
+    if not (n1 * m2 <= n2 * m1 and gaps_ok(n1 * (m // m1), n2 * (m // m2), m)):
+        raise ConstructionError(f"gap pair {(d1, d2)} outside the admissible spacing set")
     ineq = verify_crossing_inequality(spacing.c1, spacing.c2, d1, d2)
     if not ineq.ok:
         raise ConstructionError(f"spacing inequality failed, margin {ineq.margin}")
@@ -621,8 +665,7 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
     n, row = table.exponent, chi.index
     x1, x2, x3 = table.columns(spacing.relabeled_triple)
     k1, k2, k3 = x1[row], x2[row], x3[row]
-    if ((k2 - k1) % n * d1.denominator != d1.numerator % d1.denominator * n
-            or (k3 - k2) % n * d2.denominator != d2.numerator % d2.denominator * n):
+    if (k2 - k1) % n * m1 != n1 % m1 * n or (k3 - k2) % n * m2 != n2 % m2 * n:
         raise ConstructionError("character values do not realize the declared gaps")
     if (spacing.c1, spacing.c2) != multiplicities_for(d1, d2):
         raise ConstructionError("multiplicities inconsistent with the gap pair")
@@ -636,8 +679,8 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
         raise ConstructionError("need 1/2 <= beta1 < alpha <= sigma")
     b1, b2, b3 = spacing.relabeled_triple
     zeros = (
-        ZeroSpec(chi, alpha_sigma, gamma, spacing.c1),
-        ZeroSpec(chi_sq, alpha_sigma, 2.0 * gamma, spacing.c2),
+        _zero_spec(chi, alpha_sigma, gamma, spacing.c1),
+        _zero_spec(chi_sq, alpha_sigma, 2.0 * gamma, spacing.c2),
     )
     barrier = Barrier(
         triple=D,
@@ -650,8 +693,8 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
         parameters={
             "alpha": alpha_sigma,
             "gamma": gamma,
-            "d1": [d1.numerator, d1.denominator],
-            "d2": [d2.numerator, d2.denominator],
+            "d1": [n1, m1],
+            "d2": [n2, m2],
             "c1": spacing.c1,
             "c2": spacing.c2,
             "witness_m": spacing.base_modulus,
@@ -667,7 +710,7 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
         },
     )
     assert barrier.size == spacing.c1 + spacing.c2 <= 14
-    if 3 * d1.numerator > d1.denominator:  # d1 > 1/3
+    if 3 * n1 > m1:  # d1 > 1/3
         assert barrier.size == 3
     return barrier
 
@@ -872,7 +915,7 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
         for c in chars:
             mult = max(0, round(q_denom * nu[c]))
             if mult > 0:
-                zeros.append(ZeroSpec(c, sigma1, kk * gamma, mult))
+                zeros.append(_zero_spec(c, sigma1, kk * gamma, mult))
     if not zeros:
         raise ConstructionError("all rationalized multiplicities vanished; raise Q")
 

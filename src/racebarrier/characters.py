@@ -44,6 +44,12 @@ class DirichletCharacter:
             raise ValueError("exponent vector length mismatch")
         if any(not 0 <= h < s for h, s in zip(self.exponents, group.orders)):
             raise ValueError("exponents out of range")
+        # the dataclass hash of (q, exponents), computed once: the shared zero
+        # records are looked up by character
+        self.__dict__["_hash"] = hash((self.q, self.exponents))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def group(self):
@@ -303,7 +309,8 @@ def _pair_constraint_character(q: int, b: int, r: int, s1: int, s2: int,
 
     chi1 with chi1(b) = e(1/s1) solves one unit combination; the result is
     chi1^(k) with k = (s1 / r) x u, where s2 = v u splits off the primes of
-    r into v and x = u^-1 mod r, built as one character.
+    r into v and x = u^-1 mod r, read as a row of `character_group(q)`.
+    b must be a unit mod q; it is not validated again.
     """
     v = 1
     for p in r_primes:
@@ -311,9 +318,14 @@ def _pair_constraint_character(q: int, b: int, r: int, s1: int, s2: int,
             v *= p
     u = s2 // v
     group = unit_group_structure(q)
-    h = _solve_unit_combination(s1, [fi * s1 // s for fi, s in zip(dlog_vector(q, b), group.orders)])
+    orders = group.orders
+    f = unravel(group.index[b], orders)
+    h = _solve_unit_combination(s1, [fi * s1 // s for fi, s in zip(f, orders)])
     k = s1 // r * pow(u, -1, r) * u
-    chi = DirichletCharacter(q, tuple(hi * k % s for hi, s in zip(h, group.orders)))
+    row = 0
+    for hi, s in zip(h, orders):
+        row = row * s + hi * k % s
+    chi = character_group(q)[row]
     assert chi.angle_numerator(b) * r == group.exponent  # chi(b) = e(1/r)
     return chi
 

@@ -415,14 +415,26 @@ def v_lambda(lam: float) -> float:
     return math.acos(2.0 * lam / (1.0 + math.sqrt(1.0 + 8.0 * lam * lam)))
 
 
-@lru_cache(maxsize=4096)
 def envelope_min(d1, d2, c1: int, c2: int, grid: int = 1 << 16, refinements: int = 3):
     """delta > 0 and the worst y with min(g1(y), g2(y - pi(d1+d2))) <= -delta for all y.
 
     g_j(y) = c1 sin(pi d_j) cos y + (c2/2) sin(2 pi d_j) cos 2y.  Dense grid over
     one period followed by local refinement around the argmax of the min.
+    Each gap enters as numerator / denominator of its integer ratio, the
+    quotient float() returns, and the result is cached on those integers.
     """
-    d1f, d2f = float(d1), float(d2)
+    delta, best_y = _envelope_min(*d1.as_integer_ratio(), *d2.as_integer_ratio(), c1, c2,
+                                  grid, refinements)
+    if delta <= 0.0:
+        raise ArithmeticError(f"envelope maximum {-delta} is not negative for {(d1, d2, c1, c2)}")
+    return delta, best_y
+
+
+@lru_cache(maxsize=4096)
+def _envelope_min(n1: int, m1: int, n2: int, m2: int, c1: int, c2: int, grid: int,
+                  refinements: int) -> tuple[float, float]:
+    """`envelope_min` on the gaps n1 / m1 and n2 / m2, with delta unchecked."""
+    d1f, d2f = n1 / m1, n2 / m2
     shift = math.pi * (d1f + d2f)
 
     def g(dj, y):
@@ -445,10 +457,7 @@ def envelope_min(d1, d2, c1: int, c2: int, grid: int = 1 << 16, refinements: int
         c1 * math.sin(math.pi * d2f) * math.cos(best_y - shift)
         + 0.5 * c2 * math.sin(2 * math.pi * d2f) * math.cos(2 * (best_y - shift)),
     )
-    delta = -worst
-    if delta <= 0.0:
-        raise ArithmeticError(f"envelope maximum {worst} is not negative for {(d1, d2, c1, c2)}")
-    return delta, best_y
+    return -worst, best_y
 
 
 def envelope3_max(grid: int = 10**6):

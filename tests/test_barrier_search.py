@@ -19,6 +19,7 @@ from racebarrier.barrier_search import (
     RaceTriple,
     SpacingCharacter,
     ZeroSpec,
+    _zero_spec,
     barrier_from_dict,
     barrier_to_dict,
     construction_one,
@@ -32,7 +33,13 @@ from racebarrier.barrier_search import (
     solve_lambda_system,
     verify_crossing_inequality,
 )
-from racebarrier.characters import DirichletCharacter, nonprincipal_characters
+from racebarrier.characters import (
+    DirichletCharacter,
+    _pair_constraint_character,
+    character_group,
+    character_pair_constraint,
+    nonprincipal_characters,
+)
 from racebarrier.race_simulator import MainTermConfig, pair_diff_grid, simulate
 from racebarrier.residue_group import unit_group_structure
 
@@ -84,9 +91,10 @@ _EQUAL_SUM_7_REPR = (
 
 
 class TestRecordContract:
-    """RaceTriple, EqualSumSet, ZeroSpec and Barrier set their fields with one
-    __dict__ update but keep the frozen dataclass contract: no assignment,
-    generated __eq__/__hash__/__repr__, fields/replace and every check."""
+    """RaceTriple, EqualSumSet, ZeroSpec, Barrier, SpacingCharacter and
+    CrossingInequality set their fields with one __dict__ update but keep the
+    frozen dataclass contract: no assignment, generated
+    __eq__/__hash__/__repr__, fields/replace and every check."""
 
     @pytest.fixture(scope="class")
     def barrier7(self):
@@ -98,9 +106,13 @@ class TestRecordContract:
             "equal_sum": (find_equal_sum_set(RaceTriple(7, 1, 2, 5)), "family"),
             "zero": (barrier7.zeros[0], "sigma"),
             "barrier": (barrier7, "beta1"),
+            "spacing": (find_spacing_character(RaceTriple(23, 2, 3, 4)), "d1"),
+            "crossing": (verify_crossing_inequality(1, 2, Fraction(2, 5), Fraction(2, 5)),
+                         "margin"),
         }
 
-    @pytest.mark.parametrize("kind", ["triple", "equal_sum", "zero", "barrier"])
+    @pytest.mark.parametrize("kind", ["triple", "equal_sum", "zero", "barrier", "spacing",
+                                      "crossing"])
     def test_assignment_raises(self, barrier7, kind):
         record, name = self._records(barrier7)[kind]
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -110,7 +122,8 @@ class TestRecordContract:
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.unknown = 0
 
-    @pytest.mark.parametrize("kind", ["triple", "equal_sum", "zero", "barrier"])
+    @pytest.mark.parametrize("kind", ["triple", "equal_sum", "zero", "barrier", "spacing",
+                                      "crossing"])
     def test_fields_replace_and_equality(self, barrier7, kind):
         record, _ = self._records(barrier7)[kind]
         names = [f.name for f in dataclasses.fields(record)]
@@ -353,17 +366,18 @@ class TestFindSpacingCharacter:
         ((23, 2, 3, 4), "II"),
     ])
     def test_three_ratio_orders_per_triple(self, monkeypatch, triple, construction):
-        """ord(x) = ord(1/x), so the six relabelings share three ratio orders."""
+        """ord(x) = ord(1/x), so the six relabelings share three ratio orders,
+        each one order computation on a dlog vector."""
         from racebarrier import barrier_search
 
         calls = []
-        order = barrier_search.multiplicative_order
+        order = barrier_search.vector_order
 
-        def counted(q, b):
-            calls.append(b)
-            return order(q, b)
+        def counted(vec, orders):
+            calls.append(vec)
+            return order(vec, orders)
 
-        monkeypatch.setattr(barrier_search, "multiplicative_order", counted)
+        monkeypatch.setattr(barrier_search, "vector_order", counted)
         assert find_barrier(RaceTriple(*triple)).construction == construction
         assert len(calls) == 3
 
@@ -438,6 +452,22 @@ class TestConstructionTwo:
             Fraction(12, 37), Fraction(16, 37), 3, 5, 37, 1,
         )
         with pytest.raises(ConstructionError):
+            construction_two(D, bad, BarrierParams())
+
+    @pytest.mark.parametrize("triple, d1, d2", [
+        # d1 > 1/3 alone made multiplicities_for answer (1, 2), and the barrier was emitted
+        ((1, 6, 7), Fraction(5, 12), Fraction(1, 2)),
+        # lambda1 = 2 cos(pi / 4) > 1 raised a bare ValueError from v_lambda
+        ((1, 8, 9), Fraction(1, 4), Fraction(5, 12)),
+    ])
+    def test_gaps_outside_the_admissible_set_rejected(self, triple, d1, d2):
+        """Gaps the character values realize, but outside the spacing set."""
+        D = RaceTriple(13, *triple)
+        chi = DirichletCharacter(13, (1,))
+        k1, k2, k3 = (chi.evaluate(a) for a in triple)
+        assert ((k2 - k1) % 1, (k3 - k2) % 1) == (d1, d2)
+        bad = SpacingCharacter((0, 1, 2), triple, chi, d1, d2, 1, 2, 3, 1)
+        with pytest.raises(ConstructionError, match="outside the admissible spacing set"):
             construction_two(D, bad, BarrierParams())
 
     def test_envelope_negative_on_main_terms(self):
@@ -688,6 +718,61 @@ def test_cold_large_modulus_stays_small():
                          capture_output=True, text=True, timeout=300).stdout
     peak = int(out.split()[-1])
     assert peak < 40 * 2**20, peak
+
+
+def test_finite_query_imports_no_gsh_module():
+    """A finite find_barrier, run in a fresh interpreter, compiles none of the
+    GSH modules."""
+    script = (
+        "import sys\n"
+        "from racebarrier.barrier_search import RaceTriple, find_barrier\n"
+        "for t in ((7, 1, 2, 5), (23, 2, 3, 4), (19, 2, 3, 14)):\n"
+        "    find_barrier(RaceTriple(*t))\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('racebarrier.'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(Path(rb.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    loaded = out.split()
+    assert "racebarrier.barrier_search" in loaded
+    assert not {"racebarrier.gsh_phases", "racebarrier.gsh_family"} & set(loaded), loaded
+
+
+class TestSharedRecords:
+    """The searches read characters as the character group's own row objects,
+    and the constructions share one ZeroSpec per distinct set of arguments."""
+
+    @staticmethod
+    def assert_rows(chars):
+        for chi in chars:
+            assert chi is character_group(chi.q)[chi.index], chi
+
+    def test_spacing_route_character_and_powers(self):
+        for t in ((23, 2, 3, 4), (79, 1, 9, 2), (191, 125, 36, 180), (149, 24, 133, 20)):
+            D = RaceTriple(*t)
+            spacing = find_spacing_character(D)
+            barrier = construction_two(D, spacing, BarrierParams())
+            self.assert_rows([spacing.chi, *(z.character for z in barrier.zeros)])
+        # the route's character, also through the validating public entry
+        chi = _pair_constraint_character(13, 3, 3, 3, 6, [3])
+        self.assert_rows([chi, character_pair_constraint(13, 3, 4, 3)])
+
+    def test_power_family_members(self):
+        for t in ((401, 1, 72, 372), (29, 1, 7, 16)):
+            found = find_equal_sum_set(RaceTriple(*t))
+            assert found.family == "power"
+            chi = found.characters[0]
+            assert found.characters == tuple(chi**p for p in range(1, chi.order))
+            self.assert_rows(found.characters)
+
+    def test_equal_zero_arguments_share_one_record(self):
+        chi = character_group(7)[3]
+        z = _zero_spec(chi, 0.501, 1000.0, 1)
+        assert z is _zero_spec(chi, 0.501, 1000.0, 1) == ZeroSpec(chi, 0.501, 1000.0, 1)
+        assert _zero_spec(chi, 0.501, 1000, 1) is not z  # written as 1000, not 1000.0
+        a, b = find_barrier(RaceTriple(7, 1, 2, 5)), find_barrier(RaceTriple(7, 2, 1, 5))
+        assert a.zeros == b.zeros and all(x is y for x, y in zip(a.zeros, b.zeros))
 
 
 class TestSerialization:

@@ -492,7 +492,9 @@ def test_construction_two_rejects_what_the_fraction_path_rejects():
     """Tampered spacing data (the conjugate character, swapped gaps, other
     multiplicities) meets the same check, with the same outcome, in the
     integer and the Fraction construction II, on every q = 23 triple with a
-    spacing character."""
+    spacing character.  The one exception is a swapped pair with d1 > d2:
+    the integer path rejects it first as outside the admissible spacing set,
+    where the Fraction path, which had no such check, rejected it later."""
     params = BarrierParams()
 
     def outcome(build, D, spacing):
@@ -513,11 +515,19 @@ def test_construction_two_rejects_what_the_fraction_path_rejects():
             dataclasses.replace(spacing, c1=3, c2=5),
         ):
             got = outcome(construction_two, D, tampered)
-            assert got == outcome(frozen_construction_two, D, tampered), (D, tampered)
+            frozen = outcome(frozen_construction_two, D, tampered)
+            if tampered.d1 > tampered.d2:
+                assert frozen.startswith("ConstructionError"), (D, tampered)
+                assert got == (f"ConstructionError: gap pair {(tampered.d1, tampered.d2)} "
+                               "outside the admissible spacing set"), (D, tampered)
+                got = "ConstructionError: outside the admissible spacing set"
+            else:
+                assert got == frozen, (D, tampered)
             outcomes[got if got.startswith("ConstructionError") else "barrier"] += 1
     assert outcomes.keys() >= {
         "barrier", "ConstructionError: character values do not realize the declared gaps",
         "ConstructionError: multiplicities inconsistent with the gap pair",
+        "ConstructionError: outside the admissible spacing set",
     }, outcomes
 
 
@@ -558,6 +568,28 @@ def test_frozen_comparison_reaches_every_family_and_spacing_outcome():
         D = RaceTriple(*t)
         assert isinstance(frozen_find_spacing_character(D), kind)
         assert outcome(find_spacing_character, D) == outcome(frozen_spacing_outcome, D)
+
+
+@pytest.mark.parametrize("triple, gaps, multiplicities, size", [
+    ((191, 125, 36, 180), (Fraction(6, 19), Fraction(9, 19)), (5, 9), 14),
+    ((149, 24, 133, 20), (Fraction(12, 37), Fraction(16, 37)), (3, 5), 8),
+])
+def test_exceptional_spacing_pairs_end_to_end(triple, gaps, multiplicities, size):
+    """The search itself reaches both exceptional gap pairs, which no q <= 50
+    triple does: the barriers equal the frozen Fraction path byte for byte,
+    and at u0 = 2e5, over ten periods of the lowest ordinate, no sample
+    shows the excluded ordering by more than the remainder."""
+    D = RaceTriple(*triple)
+    barrier = find_barrier(D)
+    params = barrier.parameters
+    assert barrier.construction == "II" and barrier.size == size
+    assert (Fraction(*params["d1"]), Fraction(*params["d2"])) == gaps
+    assert (params["c1"], params["c2"]) == multiplicities
+    assert barrier_bytes(barrier) == barrier_bytes(
+        frozen_barrier_past_the_equal_sum_search(D, BarrierParams()))
+    gamma = min(z.gamma for z in barrier.zeros)
+    profile = sim.simulate(barrier, 2e5, 2e5 + 10 * 2 * math.pi / gamma, 4000)
+    assert profile.excluded_robust == 0 and profile.margin > profile.remainder
 
 
 # ---------------------------------------------------------------------------
