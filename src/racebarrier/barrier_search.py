@@ -50,7 +50,7 @@ from .residue_group import (
 
 TWO_PI = 2.0 * math.pi
 B_SNAP = 1e-12  # treat the phase offset as exactly zero below this
-NE_SLACK = 1e-9  # float slack before escalating an (in)equality to high precision
+IM_DET_FLOOR = 1e-9  # an imaginary determinant at or below this is passed over
 
 
 class ConstructionError(RuntimeError):
@@ -726,21 +726,25 @@ class DeterminantWitness:
     k: int
 
 
-def _distinct(lhs: float, rhs: float, lhs_exact, rhs_exact) -> bool:
-    """Float inequality with high-precision escalation on near ties."""
-    if abs(lhs - rhs) > NE_SLACK:
-        return True
-    import mpmath as mp
-
-    with mp.workdps(50):
-        return abs(lhs_exact() - rhs_exact()) > mp.mpf("1e-40")
+def _cosines_distinct(n: int, k1: int, k2: int, k3: int) -> bool:
+    """Whether the real determinant, 2 (c3 - c2)(c2 - c1)(c1 - c3) with
+    c_i = cos 2 pi k_i / n (cos 2x = 2c^2 - 1), is nonzero: no two k_i agree
+    up to sign mod n.  A nonzero value is at least 1024 / n^6, since
+    |c_i - c_j| = 2 |sin pi (k_i + k_j) / n  sin pi (k_i - k_j) / n| >= 8 / n^2."""
+    return all((x - y) % n and (x + y) % n for x, y in ((k1, k2), (k2, k3), (k3, k1)))
 
 
-def _mp_trig(angle: Fraction, kind: str):
-    import mpmath as mp
+def _imag_det(roots, n: int, h: int, k: int, k1: int, k2: int, k3: int) -> float:
+    """Float imaginary determinant of the powers (h, k): Im of chi^p(a_i) read
+    as roots[p k_i % n].  Each root's angle is within 19 u of exact
+    (u = 2^-53), so each sine within 21 u, each difference within 44 u, each
+    product of two within 180 u and the determinant within 370 u < 5e-14."""
 
-    x = 2 * mp.pi * mp.mpf(angle.numerator) / angle.denominator
-    return mp.cos(x) if kind == "cos" else mp.sin(x)
+    def im_diff(power: int, kx: int, ky: int) -> float:
+        return roots[power * kx % n].imag - roots[power * ky % n].imag
+
+    return (im_diff(h, k3, k2) * im_diff(k, k2, k1)
+            - im_diff(h, k2, k1) * im_diff(k, k3, k2))
 
 
 def find_order7_character(D: RaceTriple) -> DeterminantWitness:
@@ -748,46 +752,26 @@ def find_order7_character(D: RaceTriple) -> DeterminantWitness:
 
     Applicable whenever the first construction's search failed; any character
     nontrivial on a2/a1 then works and has order at least 7, which is asserted.
-    Values of chi^p are read as roots[p k % n] for chi(x) = e(k / n), k from
-    the table columns of D's residues.
+    With chi(a_i) = e(k_i / n), k_i from the table columns of D's residues,
+    the real test is exact (`_cosines_distinct`).  The imaginary test of a
+    pair (h, k) is certified: it passes when the float determinant exceeds
+    IM_DET_FLOOR = 1e-9 in absolute value, far above its error (< 5e-14, see
+    `_imag_det`), and a pair below the floor is passed over.
     """
     chars = character_group(D.q)
     table = character_table(D.q)
     n, roots = table.exponent, table.roots
     x1, x2, x3 = table.columns(D.residues)
     ratio21 = mod_div(D.q, D.a2, D.a1)
-
-    def re_diff(power: int, kx: int, ky: int) -> float:
-        return roots[power * kx % n].real - roots[power * ky % n].real
-
-    def im_diff(power: int, kx: int, ky: int) -> float:
-        return roots[power * kx % n].imag - roots[power * ky % n].imag
-
-    def mp_diff(kind: str, power: int, kx: int, ky: int):
-        return (_mp_trig(Fraction(power * kx % n, n), kind)
-                - _mp_trig(Fraction(power * ky % n, n), kind))
-
     for ci in range(1, len(chars)):  # row 0 is the principal character
         chi = chars[ci]
         if chi.angle_numerator(ratio21) == 0:
             continue
         k1, k2, k3 = x1[ci], x2[ci], x3[ci]
-        ok_real = _distinct(
-            re_diff(1, k3, k2) * re_diff(2, k2, k1),
-            re_diff(1, k2, k1) * re_diff(2, k3, k2),
-            lambda: mp_diff("cos", 1, k3, k2) * mp_diff("cos", 2, k2, k1),
-            lambda: mp_diff("cos", 1, k2, k1) * mp_diff("cos", 2, k3, k2),
-        )
-        if not ok_real:
+        if not _cosines_distinct(n, k1, k2, k3):
             continue
         for h, k in ((1, 2), (1, 3), (2, 3)):
-            ok_imag = _distinct(
-                im_diff(h, k3, k2) * im_diff(k, k2, k1),
-                im_diff(h, k2, k1) * im_diff(k, k3, k2),
-                lambda h=h, k=k: mp_diff("sin", h, k3, k2) * mp_diff("sin", k, k2, k1),
-                lambda h=h, k=k: mp_diff("sin", h, k2, k1) * mp_diff("sin", k, k3, k2),
-            )
-            if ok_imag:
+            if abs(_imag_det(roots, n, h, k, k1, k2, k3)) > IM_DET_FLOOR:
                 if chi.order < 7:
                     raise ConstructionError(
                         f"determinant witness has order {chi.order} < 7: "
@@ -889,13 +873,16 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
         for x, y in ((x1, x2), (x2, x3))
     )
 
-    # the first Q = 10^k within epsilon that leaves the verdict margin positive
+    # the first Q = 10^k within epsilon that leaves the verdict margin positive;
+    # lambda takes at most nine distinct values (the shift y, and y plus each
+    # bump), and a max over them is the max over all phi - 1
+    values1, values2 = set(nu1.values()), set(nu2.values())
     q_denom = None
     errs = None
     for power in range(p.q_cap_power10 + 1):
         qq = 10**power
-        e1 = max(abs(v - round(qq * v) / qq) for v in nu1.values())
-        e2 = max(abs(v - round(qq * v) / qq) for v in nu2.values())
+        e1 = max(abs(v - round(qq * v) / qq) for v in values1)
+        e2 = max(abs(v - round(qq * v) / qq) for v in values2)
         errs = (e1, e2)
         if max(e1, e2) < p.epsilon and 1.0 - 2.0 * max(e1, e2) * scale > 0:
             q_denom = qq
@@ -1022,14 +1009,22 @@ def _h_lower_bounds(alpha: float, beta_phase: float, js: np.ndarray) -> np.ndarr
     return np.where(in_band, 0, lo.astype(np.int64))
 
 
-def _first_h_offsets(in_h_set, js: np.ndarray, lo: np.ndarray) -> np.ndarray:
+def _in_h(hs: np.ndarray, alpha: float, beta_phase: float) -> np.ndarray:
+    """Float membership of each h in H = {h : ||h alpha + beta_phase|| <= 1/5},
+    the one test that construction_gsh and the load check both use."""
+    frac = hs * alpha + beta_phase
+    return np.abs(frac - np.round(frac)) <= 0.2
+
+
+def _first_h_offsets(alpha: float, beta_phase: float, js: np.ndarray,
+                     lo: np.ndarray) -> np.ndarray:
     """Offset k of the first member j^2 + k of H in each window [j^2, j^2 + j],
     -1 where the window misses H.
 
     Each window is probed from its certified lower bound lo_j: offsets
     [lo_j + pos, lo_j + pos + width) of every window with no hit yet at once,
     doubling the width each round, in blocks of at most _H_BLOCK elements.
-    in_h_set alone decides membership.
+    _in_h alone decides membership.
     """
     first = np.full(js.size, -1, dtype=np.int64)
     unresolved = np.flatnonzero(lo <= js)
@@ -1041,7 +1036,7 @@ def _first_h_offsets(in_h_set, js: np.ndarray, lo: np.ndarray) -> np.ndarray:
             idx = unresolved[s:s + rows]
             jj = js[idx, None]
             ks = lo[idx, None] + offsets
-            hits = in_h_set(jj * jj + ks) & (ks <= jj)
+            hits = _in_h(jj * jj + ks, alpha, beta_phase) & (ks <= jj)
             hit = hits.any(axis=1)
             first[idx[hit]] = lo[idx[hit]] + pos + hits[hit].argmax(axis=1)
         pos += width
@@ -1161,12 +1156,8 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
     if max_gap is None or max_gap > bound:
         raise ConstructionError(f"H gaps exceed {bound}: {max_gap}")
 
-    def in_h_set(hs: np.ndarray) -> np.ndarray:
-        frac = hs * alpha + beta_phase
-        return np.abs(frac - np.round(frac)) <= 0.2
-
     js = np.arange(1, j_max + 1, dtype=np.int64)
-    first = _first_h_offsets(in_h_set, js, _h_lower_bounds(alpha, beta_phase, js))
+    first = _first_h_offsets(alpha, beta_phase, js, _h_lower_bounds(alpha, beta_phase, js))
     in_h = first >= 0
     missed = np.flatnonzero(~in_h & (js >= 10.0 * t))
     if missed.size:
@@ -1315,10 +1306,8 @@ def _check_gsh(barrier: GshBarrier) -> GshBarrier:
         if off.size:
             raise ValueError(f"{name}[{off[0]}] is not {float(expected[off[0]])!r}, its value "
                              "from J, sigma2, beta, t and h_values")
-    # H membership is construction_gsh's float test
     h, js = np.asarray(barrier.h_values), np.arange(1, j_max + 1)
-    frac = h * barrier.alpha + barrier.beta_phase
-    ok = np.where(barrier.in_h, np.abs(frac - np.round(frac)) <= 0.2, h == js * js)
+    ok = np.where(barrier.in_h, _in_h(h, barrier.alpha, barrier.beta_phase), h == js * js)
     bad = np.flatnonzero(~ok | (h < js * js) | (h > js * js + js))
     if bad.size:
         raise ValueError(f"h_values[{bad[0]}] is not in window {bad[0] + 1} of H as in_h says")

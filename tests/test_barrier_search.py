@@ -11,14 +11,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import racebarrier as rb
+from racebarrier import barrier_search
 from racebarrier.barrier_search import (
+    IM_DET_FLOOR,
     BarrierParams,
     ConstructionError,
     RaceTriple,
     SpacingCharacter,
     ZeroSpec,
+    _cosines_distinct,
+    _imag_det,
     _zero_spec,
     barrier_from_dict,
     barrier_to_dict,
@@ -36,6 +42,7 @@ from racebarrier.barrier_search import (
 from racebarrier.characters import (
     DirichletCharacter,
     _pair_constraint_character,
+    _RootsOfUnity,
     character_group,
     character_pair_constraint,
     nonprincipal_characters,
@@ -493,24 +500,82 @@ class TestConstructionTwo:
         assert prof.excluded_raw == 0 and prof.robustly_excluded
 
 
-class TestDistinctEscalation:
-    def test_near_tie_resolved_at_high_precision(self):
+def mp_determinant(trig, n, h, k, k1, k2, k3):
+    """A determinant test's left minus right side at 50 digits: trig is
+    mpmath.cos (powers 1, 2) or mpmath.sin (powers h, k)."""
+    import mpmath as mp
+
+    def diff(power, kx, ky):
+        return (trig(2 * mp.pi * (power * kx % n) / n)
+                - trig(2 * mp.pi * (power * ky % n) / n))
+
+    with mp.workdps(50):
+        return diff(h, k3, k2) * diff(k, k2, k1) - diff(h, k2, k1) * diff(k, k3, k2)
+
+
+@st.composite
+def angle_triples(draw):
+    """(n, k1, k2, k3) with n <= 10^6, the k_i often equal up to sign mod n
+    or close to 0 or n/2, where the cosines nearly coincide."""
+    n = draw(st.one_of(st.integers(7, 100), st.integers(7, 10**6)))
+    near = st.one_of(st.integers(0, 3), st.integers(n // 2 - 2, n // 2 + 2),
+                     st.integers(n - 3, n - 1), st.integers(0, n - 1))
+    k1 = draw(near) % n
+    k2 = draw(st.one_of(st.just(k1), st.just(-k1 % n), near)) % n
+    k3 = draw(st.one_of(st.just(k2), st.just(-k1 % n), near)) % n
+    return n, k1, k2, k3
+
+
+class TestDeterminantTests:
+    """The exact real test and the certified imaginary test of
+    find_order7_character against 50-digit mpmath determinants."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(angle_triples())
+    def test_real_test_is_exact(self, angles):
         import mpmath as mp
 
-        from racebarrier.barrier_search import _distinct
+        n, k1, k2, k3 = angles
+        det = mp_determinant(mp.cos, n, 1, 2, k1, k2, k3)
+        # the old escalation accepted above 1e-40; a nonzero value is at least 1024 / n^6
+        distinct = _cosines_distinct(n, k1, k2, k3)
+        assert distinct == (abs(det) > mp.mpf("1e-40"))
+        if distinct:
+            assert abs(det) >= mp.mpf(1024) / mp.mpf(n) ** 6
 
-        tie = lambda: mp.mpf("0.3")
-        off = lambda: mp.mpf("0.3") + mp.mpf("1e-30")
-        assert not _distinct(0.3, 0.3 + 5e-10, tie, tie)
-        assert _distinct(0.3, 0.3 + 5e-10, tie, off)
+    @settings(max_examples=300, deadline=None)
+    @given(angle_triples(), st.sampled_from([(1, 2), (1, 3), (2, 3)]))
+    def test_imaginary_float_error_is_below_its_bound(self, angles, powers):
+        import mpmath as mp
 
-    def test_clear_gap_skips_escalation(self):
-        from racebarrier.barrier_search import _distinct
+        n, k1, k2, k3 = angles
+        h, k = powers
+        det = _imag_det(_RootsOfUnity(n), n, h, k, k1, k2, k3)
+        exact = mp_determinant(mp.sin, n, h, k, k1, k2, k3)
+        assert abs(det - exact) < 5e-14  # the bound in _imag_det's docstring
+        if abs(det) > IM_DET_FLOOR:
+            assert abs(exact) > IM_DET_FLOOR - 5e-14 > 0
 
-        def boom():
-            raise AssertionError("escalation should not run")
+    def test_pair_at_the_floor_is_passed_over(self, monkeypatch):
+        """A pair whose imaginary determinant is at the floor is passed over
+        for the next pair, without escalation.  On 19 2 3 14 the witness is
+        row 1 with (h, k) = (1, 2), and that row's other two pairs are 0."""
+        D = RaceTriple(19, 2, 3, 14)
+        w = find_order7_character(D)
+        assert (w.chi.index, w.h, w.k) == (1, 1, 2)
+        calls = []
 
-        assert _distinct(0.1, 0.5, boom, boom)
+        def first_at_floor(*args):
+            calls.append(args[2:4])
+            return IM_DET_FLOOR if len(calls) == 1 else _imag_det(*args)
+
+        monkeypatch.setattr(barrier_search, "_imag_det", first_at_floor)
+        w = find_order7_character(D)
+        assert (w.chi.index, w.h, w.k) == (2, 1, 2)
+        assert calls == [(1, 2), (1, 3), (2, 3), (1, 2)]
+        monkeypatch.setattr(barrier_search, "_imag_det", lambda *args: -IM_DET_FLOOR)
+        with pytest.raises(ConstructionError, match="no character passes"):
+            find_order7_character(D)
 
 
 class TestFindOrder7Character:

@@ -29,6 +29,7 @@ from racebarrier.barrier_search import (
     _first_h_offsets,
     _h_lower_bounds,
     _h_max_gap,
+    _in_h,
     construction_gsh,
     find_gsh_characters,
 )
@@ -135,15 +136,10 @@ class TestConstruction:
 
 def per_window_h_set(gsh):
     """The H-set search as one numpy call per window [j^2, j^2 + j]."""
-
-    def in_h_set(hs):
-        frac = hs * gsh.alpha + gsh.beta_phase
-        return np.abs(frac - np.round(frac)) <= 0.2
-
     h_values, in_h = [], []
     for j in range(1, gsh.truncation + 1):
         window = np.arange(j * j, j * j + j + 1, dtype=np.int64)
-        hits = np.flatnonzero(in_h_set(window))
+        hits = np.flatnonzero(_in_h(window, gsh.alpha, gsh.beta_phase))
         h_values.append(int(window[hits[0]]) if hits.size else j * j)
         in_h.append(bool(hits.size))
     return tuple(h_values), tuple(in_h)
@@ -176,14 +172,9 @@ class TestHSetSearch:
 def bounded_first_hits(alpha, beta_phase, truncation):
     """Lower bounds and first-hit offsets of the construction's window search
     for a synthetic phase walk h alpha + beta_phase."""
-
-    def in_h_set(hs):
-        frac = hs * alpha + beta_phase
-        return np.abs(frac - np.round(frac)) <= 0.2
-
     js = np.arange(1, truncation + 1, dtype=np.int64)
     lo = _h_lower_bounds(alpha, beta_phase, js)
-    return lo, _first_h_offsets(in_h_set, js, lo)
+    return lo, _first_h_offsets(alpha, beta_phase, js, lo)
 
 
 class TestFirstHitLowerBound:
@@ -264,8 +255,7 @@ def full_range_max_gap(gsh):
 
 def scan_max_gap(alpha, beta_phase, limit):
     hs = np.arange(limit + 1, dtype=np.int64)
-    frac = hs * alpha + beta_phase
-    return int(np.diff(np.flatnonzero(np.abs(frac - np.round(frac)) <= 0.2)).max())
+    return int(np.diff(np.flatnonzero(_in_h(hs, alpha, beta_phase))).max())
 
 
 def exact_max_circular_gap(alpha, n):
@@ -624,17 +614,25 @@ class TestExactPhases:
                 assert new_err < abs(old_d1[i] - oracle), u
                 assert new_err <= 2**-45 * scale, u
 
-    def test_runtime_imports_no_mpmath(self):
-        probe = ("import sys, racebarrier as rb\n"
+    def test_runtime_imports_no_mpmath(self, tmp_path):
+        """GSH and construction III, in the library and through the CLI, run
+        where importing mpmath fails."""
+        probe = ("import sys\n"
+                 "sys.modules['mpmath'] = None  # any import of it raises ImportError\n"
+                 "import racebarrier as rb\n"
+                 "from racebarrier.cli import main\n"
                  "g = rb.construction_gsh(rb.RaceTriple(7, 1, 2, 5),\n"
                  "                        rb.BarrierParams(truncation=2000))\n"
                  "rb.gsh_simulate(g, 1000.0, 1001.0, 50)\n"
-                 "print('mpmath' in sys.modules)")
+                 "print(rb.find_barrier(rb.RaceTriple(19, 2, 3, 14)).construction)\n"
+                 f"print(main(['barrier', '19', '2', '3', '14', '--out', {str(tmp_path / 'b.json')!r}]))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
             str(Path(rb.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True, timeout=300).stdout
-        assert out.strip() == "False"
+        lines = out.splitlines()
+        assert (lines[0], lines[-1]) == ("III", "0")
+        assert json.loads((tmp_path / "b.json").read_text())["construction"] == "III"
 
 
 class TestExactRange:

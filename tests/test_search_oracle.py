@@ -11,9 +11,13 @@ multiplicity checks on `Fraction`s, is frozen too, and every q <= 50 barrier
 past the equal-sum search is compared byte for byte with that path.  The
 frozen spacing search marks where two values coincide; there the live
 search returns None, and the equal-sum search decides the triple.
+Construction III's witness search is frozen in its float form with 50-digit
+mpmath escalation, and every q <= 50 triple that reaches it gets the same
+witness from the exact real test and the floored imaginary test.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -44,6 +48,7 @@ from racebarrier.barrier_search import (
     construction_two,
     find_barrier,
     find_equal_sum_set,
+    find_order7_character,
     find_spacing_character,
     verify_crossing_inequality,
 )
@@ -465,27 +470,126 @@ def barrier_bytes(barrier):
     return json.dumps(barrier_to_dict(barrier), sort_keys=True)
 
 
-def test_barriers_past_the_equal_sum_search_match_the_fraction_path_up_to_50():
-    """Every ordered q <= 50 triple with no equal-sum set gets the same
-    barrier bytes as the frozen Fraction path (construction II or III).
+@functools.lru_cache(maxsize=1)
+def past_the_equal_sum_search_up_to_50():
+    """Every ordered q <= 50 triple with no equal-sum set.
 
     Whether the search fails does not depend on the order of the residues,
     because every family condition is tried on each pair of them, so the
     search runs once per unordered triple."""
-    params = BarrierParams()
-    seen = Counter()
+    out = []
     for q in valid_moduli(50):
         for combo in itertools.combinations(unit_group_structure(q).units, 3):
-            if find_equal_sum_set(RaceTriple(q, *combo)) is not None:
-                continue
-            for triple in itertools.permutations(combo):
-                D = RaceTriple(q, *triple)
-                assert find_equal_sum_set(D) is None
-                barrier = find_barrier(D, params)
-                seen[barrier.construction] += 1
-                assert barrier_bytes(barrier) == barrier_bytes(
-                    frozen_barrier_past_the_equal_sum_search(D, params)), D
+            if find_equal_sum_set(RaceTriple(q, *combo)) is None:
+                out.extend(RaceTriple(q, *triple) for triple in itertools.permutations(combo))
+    return tuple(out)
+
+
+def test_barriers_past_the_equal_sum_search_match_the_fraction_path_up_to_50():
+    """Every ordered q <= 50 triple with no equal-sum set gets the same
+    barrier bytes as the frozen Fraction path (construction II or III)."""
+    params = BarrierParams()
+    seen = Counter()
+    for D in past_the_equal_sum_search_up_to_50():
+        assert find_equal_sum_set(D) is None
+        barrier = find_barrier(D, params)
+        seen[barrier.construction] += 1
+        assert barrier_bytes(barrier) == barrier_bytes(
+            frozen_barrier_past_the_equal_sum_search(D, params)), D
     assert seen == {"II": 17_760, "III": 888}
+
+
+# ---------------------------------------------------------------------------
+# construction III's witness search against its float and mpmath form
+
+
+def _frozen_distinct(lhs, rhs, lhs_exact, rhs_exact, escalations):
+    """Float inequality with high-precision escalation on near ties, each
+    escalation counted in `escalations`."""
+    if abs(lhs - rhs) > 1e-9:
+        return True
+    import mpmath as mp
+
+    escalations["mpmath"] += 1
+    with mp.workdps(50):
+        return abs(lhs_exact() - rhs_exact()) > mp.mpf("1e-40")
+
+
+def _frozen_mp_trig(angle, kind):
+    import mpmath as mp
+
+    x = 2 * mp.pi * mp.mpf(angle.numerator) / angle.denominator
+    return mp.cos(x) if kind == "cos" else mp.sin(x)
+
+
+def frozen_find_order7_character(D, escalations):
+    """The witness search as it was: both determinant tests in float, with a
+    50-digit mpmath test where a float gap is at most 1e-9.  Returns
+    (chi exponents, h, k)."""
+    chars = character_group(D.q)
+    table = character_table(D.q)
+    n, roots = table.exponent, table.roots
+    x1, x2, x3 = table.columns(D.residues)
+    ratio21 = mod_div(D.q, D.a2, D.a1)
+
+    def re_diff(power, kx, ky):
+        return roots[power * kx % n].real - roots[power * ky % n].real
+
+    def im_diff(power, kx, ky):
+        return roots[power * kx % n].imag - roots[power * ky % n].imag
+
+    def mp_diff(kind, power, kx, ky):
+        return (_frozen_mp_trig(Fraction(power * kx % n, n), kind)
+                - _frozen_mp_trig(Fraction(power * ky % n, n), kind))
+
+    for ci in range(1, len(chars)):
+        chi = chars[ci]
+        if chi.angle_numerator(ratio21) == 0:
+            continue
+        k1, k2, k3 = x1[ci], x2[ci], x3[ci]
+        ok_real = _frozen_distinct(
+            re_diff(1, k3, k2) * re_diff(2, k2, k1),
+            re_diff(1, k2, k1) * re_diff(2, k3, k2),
+            lambda: mp_diff("cos", 1, k3, k2) * mp_diff("cos", 2, k2, k1),
+            lambda: mp_diff("cos", 1, k2, k1) * mp_diff("cos", 2, k3, k2),
+            escalations,
+        )
+        if not ok_real:
+            continue
+        for h, k in ((1, 2), (1, 3), (2, 3)):
+            ok_imag = _frozen_distinct(
+                im_diff(h, k3, k2) * im_diff(k, k2, k1),
+                im_diff(h, k2, k1) * im_diff(k, k3, k2),
+                lambda h=h, k=k: mp_diff("sin", h, k3, k2) * mp_diff("sin", k, k2, k1),
+                lambda h=h, k=k: mp_diff("sin", h, k2, k1) * mp_diff("sin", k, k3, k2),
+                escalations,
+            )
+            if ok_imag:
+                if chi.order < 7:
+                    raise ConstructionError(
+                        f"determinant witness has order {chi.order} < 7: "
+                        "triple leaks into the first construction"
+                    )
+                return list(chi.exponents), h, k
+    raise ConstructionError(f"no character passes the determinant tests for {D}")
+
+
+def test_determinant_witnesses_match_the_mpmath_search_up_to_50():
+    """All 888 ordered q <= 50 triples that reach construction III get the
+    same witness (det_chi, det_h, det_k) from the exact real test and the
+    floored imaginary test as from the frozen float search with mpmath
+    escalation, and that search never escalated: every float gap there
+    exceeded 1e-9, so no imaginary determinant lies between the floors."""
+    escalations, witnesses = Counter(), Counter()
+    for D in past_the_equal_sum_search_up_to_50():
+        if find_spacing_character(D) is not None:
+            continue
+        w = find_order7_character(D)
+        assert (list(w.chi.exponents), w.h, w.k) == frozen_find_order7_character(
+            D, escalations), D
+        witnesses[w.chi.index, w.h, w.k] += 1
+    assert witnesses == {(1, 1, 2): 888}
+    assert not escalations
 
 
 def test_construction_two_rejects_what_the_fraction_path_rejects():
