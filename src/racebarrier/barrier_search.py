@@ -34,7 +34,6 @@ from .characters import (
     DirichletCharacter,
     character_group,
     _pair_constraint_character,
-    character_table,
     nonprincipal_characters,
 )
 from .goodness import gaps_ok, witness_for
@@ -258,14 +257,6 @@ def _in_subgroup(group, b: int, c: int) -> bool:
     return x == b
 
 
-def _power(chars, chi: DirichletCharacter, i: int) -> DirichletCharacter:
-    """chi**i, taken from the character group instead of built anew."""
-    row = 0
-    for h, s in zip(chi.exponents, chars.orders):
-        row = row * s + h * i % s
-    return chars[row]
-
-
 def _powers(chars, chi: DirichletCharacter) -> list[DirichletCharacter]:
     """chi, chi**2, ..., chi**(ord - 1), taken from the character group in one
     pass over chi's exponent vector."""
@@ -301,7 +292,7 @@ def _power_row(c1, c2, c3, rows) -> int | None:
 
 def _first_separating_character(D: RaceTriple, cols, i: int, j: int) -> DirichletCharacter:
     """First non-principal character with different values at D's residues
-    i and j; cols holds the table columns of D's residues."""
+    i and j; cols holds the columns of D's residues."""
     x, y = cols[i], cols[j]
     for ci in range(1, len(x)):  # row 0 is the principal character
         if x[ci] != y[ci]:
@@ -332,9 +323,8 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
     res = D.residues
     chars = character_group(q)
     group = unit_group_structure(q)
-    table = character_table(q)
-    n = table.exponent
-    cols = table.columns(res)
+    n = chars.exponent
+    cols = chars.columns(res)
     cyclic = len(group.generators) == 1
     nonprinc = range(1, len(chars))  # row 0 is the principal character
 
@@ -365,7 +355,7 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
         row = _conjugate_pair_row(chars, n, cols[i], cols[j], cols[k], rows)
         if row is not None:
             chi = chars[row]
-            return package((i, j, k), "conjugate-pair", (chi, _power(chars, chi, -1)))
+            return package((i, j, k), "conjugate-pair", (chi, chi.conjugate()))
 
     # power families {chi, ..., chi^(ord-1)}: sums depend only on chi(a) = 1 or
     # not.  No singleton exists, so no character is 1 on b1 and b2 but not on
@@ -399,9 +389,9 @@ def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -
             f"{p.beta1}, {p.sigma2}, {p.sigma1}, {p.sigma}"
         )
     b1, b2, b3 = found.relabeled_triple
-    table = character_table(D.q)
-    roots = table.roots
-    c1, c2, c3 = table.columns(found.relabeled_triple)
+    chars = character_group(D.q)
+    roots = chars.roots
+    c1, c2, c3 = chars.columns(found.relabeled_triple)
     row = found.chi2.index
     w = roots[c2[row]].conjugate() - roots[c1[row]].conjugate()
     z = 0
@@ -547,7 +537,6 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
     """
     q, res = D.q, D.residues
     chars = character_group(q)
-    table = character_table(q)
     i1, i2, i3 = perm
     ratio21 = res[i2] * pow(res[i1], -1, q) % q
     r_primes = [p] if p is not None else [f for f, _ in factorize(r)]
@@ -556,12 +545,12 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
         # reduce to chi2 with chi2(b2/b1) = e(1/m), m = p or p^2; m | r, since the
         # route skips r = p for p in {3, 7, 13}
         m = p ** (2 if p in _SMALL_PRIME_SET else 1)
-        chi2 = _power(chars, chi1, r // m)
+        chi2 = chi1 ** (r // m)
     else:
         chi2 = chi1
         m = r
-    n = table.exponent
-    col2, col3 = table.columns((res[i2], res[i3]))
+    n = chars.exponent
+    col2, col3 = chars.columns((res[i2], res[i3]))
     k32 = (col3[chi2.index] - col2[chi2.index]) % n  # chi2(b3/b2) = e(k32 / n)
     assert k32 * m % n == 0  # chi2(b3/b2) is an m-th root of unity
     j_good = k32 * m // n + 1
@@ -572,7 +561,7 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
         raise ConstructionError(f"base modulus m={m} has no witness for j={j_good}")
     if k * j_good % m in (0, k):  # chi2^k at b1, b2, b3 sits at 0, k, k j_good (mod m)
         return None
-    return _assemble_spacing(D, _power(chars, chi2, k), m, k)
+    return _assemble_spacing(D, chi2**k, m, k)
 
 
 def _assemble_spacing(D: RaceTriple, chi: DirichletCharacter, m: int, k: int):
@@ -582,11 +571,11 @@ def _assemble_spacing(D: RaceTriple, chi: DirichletCharacter, m: int, k: int):
     conjugate is taken only when chi itself fails.
     """
     res = D.residues
-    table = character_table(D.q)
-    n = table.exponent
-    cols = table.columns(res)
+    chars = character_group(D.q)
+    n = chars.exponent
+    cols = chars.columns(res)
     for conjugate in (False, True):
-        candidate = _power(character_group(D.q), chi, -1) if conjugate else chi
+        candidate = chi.conjugate() if conjugate else chi
         row = candidate.index
         angles = sorted((col[row], a) for col, a in zip(cols, res))
         (t1, r1), (t2, r2), (t3, r3) = angles
@@ -647,7 +636,7 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
     The gap pair d = n / m must lie in the admissible spacing set, d1 <= d2
     and `gaps_ok` over their common denominator, before the crossing
     inequality reads it.  The declared gaps are checked against chi's angle
-    numerators k1, k2, k3 on the relabeled triple, read from the table
+    numerators k1, k2, k3 on the relabeled triple, read from the group's
     columns: (k2 - k1) mod n over n must equal d1 mod 1 and (k3 - k2) mod n
     over n d2 mod 1, by integer cross-multiplication.
     """
@@ -661,15 +650,15 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
     if not ineq.ok:
         raise ConstructionError(f"spacing inequality failed, margin {ineq.margin}")
     chi = spacing.chi
-    table = character_table(D.q)
-    n, row = table.exponent, chi.index
-    x1, x2, x3 = table.columns(spacing.relabeled_triple)
+    chars = character_group(D.q)
+    n, row = chars.exponent, chi.index
+    x1, x2, x3 = chars.columns(spacing.relabeled_triple)
     k1, k2, k3 = x1[row], x2[row], x3[row]
     if (k2 - k1) % n * m1 != n1 % m1 * n or (k3 - k2) % n * m2 != n2 % m2 * n:
         raise ConstructionError("character values do not realize the declared gaps")
     if (spacing.c1, spacing.c2) != multiplicities_for(d1, d2):
         raise ConstructionError("multiplicities inconsistent with the gap pair")
-    chi_sq = _power(character_group(D.q), chi, 2)
+    chi_sq = chi**2
     if chi_sq.is_principal:
         raise ConstructionError("chi^2 is principal; spacing geometry violated")
     delta, y_worst = sim.envelope_min(d1, d2, spacing.c1, spacing.c2)
@@ -752,16 +741,15 @@ def find_order7_character(D: RaceTriple) -> DeterminantWitness:
 
     Applicable whenever the first construction's search failed; any character
     nontrivial on a2/a1 then works and has order at least 7, which is asserted.
-    With chi(a_i) = e(k_i / n), k_i from the table columns of D's residues,
+    With chi(a_i) = e(k_i / n), k_i from the columns of D's residues,
     the real test is exact (`_cosines_distinct`).  The imaginary test of a
     pair (h, k) is certified: it passes when the float determinant exceeds
     IM_DET_FLOOR = 1e-9 in absolute value, far above its error (< 5e-14, see
     `_imag_det`), and a pair below the floor is passed over.
     """
     chars = character_group(D.q)
-    table = character_table(D.q)
-    n, roots = table.exponent, table.roots
-    x1, x2, x3 = table.columns(D.residues)
+    n, roots = chars.exponent, chars.roots
+    x1, x2, x3 = chars.columns(D.residues)
     ratio21 = mod_div(D.q, D.a2, D.a1)
     for ci in range(1, len(chars)):  # row 0 is the principal character
         chi = chars[ci]
@@ -799,9 +787,8 @@ def solve_lambda_system(
     if any(a == 1 for a in (a1, a2, a3)):
         raise ValueError("residue 1 breaks the constant-shift identity")
     chars = character_group(q)
-    table = character_table(q)
-    n, roots = table.exponent, table.roots
-    x1, x2, x3 = table.columns(D.residues)
+    n, roots = chars.exponent, chars.roots
+    x1, x2, x3 = chars.columns(D.residues)
     row = chi.index
 
     def vdiff(power, x, y):
@@ -819,7 +806,7 @@ def solve_lambda_system(
     theta: dict[DirichletCharacter, float] = {c: 0.0 for c in nonprincipal_characters(q)}
 
     def bump(power, val):
-        c = _power(chars, chi, power)
+        c = chi**power
         theta[c] = theta.get(c, 0.0) + val
 
     bump(1, l1)
@@ -864,9 +851,9 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
 
     # bound on the drift of the normalized main terms away from the ideal
     # (Q/gamma)(±2 cos + cos 2) envelope, from the rationalization errors
-    table = character_table(D.q)
-    roots = table.roots
-    x1, x2, x3 = table.columns(D.residues)
+    group = character_group(D.q)
+    roots = group.roots
+    x1, x2, x3 = group.columns(D.residues)
     scale = sum(
         abs(roots[x[ci]].conjugate() - roots[y[ci]].conjugate())
         for ci in range(1, len(chars) + 1)  # chars are rows 1 .. phi - 1
@@ -1107,7 +1094,7 @@ def find_gsh_characters(D: RaceTriple, sigma1: float = 0.6, t: float = 1000.0):
     information at moderate heights; ties resolve to the canonical first.
     """
     chars = character_group(D.q)
-    cols = character_table(D.q).columns(D.residues)
+    cols = chars.columns(D.residues)
     best = None
     best_score = -1.0
     for perm in _PERMS:

@@ -2,8 +2,10 @@
 
 A character is its exponent vector (h_1..h_t) over the canonical generators:
 chi(g_i) = e(h_i / s_i).  Values on units are exact fractions of a turn;
-complex numbers are materialized only at the simulator boundary.  Every value
-is read from one integer table per modulus (`character_table`).
+complex numbers are materialized only at the simulator boundary.  One object
+per modulus, `character_group(q)`, holds the characters as its rows and reads
+every value as an integer angle numerator: from a residue's cached column, or
+as one row's exponent vector times the residue's dlog vector.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import operator
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -51,6 +53,10 @@ class DirichletCharacter:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # a pickle carries (q, exponents), not the character group cached below
+        return DirichletCharacter, (self.q, self.exponents)
+
     @property
     def group(self):
         return unit_group_structure(self.q)
@@ -63,41 +69,33 @@ class DirichletCharacter:
     def order(self) -> int:
         return vector_order(self.exponents, self.group.orders)
 
-    def evaluate(self, a: int) -> RationalAngle:
-        """Exact angle of chi(a) as a fraction of a turn in [0, 1)."""
-        return Fraction(self.angle_numerator(a), self.group.exponent)
-
-    def angle_numerator(self, a: int) -> int:
-        """Angle as integer k with chi(a) = e(k / exponent)."""
-        return character_table(self.q).angle(self.index, a)
-
-    def value(self, a: int) -> complex:
-        return character_table(self.q).roots[self.angle_numerator(a)]
-
-    def conjugate(self) -> "DirichletCharacter":
-        orders = self.group.orders
-        return DirichletCharacter(self.q, tuple((-h) % s for h, s in zip(self.exponents, orders)))
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if self.q != other.q:
-            raise ValueError("characters of different moduli")
-        orders = self.group.orders
-        return DirichletCharacter(
-            self.q,
-            tuple((h1 + h2) % s for h1, h2, s in zip(self.exponents, other.exponents, orders)),
-        )
-
-    def __pow__(self, k: int) -> "DirichletCharacter":
-        orders = self.group.orders
-        return DirichletCharacter(self.q, tuple((h * k) % s for h, s in zip(self.exponents, orders)))
+    @cached_property
+    def _chars(self) -> "CharacterGroup":
+        return character_group(self.q)
 
     @cached_property
     def index(self) -> int:
         """Canonical position: row-major over the generator orders."""
-        idx = 0
-        for h, s in zip(self.exponents, self.group.orders):
-            idx = idx * s + h
-        return idx
+        return self._chars.row(self.exponents)
+
+    def evaluate(self, a: int) -> RationalAngle:
+        """Exact angle of chi(a) as a fraction of a turn in [0, 1)."""
+        return Fraction(self.angle_numerator(a), self._chars.exponent)
+
+    def angle_numerator(self, a: int) -> int:
+        """Angle as integer k with chi(a) = e(k / exponent)."""
+        return self._chars.angle(self.index, a)
+
+    def value(self, a: int) -> complex:
+        return self._chars.roots[self.angle_numerator(a)]
+
+    def conjugate(self) -> "DirichletCharacter":
+        return self ** -1
+
+    def __pow__(self, k: int) -> "DirichletCharacter":
+        """chi**k, the character group's own row object."""
+        chars = self._chars
+        return chars[chars.row([h * k for h in self.exponents])]
 
 
 def angle_to_complex(angle: RationalAngle) -> complex:
@@ -126,19 +124,28 @@ class _RootsOfUnity(dict):
 
 
 class CharacterGroup(Sequence):
-    """The phi(q) characters mod q in canonical (row-major exponent) order.
+    """The phi(q) characters mod q in canonical (row-major exponent) order,
+    with every value as an integer angle numerator.
 
     Row i is built, through DirichletCharacter's own validation, the first
     time it is read, and the same object is returned on every later read; a
     search that reads a handful of rows never pays for the other phi(q).
+
+    chi(a) = e(k / exponent) with k = sum_i h_i f_i (exponent / s_i) mod
+    exponent over chi's exponent vector h and a's dlog vector f.  Nothing
+    phi(q)^2 is stored: one value costs O(t), and one residue's column (its
+    numerators over all rows) O(phi(q) t), built when first asked for and
+    then cached as an int64 `array.array`, the form the searches index.
     """
 
-    __slots__ = ("q", "orders", "_rows")
+    __slots__ = ("q", "orders", "exponent", "roots", "_steps", "_rows", "_columns")
 
-    def __init__(self, q: int, orders: tuple[int, ...]):
-        self.q = q
-        self.orders = orders
-        self._rows: list[DirichletCharacter | None] = [None] * math.prod(orders)
+    def __init__(self, group):
+        self.q, self.orders, self.exponent = group.q, group.orders, group.exponent
+        self.roots = _RootsOfUnity(group.exponent)  # roots[k] = e(k / exponent)
+        self._steps = [group.exponent // s for s in group.orders]  # exponent / s_i
+        self._rows: list[DirichletCharacter | None] = [None] * group.phi
+        self._columns: dict[int, array] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -155,64 +162,50 @@ class CharacterGroup(Sequence):
     def _build(self, row: int) -> DirichletCharacter:
         row = operator.index(row) % len(self._rows)  # a slice raises TypeError
         chi = self._rows[row] = DirichletCharacter(self.q, unravel(row, self.orders))
+        chi.__dict__.update(index=row, _chars=self)
         return chi
 
-
-@lru_cache(maxsize=None)
-def character_group(q: int) -> CharacterGroup:
-    """All phi(q) characters in canonical (row-major exponent) order, each
-    built when first read."""
-    return CharacterGroup(q, unit_group_structure(check_modulus(q)).orders)
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    """Every character value mod q as an integer angle numerator.
-
-    chi(a) = e(k / exponent) with k = scaled[chi.index] . dlog(a) mod
-    exponent, where scaled is the characters' exponent matrix (rows in
-    `character_group` order) times exponent / s_i.  Nothing phi(q)^2 is
-    stored: one value costs O(t), and one residue's column (its numerators
-    over all characters) O(phi(q) t), computed when first asked for and then
-    cached as an int64 `array.array`, the form the searches index.
-    """
-
-    q: int
-    exponent: int
-    scaled: np.ndarray = field(repr=False, compare=False)
-    _columns: dict[int, array] = field(default_factory=dict, repr=False, compare=False)
-
-    @cached_property
-    def roots(self) -> _RootsOfUnity:
-        """roots[k] = e(k / exponent), the complex value of angle numerator k."""
-        return _RootsOfUnity(self.exponent)
+    def row(self, exponents) -> int:
+        """Row of the character with these exponents, each taken mod its order."""
+        row = 0
+        for h, s in zip(exponents, self.orders):
+            row = row * s + h % s
+        return row
 
     def angle(self, row: int, a: int) -> int:
         """Angle numerator of the character in `row` at a.
 
-        Read from a's column when a search has cached it; otherwise one row
-        times the dlog vector, so a loop over residues builds no columns.
+        Read from a's column when a search has cached it; otherwise the row's
+        exponent vector times the dlog vector of a, so a loop over residues
+        builds no columns.
         """
         col = self._columns.get(a % self.q)
         if col is not None:
             return col[row]
-        f = dlog_vector(self.q, a)
-        return sum(map(operator.mul, self.scaled[row].tolist(), f)) % self.exponent
-
-    def column(self, a: int) -> np.ndarray:
-        """Angle numerators of a over all characters, in row order (read-only)."""
-        return np.frombuffer(memoryview(self.columns((a,))[0]).toreadonly(), dtype=np.int64)
+        f = map(operator.mul, dlog_vector(self.q, a), self._steps)
+        return sum(map(operator.mul, self[row].exponents, f)) % self.exponent
 
     def columns(self, residues) -> list[array]:
-        """Per residue, its angle numerators over all characters in row order."""
+        """Per residue, its angle numerators over all characters in row order.
+
+        With c_i = f_i n / s_i and w_i the row stride of generator i, row r
+        holds sum_i c_i floor(r / w_i) mod n (c_i s_i is 0 mod n, so
+        floor(r / w_i) may stand for h_i): the prefix sum of c_i placed at
+        every nonzero multiple of w_i, formed in the column's own buffer.
+        """
         cols = self._columns
         out = []
         for a in residues:
             col = cols.get(a % self.q)
             if col is None:
                 f = dlog_vector(self.q, a)
-                col = array("q", [0]) * len(self.scaled)
-                k = np.matmul(self.scaled, f, out=np.frombuffer(col, dtype=np.int64))
+                col = array("q", [0]) * len(self._rows)
+                k = np.frombuffer(col, dtype=np.int64)
+                stride = len(k)
+                for fi, s, step in zip(f, self.orders, self._steps):
+                    stride //= s
+                    k[stride::stride] += fi * step
+                np.cumsum(k, out=k)
                 k %= self.exponent
                 cols[a % self.q] = col  # cached only once complete
             out.append(col)
@@ -220,19 +213,14 @@ class CharacterTable:
 
 
 @lru_cache(maxsize=None)
-def character_table(q: int) -> CharacterTable:
-    """The exponent matrix, rows row-major over the generator orders, scaled by n / s_i."""
-    group = unit_group_structure(check_modulus(q))
-    n = group.exponent
-    scaled = np.indices(group.orders, dtype=np.int64).reshape(len(group.orders), -1).T
-    scaled *= np.array([n // s for s in group.orders], dtype=np.int64)
-    scaled.flags.writeable = False
-    return CharacterTable(q, n, scaled)
+def character_group(q: int) -> CharacterGroup:
+    """All phi(q) characters in canonical (row-major exponent) order, each
+    built when first read, with their values."""
+    return CharacterGroup(unit_group_structure(check_modulus(q)))
 
 
 def principal_character(q: int) -> DirichletCharacter:
-    group = unit_group_structure(q)
-    return DirichletCharacter(q, (0,) * len(group.orders))
+    return character_group(q)[0]
 
 
 def nonprincipal_characters(q: int) -> tuple[DirichletCharacter, ...]:
@@ -309,7 +297,7 @@ def _pair_constraint_character(q: int, b: int, r: int, s1: int, s2: int,
 
     chi1 with chi1(b) = e(1/s1) solves one unit combination; the result is
     chi1^(k) with k = (s1 / r) x u, where s2 = v u splits off the primes of
-    r into v and x = u^-1 mod r, read as a row of `character_group(q)`.
+    r into v and x = u^-1 mod r; both are rows of `character_group(q)`.
     b must be a unit mod q; it is not validated again.
     """
     v = 1
@@ -317,15 +305,10 @@ def _pair_constraint_character(q: int, b: int, r: int, s1: int, s2: int,
         while s2 % (v * p) == 0:
             v *= p
     u = s2 // v
-    group = unit_group_structure(q)
-    orders = group.orders
-    f = unravel(group.index[b], orders)
-    h = _solve_unit_combination(s1, [fi * s1 // s for fi, s in zip(f, orders)])
-    k = s1 // r * pow(u, -1, r) * u
-    row = 0
-    for hi, s in zip(h, orders):
-        row = row * s + hi * k % s
-    chi = character_group(q)[row]
+    group, chars = unit_group_structure(q), character_group(q)
+    f = unravel(group.index[b], group.orders)
+    h = _solve_unit_combination(s1, [fi * s1 // s for fi, s in zip(f, group.orders)])
+    chi = chars[chars.row(h)] ** (s1 // r * pow(u, -1, r) * u)
     assert chi.angle_numerator(b) * r == group.exponent  # chi(b) = e(1/r)
     return chi
 

@@ -18,7 +18,11 @@ from functools import lru_cache
 
 import numpy as np
 
+WINDOW = (Fraction(1, 3), Fraction(1, 2))  # open, for the sorted gaps
 SPECIAL_PAIRS = ((Fraction(6, 19), Fraction(9, 19)), (Fraction(12, 37), Fraction(16, 37)))
+# the same bounds as integer ratios, read once: gaps_ok runs per spacing candidate
+_WINDOW_RATIOS = tuple(d.as_integer_ratio() for d in WINDOW)
+_SPECIAL_RATIOS = tuple(d1.as_integer_ratio() + d2.as_integer_ratio() for d1, d2 in SPECIAL_PAIRS)
 
 _CHUNK = 256  # witness scan block size; most witnesses are small
 
@@ -26,21 +30,20 @@ _CHUNK = 256  # witness scan block size; most witnesses are small
 def spacing_ok(d1: Fraction, d2: Fraction, allow_special_pairs: bool = True) -> bool:
     """Exact test: 1/3 < d1 <= d2 < 1/2, or (d1, d2) an exceptional pair."""
     d1, d2 = Fraction(d1), Fraction(d2)
-    if Fraction(1, 3) < d1 <= d2 < Fraction(1, 2):
+    if WINDOW[0] < d1 <= d2 < WINDOW[1]:
         return True
     return allow_special_pairs and (d1, d2) in SPECIAL_PAIRS
 
 
-def gaps_ok(lo: int, hi: int, m: int, allow_special_pairs: bool = True) -> bool:
-    """Integer form of spacing_ok(lo / m, hi / m) for gaps lo <= hi."""
-    if 3 * lo > m and 2 * hi < m:
-        return True
+def gaps_ok(lo, hi, m: int, allow_special_pairs: bool = True):
+    """Integer form of spacing_ok(lo / m, hi / m) for gaps lo <= hi; on int
+    arrays lo and hi it tests elementwise and returns a bool array."""
+    (a1, b1), (a2, b2) = _WINDOW_RATIOS
+    ok = (b1 * lo > a1 * m) & (b2 * hi < a2 * m)
     if allow_special_pairs:
-        if 19 * lo == 6 * m and 19 * hi == 9 * m:
-            return True
-        if 37 * lo == 12 * m and 37 * hi == 16 * m:
-            return True
-    return False
+        for n1, m1, n2, m2 in _SPECIAL_RATIOS:
+            ok = ok | ((m1 * lo == n1 * m) & (m2 * hi == n2 * m))
+    return ok
 
 
 def witness_check(m: int, j: int, k: int, allow_special_pairs: bool = True) -> bool:
@@ -76,12 +79,7 @@ def witness_for(m: int, j: int, allow_special_pairs: bool = True) -> int | None:
         t2 = np.maximum(ks, rs)
         g = (t1, t2 - t1, m - t2)
         for x, y in ((0, 1), (0, 2), (1, 2)):
-            lo = np.minimum(g[x], g[y])
-            hi = np.maximum(g[x], g[y])
-            ok |= (3 * lo > m) & (2 * hi < m)
-            if allow_special_pairs:
-                ok |= (19 * lo == 6 * m) & (19 * hi == 9 * m)
-                ok |= (37 * lo == 12 * m) & (37 * hi == 16 * m)
+            ok |= gaps_ok(np.minimum(g[x], g[y]), np.maximum(g[x], g[y]), m, allow_special_pairs)
         hits = np.flatnonzero(ok)
         if hits.size:
             return int(ks[hits[0]])

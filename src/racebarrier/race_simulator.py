@@ -4,7 +4,7 @@ Evaluates the normalized explicit-formula main terms
 
     -2 Re sum_chi (conj(chi)(a) - conj(chi)(b)) sum_rho n(rho, chi) e^(rho u) / (rho u)
 
-scaled by u / e^(sigma_max u), on grids of u = log x.  The dropped remainders
+multiplied by u / e^(sigma_max u), on grids of u = log x.  The dropped remainders
 (the integral tail of each zero term and the contribution of unhypothesized
 zeros below the beta_1 ceiling) are never silently added; explicit bounds are
 computed alongside and every ordering verdict is compared against them.
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, character_table
+from .characters import DirichletCharacter, character_group
 
 LN2 = math.log(2.0)
 
@@ -56,10 +56,10 @@ class MainTermConfig:
 
     def coefficients(self, pairs) -> list[dict[complex, complex]]:
         """`pair_coefficients` of each pair, reading each residue's column once."""
-        table = character_table(self.q)
-        roots = table.roots
+        chars = character_group(self.q)
+        roots = chars.roots
         residues = list(dict.fromkeys(r for pair in pairs for r in pair))
-        cols = dict(zip(residues, table.columns(residues)))
+        cols = dict(zip(residues, chars.columns(residues)))
         out = [{} for _ in pairs]
         for chi, rho, mult in self.zeros:
             row = chi.index
@@ -341,7 +341,7 @@ def _check_window(u0: float, u1: float, n: int) -> None:
         raise SimulationInputError("empty u range")
 
 
-def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -> RaceProfile:
+def simulate(barrier, u0: float, u1: float, n: int) -> RaceProfile:
     """Grid evaluation of the main terms of a finite barrier.
 
     Classifies every sample's strict ordering, counts occurrences of the
@@ -357,7 +357,7 @@ def simulate(barrier, u0: float, u1: float, n: int, allow_empty: bool = False) -
     u0, u1 = float(u0), float(u1)  # the cached arrays' grid is built from the same floats
     triple = tuple(barrier.relabeled_triple)
     zeros = list(barrier.zeros)
-    if not zeros and not allow_empty:
+    if not zeros:
         raise SimulationInputError("empty zero configuration")
     config = MainTermConfig.from_zeros(barrier.q, zeros, beta1=barrier.beta1)
     gmax = config.max_gamma()
@@ -415,24 +415,23 @@ def v_lambda(lam: float) -> float:
     return math.acos(2.0 * lam / (1.0 + math.sqrt(1.0 + 8.0 * lam * lam)))
 
 
-def envelope_min(d1, d2, c1: int, c2: int, grid: int = 1 << 16, refinements: int = 3):
+def envelope_min(d1, d2, c1: int, c2: int):
     """delta > 0 and the worst y with min(g1(y), g2(y - pi(d1+d2))) <= -delta for all y.
 
     g_j(y) = c1 sin(pi d_j) cos y + (c2/2) sin(2 pi d_j) cos 2y.  Dense grid over
-    one period followed by local refinement around the argmax of the min.
+    one period (2^16 points), then three finer passes around the argmax of
+    the min.
     Each gap enters as numerator / denominator of its integer ratio, the
     quotient float() returns, and the result is cached on those integers.
     """
-    delta, best_y = _envelope_min(*d1.as_integer_ratio(), *d2.as_integer_ratio(), c1, c2,
-                                  grid, refinements)
+    delta, best_y = _envelope_min(*d1.as_integer_ratio(), *d2.as_integer_ratio(), c1, c2)
     if delta <= 0.0:
         raise ArithmeticError(f"envelope maximum {-delta} is not negative for {(d1, d2, c1, c2)}")
     return delta, best_y
 
 
 @lru_cache(maxsize=4096)
-def _envelope_min(n1: int, m1: int, n2: int, m2: int, c1: int, c2: int, grid: int,
-                  refinements: int) -> tuple[float, float]:
+def _envelope_min(n1: int, m1: int, n2: int, m2: int, c1: int, c2: int) -> tuple[float, float]:
     """`envelope_min` on the gaps n1 / m1 and n2 / m2, with delta unchecked."""
     d1f, d2f = n1 / m1, n2 / m2
     shift = math.pi * (d1f + d2f)
@@ -444,12 +443,13 @@ def _envelope_min(n1: int, m1: int, n2: int, m2: int, c1: int, c2: int, grid: in
 
     lo, hi = 0.0, 2.0 * math.pi
     best_y = 0.0
-    for _ in range(refinements + 1):
-        ys = np.linspace(lo, hi, grid)
+    points = 1 << 16
+    for _ in range(4):
+        ys = np.linspace(lo, hi, points)
         m = np.minimum(g(d1f, ys), g(d2f, ys - shift))
         i = int(np.argmax(m))
         best_y = float(ys[i])
-        width = (hi - lo) / grid * 4.0
+        width = (hi - lo) / points * 4.0
         lo, hi = best_y - width, best_y + width
     worst = min(
         c1 * math.sin(math.pi * d1f) * math.cos(best_y)
@@ -495,8 +495,7 @@ class GshProfile:
     first_violation_u: float | None  # first u where the excluded ordering shows
 
 
-def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = True,
-                 max_lock_points: int = 2000) -> GshProfile:
+def gsh_simulate(gsh, u0: float, u1: float, n: int, max_lock_points: int = 2000) -> GshProfile:
     """Two-regime evaluation of a truncated infinite barrier.
 
     The second main term uses the single isolated zero; the first sums the
@@ -531,7 +530,7 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
         raise SimulationInputError("u0 below admissible floor for the truncated family")
 
     us = np.linspace(u0, u1, n)
-    if include_lock_points:
+    if max_lock_points:
         # u with t u / pi = alpha (mod 1): the phase-locked spine of regime 2
         n_lo = math.ceil(t * u0 / math.pi - gsh.alpha)
         n_hi = math.floor(t * u1 / math.pi - gsh.alpha)
@@ -580,7 +579,7 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, include_lock_points: bool = 
     scale = np.exp(np.minimum((sigma1 - sigma2) * us, 700.0))
     dom_viol = int(((np.abs(d2) * scale) <= np.abs(d1))[~regime2].sum())
 
-    # orderings: d1 = phi(q)(pi_a1 - pi_a2) scaled, d2 = phi(q)(pi_a3 - pi_a2) scaled
+    # orderings: d1 = phi(q)(pi_a1 - pi_a2) normalized, d2 = phi(q)(pi_a3 - pi_a2) normalized
     triple = tuple(gsh.relabeled_triple)
     d_a1a2 = d1 * np.exp((sigma2 - sigma1) * us)  # common x^{sigma1} scale
     diffs = (d_a1a2, -d2, d_a1a2 - d2)  # (ab, bc, ac) over (a1, a2, a3)

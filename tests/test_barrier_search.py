@@ -717,23 +717,19 @@ class TestConstructionThree:
             assert abs(v - n / Q) < 1e-3
 
     def test_values_come_from_the_table(self, monkeypatch):
-        """Construction III reads chi^p(a) from the table columns: the old path
-        made 540 value and 60 __pow__ calls on this triple."""
+        """Construction III reads chi^p(a) from the group's columns: the old path
+        made 540 value calls on this triple.  Powers are rows of the group, so
+        their count is not bounded."""
         calls = Counter()
-        value, power = DirichletCharacter.value, DirichletCharacter.__pow__
+        value = DirichletCharacter.value
 
         def counted_value(self, a):
             calls["value"] += 1
             return value(self, a)
 
-        def counted_power(self, k):
-            calls["pow"] += 1
-            return power(self, k)
-
         monkeypatch.setattr(DirichletCharacter, "value", counted_value)
-        monkeypatch.setattr(DirichletCharacter, "__pow__", counted_power)
         construction_three(RaceTriple(43, 2, 3, 14), BarrierParams())
-        assert calls["value"] <= 60 and calls["pow"] <= 12, calls
+        assert calls["value"] <= 60, calls
 
     def test_exclusion_simulated(self):
         D = RaceTriple(19, 2, 3, 14)

@@ -1,22 +1,23 @@
 import cmath
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racebarrier.barrier_search import RaceTriple, find_barrier
 from racebarrier.characters import (
-    CharacterTable,
+    CharacterGroup,
     DirichletCharacter,
     angle_to_complex,
     character_group,
     character_pair_constraint,
     character_sum_reduced,
-    character_table,
     nonprincipal_characters,
     principal_character,
 )
@@ -81,7 +82,20 @@ class TestEvaluate:
                     assert Fraction(chi.angle_numerator(a), n) % 1 == chi.evaluate(a)
 
 
+def scaled_matrix_columns(q, residues):
+    """Oracle: the phi x t matrix of exponent vectors (np.indices, row-major),
+    scaled by n / s_i, times each residue's dlog vector, mod n."""
+    group = unit_group_structure(q)
+    n = group.exponent
+    scaled = np.indices(group.orders, dtype=np.int64).reshape(len(group.orders), -1).T
+    scaled *= np.array([n // s for s in group.orders], dtype=np.int64)
+    return [(scaled @ np.array(dlog_vector(q, a), dtype=np.int64) % n).tolist()
+            for a in residues]
+
+
 class TestCharacterTable:
+    """The values `character_group` holds: cached columns and uncached reads."""
+
     @staticmethod
     def per_generator_angle(chi, a):
         """Reference: sum_i h_i f_i (n / s_i) mod n over the dlog vector f of a."""
@@ -91,6 +105,7 @@ class TestCharacterTable:
         return sum(h * fi * (n // s) for h, fi, s in zip(chi.exponents, f, group.orders)) % n
 
     def test_matches_per_generator_formula_for_every_q_up_to_200(self):
+        # cyclic and non-cyclic moduli, with and without 2-power factors
         for q in range(5, 201):
             try:
                 check_modulus(q)
@@ -98,18 +113,32 @@ class TestCharacterTable:
                 continue
             group = unit_group_structure(q)
             units = group.units
-            table = character_table(q)
-            assert table.exponent == group.exponent
-            assert table.scaled.shape == (group.phi, len(group.orders))
-            assert not (table.scaled.flags.writeable or table.column(units[-1]).flags.writeable)
-            uncached = CharacterTable(q, table.exponent, table.scaled)
-            cols = table.columns(units)
-            for row, chi in enumerate(character_group(q)):
+            chars = character_group(q)
+            assert chars.exponent == group.exponent and chars.orders == group.orders
+            uncached = CharacterGroup(group)
+            cols = chars.columns(units)
+            assert [col.tolist() for col in cols] == scaled_matrix_columns(q, units), q
+            for row, chi in enumerate(chars):
                 expected = [self.per_generator_angle(chi, a) for a in units]
                 assert [col[row] for col in cols] == expected, (q, chi)
-                assert [table.angle(row, a) for a in units] == expected, (q, chi)
+                assert [chars.angle(row, a) for a in units] == expected, (q, chi)
                 assert [uncached.angle(row, a) for a in units] == expected, (q, chi)
             assert not uncached._columns  # single reads build no column
+
+    @pytest.mark.parametrize("q", [999983, 720720, 2**18 * 3])
+    def test_sampled_columns_and_reads_at_large_moduli(self, q):
+        """The cap prime (cyclic), a modulus with seven generators and a 2-power
+        factor 2^4, and 2^18 * 3: sampled residues against the scaled matrix."""
+        rng = random.Random(q)
+        units = unit_group_structure(q).units
+        residues = rng.sample(units, 4)
+        expected = scaled_matrix_columns(q, residues)
+        uncached = CharacterGroup(unit_group_structure(q))
+        rows = rng.sample(range(len(uncached)), 50)
+        for a, want in zip(residues, expected):
+            assert [uncached.angle(row, a) for row in rows] == [want[row] for row in rows]
+        assert not uncached._columns
+        assert [col.tolist() for col in uncached.columns(residues)] == expected
 
     def test_one_read_at_a_large_modulus_stays_small(self):
         """A single value costs O(t) and a column O(phi); nothing phi^2 is built
@@ -123,7 +152,7 @@ class TestCharacterTable:
             assert chi.evaluate(2) == Fraction(k, q - 1)
             assert character_pair_constraint(q, 2, 3, 7).evaluate(2) == Fraction(1, 7)
             k = chi.angle_numerator(3)
-            assert character_table(q).column(3)[1] == k == chi.angle_numerator(3)
+            assert character_group(q).columns((3,))[0][1] == k == chi.angle_numerator(3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -131,23 +160,23 @@ class TestCharacterTable:
 
     def test_reads_agree_with_the_table(self):
         q = 24
-        table = character_table(q)
+        chars = character_group(q)
         units = units_of(q)
-        cols = table.columns(units)
-        n = table.exponent
-        for chi in character_group(q):
+        cols = chars.columns(units)
+        n = chars.exponent
+        for chi in chars:
             for a, col in zip(units, cols):
                 k = chi.angle_numerator(a)
                 assert type(k) is int and k == col[chi.index]
                 assert chi.angle_numerator(a + 5 * q) == k
                 assert chi.evaluate(a) == Fraction(k, n)
-                assert chi.value(a) == table.roots[k] == angle_to_complex(Fraction(k, n))
+                assert chi.value(a) == chars.roots[k] == angle_to_complex(Fraction(k, n))
 
     @pytest.mark.parametrize("a", [0, 2, 3, 12, -4, 30])
     def test_non_unit_rejected_on_every_read(self, a):
         chi = character_group(12)[1]
         for read in (chi.angle_numerator, chi.value, chi.evaluate,
-                     lambda a: character_table(12).columns((1, a))):
+                     lambda a: character_group(12).columns((1, a))):
             with pytest.raises(ValueError, match="not coprime"):
                 read(a)
 
@@ -210,6 +239,21 @@ class TestCharacterGroup:
         built = [row for row in character_group(q)._rows if row is not None]
         assert 0 < len(built) <= 24
         assert all(zero.character in built for zero in barrier.zeros)
+
+    @given(SMALL_Q, st.integers(0, 10**6), st.integers(-40, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_powers_conjugates_and_principal_are_rows(self, q, seed, k):
+        chars = character_group(q)
+        chi = chars[seed % len(chars)]
+        outside = DirichletCharacter(q, chi.exponents)  # built outside the group
+        orders = unit_group_structure(q).orders
+        power = tuple(h * k % s for h, s in zip(chi.exponents, orders))
+        conj = tuple(-h % s for h, s in zip(chi.exponents, orders))
+        for c in (chi, outside):
+            assert c**k is chars[int(np.ravel_multi_index(power, orders))]
+            assert c.conjugate() is chars[int(np.ravel_multi_index(conj, orders))]
+            assert (c**k).exponents == power and c.conjugate().exponents == conj
+        assert principal_character(q) is chars[0] and chars[0].is_principal
 
     @given(SMALL_Q)
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,10 +36,13 @@ class TestSpacingOk:
 
     def test_integer_form_matches_on_every_gap_pair(self):
         for n in (*range(1, 40), 57, 74, 76):  # multiples of 19 and 37 reach the special pairs
-            for lo in range(n + 1):
-                for hi in range(lo, n + 1):
-                    expected = spacing_ok(Fraction(lo, n), Fraction(hi, n))
-                    assert gaps_ok(lo, hi, n) == expected, (lo, hi, n)
+            pairs = [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+            expected = [spacing_ok(Fraction(lo, n), Fraction(hi, n)) for lo, hi in pairs]
+            for (lo, hi), want in zip(pairs, expected):
+                assert gaps_ok(lo, hi, n) is want, (lo, hi, n)
+            # the array form, as witness_for calls it
+            lo, hi = np.array(pairs, dtype=np.int64).T
+            assert gaps_ok(lo, hi, n).tolist() == expected, n
 
 
 class TestWitnessFor:

@@ -332,7 +332,7 @@ class TestSimulation:
 
     def test_tail_constant(self, gsh7):
         u0 = max(1000.0, gsh7.margins["recommended_u0"])
-        prof = gsh_simulate(gsh7, u0, u0 + 5.0, 200, include_lock_points=False)
+        prof = gsh_simulate(gsh7, u0, u0 + 5.0, 200, max_lock_points=0)
         us = prof.u
         tails = np.zeros_like(us)
         gam = np.asarray(gsh7.gammas)
@@ -418,8 +418,7 @@ class TestPhaseKernel:
         u0 = max(1000.0, gsh.margins["recommended_u0"])
         assert u0 == {"gsh7": 1000.0, "gsh5": 6249999.999999994}[which]
         # 203 samples: not a multiple of the row block
-        prof = gsh_simulate(gsh, u0, u0 + 10.0, 203, include_lock_points=lock_points,
-                            max_lock_points=200)
+        prof = gsh_simulate(gsh, u0, u0 + 10.0, 203, max_lock_points=200 if lock_points else 0)
         assert len(prof.u) == (403 if lock_points else 203)
         d1, tails = serial_family_sums(gsh, prof.u)
         assert prof.d1.tobytes() == d1.tobytes()
@@ -663,7 +662,7 @@ class TestExactRange:
         gammas = tuple(2.0 * t * h for h in gsh7.h_values)
         with pytest.raises(SimulationInputError, match="range"):
             gsh_simulate(self._edited(gsh7, t=t, gammas=gammas), 1000.0, 1001.0, 20,
-                         include_lock_points=False)
+                         max_lock_points=0)
 
 
 def spy_on_certificate(monkeypatch):

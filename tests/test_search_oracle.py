@@ -57,7 +57,6 @@ from racebarrier.characters import (
     angle_to_complex,
     character_group,
     character_pair_constraint,
-    character_table,
     _RootsOfUnity,
 )
 from racebarrier.goodness import spacing_ok, witness_for
@@ -84,7 +83,7 @@ def valid_moduli(limit):
 def angle_matrix(q):
     """Angle numerators, units x characters."""
     group = unit_group_structure(q)
-    return group.units, np.array(character_table(q).columns(group.units), dtype=np.int64)
+    return group.units, np.array(character_group(q).columns(group.units), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ def frozen_find_equal_sum_set(D):
     chars = character_group(q)
     group = unit_group_structure(q)
     n = group.exponent
-    cols = character_table(q).columns(D.residues)
+    cols = chars.columns(D.residues)
 
     def package(perm, triple, family, char_list):
         chi2 = _first_separating_character(D, cols, perm[0], perm[1])
@@ -360,7 +359,7 @@ def frozen_construction_two(D, spacing, params):
         raise ConstructionError("character values do not realize the declared gaps")
     if (spacing.c1, spacing.c2) != frozen_multiplicities_for(spacing.d1, spacing.d2):
         raise ConstructionError("multiplicities inconsistent with the gap pair")
-    chi_sq = chi * chi
+    chi_sq = DirichletCharacter(chi.q, tuple(2 * h % s for h, s in zip(chi.exponents, chi.group.orders)))
     if chi_sq.is_principal:
         raise ConstructionError("chi^2 is principal; spacing geometry violated")
     delta, y_worst = sim.envelope_min(spacing.d1, spacing.d2, spacing.c1, spacing.c2)
@@ -527,9 +526,8 @@ def frozen_find_order7_character(D, escalations):
     50-digit mpmath test where a float gap is at most 1e-9.  Returns
     (chi exponents, h, k)."""
     chars = character_group(D.q)
-    table = character_table(D.q)
-    n, roots = table.exponent, table.roots
-    x1, x2, x3 = table.columns(D.residues)
+    n, roots = chars.exponent, chars.roots
+    x1, x2, x3 = chars.columns(D.residues)
     ratio21 = mod_div(D.q, D.a2, D.a1)
 
     def re_diff(power, kx, ky):

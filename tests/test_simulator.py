@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 import racebarrier as rb
 from racebarrier import race_simulator
-from racebarrier.characters import DirichletCharacter, character_table, nonprincipal_characters
+from racebarrier.characters import (
+    DirichletCharacter,
+    character_group,
+    nonprincipal_characters,
+    principal_character,
+)
 from racebarrier.race_simulator import (
     MainTermConfig,
     SimulationError,
@@ -218,10 +223,6 @@ class TestSimulate:
     def test_rejects_empty(self, barrier7):
         with pytest.raises(SimulationInputError):
             simulate(_EmptyBarrier(barrier7), 50.0, 51.0, 100)
-
-    def test_empty_allowed_gives_ties(self, barrier7):
-        prof = simulate(_EmptyBarrier(barrier7), 50.0, 51.0, 100, allow_empty=True)
-        assert prof.ties == 100 and not prof.ordering_histogram
 
     def test_u0_floor(self, barrier7):
         with pytest.raises(SimulationInputError):
@@ -590,17 +591,17 @@ def _parent_simulate(barrier, u0, u1, n):
     amplitude cache: pair-by-pair coefficients and main terms, one exp per
     (pair, rho), three separately classified differences (oracle)."""
     config = MainTermConfig.from_zeros(barrier.q, list(barrier.zeros), beta1=barrier.beta1)
-    table = character_table(barrier.q)
+    chars = character_group(barrier.q)
     a, b, c = barrier.relabeled_triple
     pairs = ((a, b), (b, c), (a, c))
     us = np.linspace(u0, u1, n)
     coeffs = []
     for x, y in pairs:
-        kx, ky = table.columns((x, y))
+        kx, ky = chars.columns((x, y))
         cs = {}
         for chi, rho, mult in config.zeros:
-            w = (table.roots[kx[chi.index]].conjugate()
-                 - table.roots[ky[chi.index]].conjugate()) * mult
+            w = (chars.roots[kx[chi.index]].conjugate()
+                 - chars.roots[ky[chi.index]].conjugate()) * mult
             cs[rho] = cs.get(rho, 0j) + w
         coeffs.append(cs)
     outs = [np.zeros_like(us) for _ in pairs]
@@ -721,7 +722,11 @@ class TestWriteProfile:
         assert names == want and len(names) == 50
 
     def test_ties_written_as_tie(self, barrier7, tmp_path):
-        prof = simulate(_EmptyBarrier(barrier7), 50.0, 51.0, 5, allow_empty=True)
+        # a zero of the principal character adds 1 - 1 = 0 to every difference
+        tied = _EmptyBarrier(barrier7)
+        tied.zeros = (Z(principal_character(barrier7.q), 0.501, 1000.0),)
+        prof = simulate(tied, 50.0, 51.0, 5)
+        assert prof.ties == 5 and not prof.ordering_histogram
         path = tmp_path / "p.csv"
         write_profile(prof, path)
         assert [row.split(",")[3] for row in path.read_text().splitlines()[1:]] == ["tie"] * 5
