@@ -42,7 +42,6 @@ from .race_simulator import (
     RaceProfile,
     envelope_min,
     gsh_simulate,
-    remainder_bound,
     simulate,
     v_lambda,
     write_profile,
@@ -92,7 +91,6 @@ __all__ = [
     "multiplicative_order",
     "nonprincipal_characters",
     "principal_character",
-    "remainder_bound",
     "simulate",
     "solve_lambda_system",
     "spacing_ok",

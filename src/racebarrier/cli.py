@@ -254,27 +254,23 @@ def cmd_simulate(args, config) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 
+    x, y, z = profile.excluded_ordering
+    print(f"samples: {len(profile.u)} on [{u0}, {u1}]")
     if gsh:
-        print(f"samples: {len(profile.u)}, regime-2: {int(profile.regime2.sum())}, "
-              f"controlled: {profile.controlled_total}")
-        print(f"excluded-ordering raw occurrences: {profile.excluded_raw}")
+        print(f"regime-2: {int(profile.regime2.sum())}, controlled: {profile.controlled_total}")
         print(f"window phase bound: {profile.phase_bound_max:.4f} (<= 0.21)")
         print(f"tail constant C: {profile.tail_constant:.6g}")
-        ok = profile.excluded_raw == 0
-    else:
-        x, y, z = profile.excluded_ordering
-        print(f"samples: {len(profile.u)} on [{u0}, {u1}]")
-        print(f"excluded ordering pi({x}) > pi({y}) > pi({z}):")
-        print(f"  raw occurrences: {profile.excluded_raw}")
-        print(f"  robust occurrences (above remainder): {profile.excluded_robust}")
-        print(f"  avoidance margin: {profile.margin:.6g}")
-        print(f"  remainder bound: {profile.remainder:.6g}")
-        print(f"  verdict: {'VERIFIED' if profile.robustly_excluded else 'VIOLATED'}")
-        ok = profile.excluded_robust == 0
+    print(f"excluded ordering pi({x}) > pi({y}) > pi({z}):")
+    print(f"  raw occurrences: {profile.excluded_raw}")
+    print(f"  robust occurrences (above remainder): {profile.excluded_robust}")
+    print(f"  avoidance margin: {profile.margin:.6g}")
+    rem = "none" if profile.remainder is None else f"{profile.remainder:.6g}"
+    print(f"  remainder bound: {rem}")
+    print(f"  verdict: {'VERIFIED' if profile.verified else 'VIOLATED'}")
     if args.out:
         sim.write_profile(profile, args.out)
         print(f"profile written to {args.out}")
-    if not ok:
+    if not profile.verified:
         print(f"counterexample near u = {profile.first_violation_u}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK

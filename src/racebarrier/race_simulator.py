@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,12 +50,10 @@ class MainTermConfig:
     def max_gamma(self) -> float:
         return max((rho.imag for _, rho, _ in self.zeros), default=0.0)
 
-    def pair_coefficients(self, a: int, b: int) -> dict[complex, complex]:
-        """Per-distinct-rho coefficient sum_chi n(rho,chi)(conj chi(a) - conj chi(b))."""
-        return self.coefficients(((a, b),))[0]
-
     def coefficients(self, pairs) -> list[dict[complex, complex]]:
-        """`pair_coefficients` of each pair, reading each residue's column once."""
+        """Per pair (a, b), the per-distinct-rho coefficient
+        sum_chi n(rho,chi)(conj chi(a) - conj chi(b)), reading each residue's
+        column once."""
         chars = character_group(self.q)
         roots = chars.roots
         residues = list(dict.fromkeys(r for pair in pairs for r in pair))
@@ -190,20 +188,16 @@ def _main_terms(config: MainTermConfig, coeffs, n: int, rotation, amplitude) -> 
     return out
 
 
-def remainder_bound(config: MainTermConfig, a: int, b: int, u: float) -> float:
-    """Upper bound on everything the main term drops, at the same normalization.
+def _remainder_bound(config: MainTermConfig, coeffs: dict[complex, complex], u: float) -> float:
+    """Upper bound at u on everything the main term of a pair with
+    coefficients ``coeffs`` drops, at the same normalization.
 
     Per distinct rho the integral tail of f is at most
-    (1/|rho|) [4 e^(sigma u)/(sigma u^2) + e^(sigma u/2)/ln 2], and zeros below
+    (1/|rho|) [4 e^(sigma u)/(sigma u^2) + e^(sigma u/2)/ln 2].  Zeros below
     the beta_1 ceiling contribute at most e^(beta1 u) u^2 times a constant
-    depending only on q (reported with constant 1; see package docs).
+    depending only on q; that constant is taken as 1, an assumption no part
+    of the package proves.
     """
-    if a == b:
-        return 0.0
-    return _remainder_bound(config, config.pair_coefficients(a, b), u)
-
-
-def _remainder_bound(config: MainTermConfig, coeffs: dict[complex, complex], u: float) -> float:
     total = 0.0
     for rho, c in coeffs.items():
         mag = abs(c)
@@ -218,12 +212,12 @@ def _remainder_bound(config: MainTermConfig, coeffs: dict[complex, complex], u: 
 
 
 def remainder_sup(config: MainTermConfig, a: int, b: int, u0: float, u1: float,
-                  coeffs: dict[complex, complex] | None = None) -> float:
+                  coeffs: dict[complex, complex]) -> float:
     """Supremum of the remainder bound over [u0, u1].
 
     Each piece is monotone except the ceiling term u^2 e^((beta1 - sigma_max) u),
-    whose interior maximum sits at u = 2 / (sigma_max - beta1).  ``coeffs`` may
-    pass the coefficients of (a, b) or of (b, a): only their moduli are read.
+    whose interior maximum sits at u = 2 / (sigma_max - beta1).  ``coeffs`` are
+    the coefficients of (a, b) or of (b, a): only their moduli are read.
     """
     if a == b:
         return 0.0
@@ -232,38 +226,31 @@ def remainder_sup(config: MainTermConfig, a: int, b: int, u0: float, u1: float,
         critical = 2.0 / (config.sigma_max - config.beta1)
         if u0 < critical < u1:
             us.append(critical)
-    if coeffs is None:
-        coeffs = config.pair_coefficients(a, b)
     return max(_remainder_bound(config, coeffs, u) for u in us)
 
 
 @dataclass
 class RaceProfile:
+    """Samples of a simulation and the verdict on its excluded ordering."""
+
     u: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    ordering_histogram: dict[tuple, int] = field(default_factory=dict)
-    ties: int = 0
-    margin: float | None = None
-    remainder: float | None = None
-    excluded_ordering: tuple | None = None
-    excluded_raw: int = 0
-    excluded_robust: int = 0
-    ordering_codes: np.ndarray | None = None  # int8 per sample: index into ordering_labels, -1 tie
-    ordering_labels: tuple = ()
-    first_violation_u: float | None = None  # first u with slack above the remainder
-
-    def total(self) -> int:
-        return sum(self.ordering_histogram.values()) + self.ties
+    ordering_codes: np.ndarray  # int8 per sample: index into ordering_labels, -1 tie
+    ordering_labels: tuple
+    ordering_histogram: dict[tuple, int]
+    ties: int
+    excluded_ordering: tuple
+    excluded_raw: int  # samples where the excluded ordering shows
+    excluded_robust: int  # samples where it shows with slack above the remainder
+    margin: float  # avoidance margin: minus the largest slack
+    remainder: float | None  # None where no remainder is accounted
+    first_violation_u: float | None  # first u of a robust occurrence
 
     @property
-    def robustly_excluded(self) -> bool:
-        """No sample shows the excluded ordering with slack above the remainder.
-
-        The avoidance margin itself legitimately touches zero where two race
-        functions cross, so it is reported, not thresholded.
-        """
-        return self.remainder is not None and self.excluded_robust == 0
+    def verified(self) -> bool:
+        """No sample shows the excluded ordering with slack above the remainder."""
+        return self.excluded_robust == 0
 
 
 @lru_cache(maxsize=4096)
@@ -332,13 +319,46 @@ def _excluded_pairs(triple: tuple, diffs, ordering):
     return out
 
 
-def _check_window(u0: float, u1: float, n: int) -> None:
+def _check_window(u0: float, u1: float, n: int, max_gamma: float) -> None:
+    """Reject fewer than 2 samples, a window that is not finite or empty, and
+    a u0 below the admissible floor: 10, or log of the largest ordinate."""
     if n < 2:
         raise SimulationInputError("need at least 2 samples")
     if not (math.isfinite(u0) and math.isfinite(u1)):
         raise SimulationInputError(f"u range [{u0}, {u1}] is not finite")
     if u1 <= u0:
         raise SimulationInputError("empty u range")
+    floor = max(10.0, math.log(max_gamma) if max_gamma > 0 else 0.0)
+    if u0 < floor:
+        raise SimulationInputError(f"u0={u0} below admissible floor {floor:.3f}")
+
+
+def _race_profile(cls, triple: tuple, diffs, ordering: tuple, us: np.ndarray, remainder, **own):
+    """The ``cls`` profile of the stacked differences ``diffs`` (ab, bc, ac)
+    of ``triple`` over the grid ``us``, with the fields ``own`` of ``cls``.
+
+    Every sample's ordering is classified, and the slack min(x - y, y - z) of
+    the excluded ordering x > y > z shows that ordering where it is
+    positive.  ``remainder(row)`` bounds over the window what the main term
+    of stacked row ``row`` drops; an occurrence is robust where the slack
+    exceeds the larger bound of the two excluded rows.  With ``remainder``
+    None no remainder is accounted and every occurrence is robust.  d1 and
+    d2 are the rows x - y and y - z unless ``own`` gives them.
+    """
+    codes, labels, histogram, ties = classify_orderings(triple, diffs)
+    (d1, r1), (d2, r2) = _excluded_pairs(triple, diffs, ordering)
+    slack = np.minimum(d1, d2)
+    raw = slack > 0
+    rem = None if remainder is None else max(remainder(r1), remainder(r2))
+    robust = raw if rem is None else slack > rem
+    excluded_robust = int(np.count_nonzero(robust))
+    own.setdefault("d1", d1)
+    own.setdefault("d2", d2)
+    return cls(**own, u=us, ordering_codes=codes,
+               ordering_labels=labels, ordering_histogram=histogram, ties=ties,
+               excluded_ordering=tuple(ordering), excluded_raw=int(np.count_nonzero(raw)),
+               excluded_robust=excluded_robust, margin=float(-slack.max()), remainder=rem,
+               first_violation_u=float(us[robust.argmax()]) if excluded_robust else None)
 
 
 def simulate(barrier, u0: float, u1: float, n: int) -> RaceProfile:
@@ -353,18 +373,12 @@ def simulate(barrier, u0: float, u1: float, n: int) -> RaceProfile:
     (sigma - sigma_max, u0, u1, n), shared by every barrier checked on the
     same window; at sigma = sigma_max the amplitude is the scalar -2.0.
     """
-    _check_window(u0, u1, n)
+    config = MainTermConfig.from_zeros(barrier.q, list(barrier.zeros), beta1=barrier.beta1)
+    if not config.zeros:
+        raise SimulationInputError("empty zero configuration")
+    _check_window(u0, u1, n, config.max_gamma())
     u0, u1 = float(u0), float(u1)  # the cached arrays' grid is built from the same floats
     triple = tuple(barrier.relabeled_triple)
-    zeros = list(barrier.zeros)
-    if not zeros:
-        raise SimulationInputError("empty zero configuration")
-    config = MainTermConfig.from_zeros(barrier.q, zeros, beta1=barrier.beta1)
-    gmax = config.max_gamma()
-    floor = max(10.0, math.log(gmax) if gmax > 0 else 0.0)
-    if u0 < floor:
-        raise SimulationInputError(f"u0={u0} below admissible floor {floor:.3f}")
-
     a, b, c = triple
     pairs = [(a, b), (b, c), (a, c)]
     coeffs = config.coefficients(pairs)
@@ -372,32 +386,9 @@ def simulate(barrier, u0: float, u1: float, n: int) -> RaceProfile:
     diffs = _main_terms(config, coeffs, n, lambda gamma: _window_rotation(gamma, u0, u1, n),
                         lambda offset: -2.0 if offset == 0.0 else
                         _window_amplitude(offset, u0, u1, n))
-    codes, labels, histogram, ties = classify_orderings(triple, diffs)
-
-    # the remainder bound reads only |c|, so a reversed pair keeps its coefficients
-    x, y, z = barrier.excluded_ordering
-    (d1, r1), (d2, r2) = _excluded_pairs(triple, diffs, (x, y, z))
-    slack = np.minimum(d1, d2)
-    rem = max(remainder_sup(config, x, y, u0, u1, coeffs=coeffs[r1]),
-              remainder_sup(config, y, z, u0, u1, coeffs=coeffs[r2]))
-    robust = slack > rem
-    excluded_robust = int(np.count_nonzero(robust))
-    us = _window_grid(u0, u1, n).copy()
-    return RaceProfile(
-        u=us,
-        d1=d1,
-        d2=d2,
-        ordering_histogram=histogram,
-        ties=ties,
-        margin=float(-slack.max()),
-        remainder=rem,
-        excluded_ordering=(x, y, z),
-        excluded_raw=int(np.count_nonzero(slack > 0)),
-        excluded_robust=excluded_robust,
-        ordering_codes=codes,
-        ordering_labels=labels,
-        first_violation_u=float(us[robust.argmax()]) if excluded_robust else None,
-    )
+    return _race_profile(RaceProfile, triple, diffs, barrier.excluded_ordering,
+                         _window_grid(u0, u1, n).copy(),
+                         lambda row: remainder_sup(config, *pairs[row], u0, u1, coeffs[row]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,24 +466,17 @@ def envelope3_max(grid: int = 10**6):
 
 
 @dataclass
-class GshProfile:
-    u: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+class GshProfile(RaceProfile):
+    """A GSH simulation's profile: d1 and d2 are its first and second main
+    terms, and no remainder is accounted yet."""
+
     regime2: np.ndarray
     controlled: np.ndarray
-    ordering_histogram: dict[tuple, int]
-    ties: int
-    excluded_ordering: tuple
-    excluded_raw: int
     phase_bound_max: float
     tail_constant: float
     controlled_positive: int
     controlled_total: int
     dominance_violations: int
-    ordering_codes: np.ndarray  # int8 per sample: index into ordering_labels, -1 tie
-    ordering_labels: tuple
-    first_violation_u: float | None  # first u where the excluded ordering shows
 
 
 def gsh_simulate(gsh, u0: float, u1: float, n: int, max_lock_points: int = 2000) -> GshProfile:
@@ -516,7 +500,9 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, max_lock_points: int = 2000)
     interval lies within a margin of 0, so its decisions are that
     expression's.
     """
-    _check_window(u0, u1, n)
+    gam = np.asarray(gsh.gammas)
+    del_ = np.asarray(gsh.deltas)
+    _check_window(u0, u1, n, gam.max())
     if max_lock_points < 0:
         raise SimulationInputError(f"max_lock_points = {max_lock_points} is negative")
     t = gsh.t
@@ -524,10 +510,6 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, max_lock_points: int = 2000)
         raise SimulationInputError(
             f"truncation J={gsh.truncation} too small for u1={u1} (need >= u1^0.4)"
         )
-    gam = np.asarray(gsh.gammas)
-    del_ = np.asarray(gsh.deltas)
-    if u0 < max(10.0, math.log(gam.max())):
-        raise SimulationInputError("u0 below admissible floor for the truncated family")
 
     us = np.linspace(u0, u1, n)
     if max_lock_points:
@@ -579,15 +561,6 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, max_lock_points: int = 2000)
     scale = np.exp(np.minimum((sigma1 - sigma2) * us, 700.0))
     dom_viol = int(((np.abs(d2) * scale) <= np.abs(d1))[~regime2].sum())
 
-    # orderings: d1 = phi(q)(pi_a1 - pi_a2) normalized, d2 = phi(q)(pi_a3 - pi_a2) normalized
-    triple = tuple(gsh.relabeled_triple)
-    d_a1a2 = d1 * np.exp((sigma2 - sigma1) * us)  # common x^{sigma1} scale
-    diffs = (d_a1a2, -d2, d_a1a2 - d2)  # (ab, bc, ac) over (a1, a2, a3)
-    codes, labels, histogram, ties = classify_orderings(triple, diffs)
-    (e1, _), (e2, _) = _excluded_pairs(triple, diffs, gsh.excluded_ordering)
-    raw = np.minimum(e1, e2) > 0
-    excluded_raw = int(raw.sum())
-
     # tail constant: the tail sum against u^{-3/4}
     tail_c = float((tails * us ** 0.75).max())
 
@@ -598,16 +571,14 @@ def gsh_simulate(gsh, u0: float, u1: float, n: int, max_lock_points: int = 2000)
     if dom_viol:
         raise SimulationError(f"dominance failed on {dom_viol} regime-1 samples")
 
-    return GshProfile(
-        u=us, d1=d1, d2=d2, regime2=regime2, controlled=controlled,
-        ordering_histogram=histogram, ties=ties,
-        excluded_ordering=tuple(gsh.excluded_ordering), excluded_raw=excluded_raw,
-        phase_bound_max=phase_bound_max, tail_constant=tail_c,
-        controlled_positive=ctrl_pos, controlled_total=ctrl_tot,
-        dominance_violations=dom_viol,
-        ordering_codes=codes, ordering_labels=labels,
-        first_violation_u=float(us[raw.argmax()]) if excluded_raw else None,
-    )
+    # orderings: d1 = phi(q)(pi_a1 - pi_a2) normalized, d2 = phi(q)(pi_a3 - pi_a2) normalized
+    d_a1a2 = d1 * np.exp((sigma2 - sigma1) * us)  # common x^{sigma1} scale
+    diffs = (d_a1a2, -d2, d_a1a2 - d2)  # (ab, bc, ac) over (a1, a2, a3)
+    return _race_profile(GshProfile, tuple(gsh.relabeled_triple), diffs, gsh.excluded_ordering,
+                         us, None, d1=d1, d2=d2, regime2=regime2, controlled=controlled,
+                         phase_bound_max=phase_bound_max, tail_constant=tail_c,
+                         controlled_positive=ctrl_pos, controlled_total=ctrl_tot,
+                         dominance_violations=dom_viol)
 
 
 # ---------------------------------------------------------------------------

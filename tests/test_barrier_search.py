@@ -329,7 +329,7 @@ class TestConstructionOne:
             t = barrier.parameters["t"]
             prof = simulate(barrier, 2e5, 2e5 + 8 * 2 * math.pi / t, 30000)
             assert prof.excluded_raw == 0
-            assert prof.robustly_excluded
+            assert prof.verified
 
     def test_zero_heights_are_t_and_2t(self):
         D = RaceTriple(7, 1, 2, 5)
@@ -497,7 +497,7 @@ class TestConstructionTwo:
         barrier = construction_two(D, find_spacing_character(D), BarrierParams())
         gam = barrier.parameters["gamma"]
         prof = simulate(barrier, 2e5, 2e5 + 8 * 2 * math.pi / gam, 30000)
-        assert prof.excluded_raw == 0 and prof.robustly_excluded
+        assert prof.excluded_raw == 0 and prof.verified
 
 
 def mp_determinant(trig, n, h, k, k1, k2, k3):
@@ -736,7 +736,7 @@ class TestConstructionThree:
         barrier = construction_three(D, BarrierParams())
         gam = barrier.parameters["gamma"]
         prof = simulate(barrier, 2e5, 2e5 + 8 * 2 * math.pi / gam, 30000)
-        assert prof.excluded_raw == 0 and prof.robustly_excluded
+        assert prof.excluded_raw == 0 and prof.verified
 
 
 class TestFindBarrier:

@@ -320,6 +320,7 @@ class TestGshCommand:
             capsys,
         )
         assert code == 0 and "regime-2" in out
+        assert "verdict: VERIFIED" in out and "remainder bound: none" in out
 
     def test_inapplicable(self, capsys):
         code, _, err = run(["gsh", "29", "1", "16", "24"], capsys)
@@ -380,9 +381,9 @@ class TestSimulateGshCommand:
         path = tmp_path / "shows.json"
         path.write_text(json.dumps(data))
         capsys.readouterr()
-        code, _, err = run(["simulate", str(path), "--u0", "1000", "--u1", "1004",
-                            "--samples", "300"], capsys)
-        assert code == EXIT_VERIFICATION
+        code, out, err = run(["simulate", str(path), "--u0", "1000", "--u1", "1004",
+                              "--samples", "300"], capsys)
+        assert code == EXIT_VERIFICATION and "VIOLATED" in out
         u = float(err.split("counterexample near u = ")[1])
         assert 1000.0 <= u <= 1004.0
 

@@ -43,6 +43,7 @@ from racebarrier.gsh_family import (
 )
 from racebarrier.gsh_phases import INV_PI, INV_PI_BITS, family_phases, root_table, rotation
 from racebarrier.race_simulator import (
+    RaceProfile,
     SimulationError,
     SimulationInputError,
     gsh_simulate,
@@ -329,6 +330,9 @@ class TestSimulation:
         assert prof.phase_bound_max <= 0.21
         assert prof.excluded_raw == 0
         assert prof.dominance_violations == 0
+        assert isinstance(prof, RaceProfile) and prof.remainder is None
+        assert prof.excluded_robust == prof.excluded_raw
+        assert prof.verified == (prof.excluded_raw == 0)
 
     def test_tail_constant(self, gsh7):
         u0 = max(1000.0, gsh7.margins["recommended_u0"])

@@ -27,7 +27,7 @@ from racebarrier.race_simulator import (
     envelope_min,
     pair_diff_grid,
     pair_diff_grids,
-    remainder_bound,
+    remainder_sup,
     simulate,
     v_lambda,
     write_profile,
@@ -133,7 +133,8 @@ class TestMainTerm:
 
 class TestRemainderBound:
     def test_zero_for_equal_pair(self):
-        assert remainder_bound(small_config(), 2, 2, 60.0) == 0.0
+        cfg = small_config()
+        assert remainder_sup(cfg, 2, 2, 60.0, 60.0, cfg.coefficients(((2, 2),))[0]) == 0.0
 
     def test_dominates_true_integral_tail(self):
         """The dropped term per zero is (1/rho) int_2^x t^(rho-1)/ln^2 t dt;
@@ -152,7 +153,7 @@ class TestRemainderBound:
             for (a, b) in ((1, 2), (2, 3)):
                 coeff = abs(chi.value(a).conjugate() - chi.value(b).conjugate())
                 true_norm = 2.0 * coeff * float(dropped) * u / math.exp(cfg.sigma_max * u)
-                bound = remainder_bound(cfg, a, b, u)
+                bound = remainder_sup(cfg, a, b, u, u, cfg.coefficients(((a, b),))[0])
                 assert true_norm < bound
 
 
@@ -231,7 +232,7 @@ class TestSimulate:
     def test_histogram_totals(self, barrier7):
         t = barrier7.parameters["t"]
         prof = simulate(barrier7, 2e5, 2e5 + 2 * math.pi / t, 5000)
-        assert prof.total() == len(prof.u) == 5000
+        assert sum(prof.ordering_histogram.values()) + prof.ties == len(prof.u) == 5000
 
     def test_excluded_ordering_never_strictly_observed(self, barrier7):
         t = barrier7.parameters["t"]
@@ -344,7 +345,7 @@ def _reference_pair_diff(config, a, b, us):
     out = np.zeros_like(us)
     if a == b:
         return out
-    for rho, c in config.pair_coefficients(a, b).items():
+    for rho, c in config.coefficients(((a, b),))[0].items():
         if c == 0:
             continue
         expo = (rho.real - config.sigma_max) * us
