@@ -33,7 +33,7 @@ from . import race_simulator as sim
 from .characters import (
     DirichletCharacter,
     character_group,
-    _pair_constraint_character,
+    _pair_constraint_row,
     nonprincipal_characters,
 )
 from .goodness import gaps_ok, witness_for
@@ -257,13 +257,19 @@ def _in_subgroup(group, b: int, c: int) -> bool:
     return x == b
 
 
-def _powers(chars, chi: DirichletCharacter) -> list[DirichletCharacter]:
-    """chi, chi**2, ..., chi**(ord - 1), taken from the character group in one
-    pass over chi's exponent vector."""
-    rows = [0] * (chi.order - 1)
-    for h, s in zip(chi.exponents, chars.orders):
-        rows = [row * s + h * p % s for p, row in enumerate(rows, 1)]
-    return list(map(chars.__getitem__, rows))
+@lru_cache(maxsize=1024)
+def _powers(chi: DirichletCharacter) -> tuple[DirichletCharacter, ...]:
+    """chi, chi**2, ..., chi**(ord - 1), the character group's own rows,
+    built once per chi."""
+    chars = character_group(chi.q)
+    return tuple(chars[chars.power(chi.index, p)] for p in range(1, chi.order))
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _power_zeros(chi: DirichletCharacter, sigma: float, t: float) -> tuple[ZeroSpec, ...]:
+    """Simple zeros at sigma + it for each member of chi's power family, built
+    once per (chi, sigma, t); typed like _zero_spec."""
+    return tuple(_zero_spec(c, sigma, t, 1) for c in _powers(chi))
 
 
 def _multiples(n: int, l: int) -> range:
@@ -367,7 +373,7 @@ def find_equal_sum_set(D: RaceTriple) -> EqualSumSet | None:
         rows = _multiples(n, index[res[k]]) if cyclic else nonprinc
         row = _power_row(cols[i], cols[j], cols[k], rows)
         if row is not None:
-            return package((i, j, k), "power", _powers(chars, chars[row]))
+            return package((i, j, k), "power", _powers(chars[row]))
     return None
 
 
@@ -394,8 +400,9 @@ def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -
     c1, c2, c3 = chars.columns(found.relabeled_triple)
     row = found.chi2.index
     w = roots[c2[row]].conjugate() - roots[c1[row]].conjugate()
+    members = found.characters
     z = 0
-    for chi in found.characters:
+    for chi in members:
         i = chi.index
         z += roots[c2[i]].conjugate() - roots[c3[i]].conjugate()
     abs_w, abs_z = abs(w), abs(z)
@@ -420,7 +427,10 @@ def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -
     # D1 = phi(q)(pi_{b1} - pi_{b2}) keeps the sign of cos C* on the locked set
     excluded = (b2, b3, b1) if sign > 0 else (b1, b3, b2)
 
-    zeros = [_zero_spec(chi, p.sigma1, t, 1) for chi in found.characters]
+    if found.family == "power" and members == _powers(members[0]):  # as the search builds it
+        zeros = [*_power_zeros(members[0], p.sigma1, t)]
+    else:
+        zeros = [_zero_spec(chi, p.sigma1, t, 1) for chi in members]
     zeros.append(_zero_spec(found.chi2, p.sigma2, 2.0 * t, 1))
     barrier = Barrier(
         triple=D,
@@ -473,17 +483,25 @@ class SpacingCharacter:
 _SMALL_PRIME_SET = frozenset((3, 7, 13))
 
 
-def multiplicities_for(d1: Fraction, d2: Fraction) -> tuple[int, int]:
-    """(c1, c2) for an admissible gap pair, compared as integer cross-products
-    of the reduced numerators and denominators."""
-    n1, m1, n2, m2 = d1.numerator, d1.denominator, d2.numerator, d2.denominator
+def multiplicities_for(n1: int, m1: int, n2: int, m2: int) -> tuple[int, int]:
+    """(c1, c2) for the admissible gap pair (n1 / m1, n2 / m2), compared as
+    integer cross-products, so the ratios need not be reduced."""
     if 3 * n1 > m1:
         return (1, 2)
     if 19 * n1 == 6 * m1 and 19 * n2 == 9 * m2:
         return (5, 9)
     if 37 * n1 == 12 * m1 and 37 * n2 == 16 * m2:
         return (3, 5)
-    raise ValueError(f"gap pair {(d1, d2)} outside the admissible spacing set")
+    raise ValueError(f"gap pair ({n1}/{m1}, {n2}/{m2}) outside the admissible spacing set")
+
+
+def _ratio_order(group, a: int, b: int) -> int:
+    """ord(b/a) from the dlog index: n / gcd(l_b - l_a, n) in a one-generator
+    group, the order of b/a's exponent vector otherwise."""
+    index, orders = group.index, group.orders
+    if len(orders) == 1:
+        return orders[0] // math.gcd(index[b] - index[a], orders[0])
+    return vector_order(unravel(index[b * pow(a, -1, group.q) % group.q], orders), orders)
 
 
 def find_spacing_character(D: RaceTriple) -> SpacingCharacter | None:
@@ -499,13 +517,11 @@ def find_spacing_character(D: RaceTriple) -> SpacingCharacter | None:
     """
     q, res = D.q, D.residues
     group = unit_group_structure(q)
-    index, orders = group.index, group.orders
     # ord(x) = ord(1/x): a triple has three ratio orders, shared by every
-    # relabeling, each read from the dlog index of a product of units
+    # relabeling, each read from the dlog index
     order = {}
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        x = res[j] * pow(res[i], -1, q) % q
-        order[i, j] = order[j, i] = vector_order(unravel(index[x], orders), orders)
+        order[i, j] = order[j, i] = _ratio_order(group, res[i], res[j])
 
     def ratio_orders(perm):
         i, j, k = perm
@@ -534,24 +550,26 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
     preconditions of `character_pair_constraint`: r = p^e divides s1 and
     p^(e+1) does not divide s2, or r = s1 in {39, 91, 273} with s2 | 273.
     None where exactly two values coincide (chi2(b2/b1) = e(1/m), m >= 3).
+    Characters are rows of the character group until one is returned.
     """
     q, res = D.q, D.residues
     chars = character_group(q)
+    n = chars.exponent
+    cols = chars.columns(res)
     i1, i2, i3 = perm
+    x1, x2, x3 = cols[i1], cols[i2], cols[i3]
     ratio21 = res[i2] * pow(res[i1], -1, q) % q
     r_primes = [p] if p is not None else [f for f, _ in factorize(r)]
-    chi1 = _pair_constraint_character(q, ratio21, r, s1, s2, r_primes)
+    row1 = _pair_constraint_row(q, ratio21, r, s1, s2, r_primes)
+    assert (x2[row1] - x1[row1]) % n * r == n  # chi1(b2/b1) = e(1/r)
     if p is not None:
         # reduce to chi2 with chi2(b2/b1) = e(1/m), m = p or p^2; m | r, since the
         # route skips r = p for p in {3, 7, 13}
         m = p ** (2 if p in _SMALL_PRIME_SET else 1)
-        chi2 = chi1 ** (r // m)
+        row2 = chars.power(row1, r // m)
     else:
-        chi2 = chi1
-        m = r
-    n = chars.exponent
-    col2, col3 = chars.columns((res[i2], res[i3]))
-    k32 = (col3[chi2.index] - col2[chi2.index]) % n  # chi2(b3/b2) = e(k32 / n)
+        row2, m = row1, r
+    k32 = (x3[row2] - x2[row2]) % n  # chi2(b3/b2) = e(k32 / n)
     assert k32 * m % n == 0  # chi2(b3/b2) is an m-th root of unity
     j_good = k32 * m // n + 1
     if j_good in (1, m):
@@ -561,23 +579,22 @@ def _spacing_from_route(D: RaceTriple, perm, s1: int, s2: int, r: int, p: int | 
         raise ConstructionError(f"base modulus m={m} has no witness for j={j_good}")
     if k * j_good % m in (0, k):  # chi2^k at b1, b2, b3 sits at 0, k, k j_good (mod m)
         return None
-    return _assemble_spacing(D, chi2**k, m, k)
+    return _assemble_spacing(D, cols, chars.power(row2, k), m, k)
 
 
-def _assemble_spacing(D: RaceTriple, chi: DirichletCharacter, m: int, k: int):
-    """Read off the relabeling and gap pair from the actual character values.
+def _assemble_spacing(D: RaceTriple, cols, row: int, m: int, k: int):
+    """Read off the relabeling and gap pair from the values of the character
+    in `row`, on cols, the columns of D's residues.
 
     Gaps are compared as integer numerators over the group exponent n; the
-    conjugate is taken only when chi itself fails.
+    conjugate is taken only when the character itself fails.
     """
     res = D.residues
     chars = character_group(D.q)
     n = chars.exponent
-    cols = chars.columns(res)
     for conjugate in (False, True):
-        candidate = chi.conjugate() if conjugate else chi
-        row = candidate.index
-        angles = sorted((col[row], a) for col, a in zip(cols, res))
+        candidate = chars.power(row, -1) if conjugate else row
+        angles = sorted((col[candidate], a) for col, a in zip(cols, res))
         (t1, r1), (t2, r2), (t3, r3) = angles
         gaps = (t2 - t1, t3 - t2, n - t3 + t1)
         rotations = (
@@ -587,10 +604,10 @@ def _assemble_spacing(D: RaceTriple, chi: DirichletCharacter, m: int, k: int):
         )
         for labels, (g1, g2) in rotations:
             if g1 <= g2 and gaps_ok(g1, g2, n):
-                d1, d2 = Fraction(g1, n), Fraction(g2, n)
                 perm = tuple(res.index(a) for a in labels)
-                c1, c2 = multiplicities_for(d1, d2)
-                return SpacingCharacter(perm, labels, candidate, d1, d2, c1, c2, m, k)
+                c1, c2 = multiplicities_for(g1, n, g2, n)
+                return SpacingCharacter(perm, labels, chars[candidate], Fraction(g1, n),
+                                        Fraction(g2, n), c1, c2, m, k)
     raise ConstructionError(
         f"witness k={k} (m={m}) did not produce admissible gaps on the values"
     )
@@ -616,11 +633,15 @@ class CrossingInequality:
 
 
 def verify_crossing_inequality(c1: int, c2: int, d1, d2) -> CrossingInequality:
-    """z1 + z2 < pi (d1 + d2) with z_j the envelope zero crossings.
+    """z1 + z2 < pi (d1 + d2) with z_j the envelope zero crossings."""
+    return _crossing_inequality(c1, c2, *d1.as_integer_ratio(), *d2.as_integer_ratio())
 
-    Each gap enters as numerator / denominator of its integer ratio, the
-    quotient float() returns."""
-    (n1, m1), (n2, m2) = d1.as_integer_ratio(), d2.as_integer_ratio()
+
+@lru_cache(maxsize=1024)
+def _crossing_inequality(c1: int, c2: int, n1: int, m1: int, n2: int,
+                         m2: int) -> CrossingInequality:
+    """`verify_crossing_inequality` on the gaps n1 / m1 and n2 / m2, each the
+    quotient float() returns, cached on the multiplicities and gap pair."""
     f1, f2 = n1 / m1, n2 / m2
     lam1 = (c2 / c1) * math.cos(math.pi * f1)
     lam2 = (c2 / c1) * math.cos(math.pi * f2)
@@ -646,7 +667,7 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
     m = math.lcm(m1, m2)
     if not (n1 * m2 <= n2 * m1 and gaps_ok(n1 * (m // m1), n2 * (m // m2), m)):
         raise ConstructionError(f"gap pair {(d1, d2)} outside the admissible spacing set")
-    ineq = verify_crossing_inequality(spacing.c1, spacing.c2, d1, d2)
+    ineq = _crossing_inequality(spacing.c1, spacing.c2, n1, m1, n2, m2)
     if not ineq.ok:
         raise ConstructionError(f"spacing inequality failed, margin {ineq.margin}")
     chi = spacing.chi
@@ -656,10 +677,10 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
     k1, k2, k3 = x1[row], x2[row], x3[row]
     if (k2 - k1) % n * m1 != n1 % m1 * n or (k3 - k2) % n * m2 != n2 % m2 * n:
         raise ConstructionError("character values do not realize the declared gaps")
-    if (spacing.c1, spacing.c2) != multiplicities_for(d1, d2):
+    if (spacing.c1, spacing.c2) != multiplicities_for(n1, m1, n2, m2):
         raise ConstructionError("multiplicities inconsistent with the gap pair")
-    chi_sq = chi**2
-    if chi_sq.is_principal:
+    row_sq = chars.power(row, 2)
+    if row_sq == 0:
         raise ConstructionError("chi^2 is principal; spacing geometry violated")
     delta, y_worst = sim.envelope_min(d1, d2, spacing.c1, spacing.c2)
     gamma = max(p.gamma, 2.0 * p.tau, 1000.0)
@@ -669,7 +690,7 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
     b1, b2, b3 = spacing.relabeled_triple
     zeros = (
         _zero_spec(chi, alpha_sigma, gamma, spacing.c1),
-        _zero_spec(chi_sq, alpha_sigma, 2.0 * gamma, spacing.c2),
+        _zero_spec(chars[row_sq], alpha_sigma, 2.0 * gamma, spacing.c2),
     )
     barrier = Barrier(
         triple=D,

@@ -95,7 +95,7 @@ class DirichletCharacter:
     def __pow__(self, k: int) -> "DirichletCharacter":
         """chi**k, the character group's own row object."""
         chars = self._chars
-        return chars[chars.row([h * k for h in self.exponents])]
+        return chars[chars.power(self.index, k)]
 
 
 def angle_to_complex(angle: RationalAngle) -> complex:
@@ -172,6 +172,12 @@ class CharacterGroup(Sequence):
             row = row * s + h % s
         return row
 
+    def power(self, row: int, k: int) -> int:
+        """Row of chi**k for the character chi in `row`: row k mod n with one generator."""
+        if len(self.orders) == 1:
+            return row * k % self.exponent
+        return self.row([h * k for h in self[row].exponents])
+
     def angle(self, row: int, a: int) -> int:
         """Angle numerator of the character in `row` at a.
 
@@ -230,7 +236,10 @@ def nonprincipal_characters(q: int) -> tuple[DirichletCharacter, ...]:
 
 
 def _solve_unit_combination(m: int, coefs: list[int]) -> list[int]:
-    """Integers h_i with sum h_i coefs[i] ≡ 1 (mod m); requires gcd(m, *coefs) = 1."""
+    """Integers h_i with sum h_i coefs[i] ≡ 1 (mod m); requires gcd(m, *coefs) = 1.
+    One coefficient (a one-generator group) is inverted mod m."""
+    if len(coefs) == 1 and math.gcd(coefs[0], m) == 1:
+        return [pow(coefs[0], -1, m)]
     g = m
     h = [0] * len(coefs)
     for i, c in enumerate(coefs):
@@ -289,16 +298,15 @@ def character_pair_constraint(q: int, b: int, c: int, r: int) -> DirichletCharac
     return chi
 
 
-def _pair_constraint_character(q: int, b: int, r: int, s1: int, s2: int,
-                               r_primes) -> DirichletCharacter:
-    """`character_pair_constraint` for r > 1 from what its caller already
-    holds: s1 = ord(b), s2 = ord(c) and the primes of r, with the
-    preconditions on them unchecked.
+def _pair_constraint_row(q: int, b: int, r: int, s1: int, s2: int, r_primes) -> int:
+    """Row of `character_pair_constraint`'s character for r > 1, from what its
+    caller already holds: s1 = ord(b), s2 = ord(c) and the primes of r, with
+    the preconditions on them unchecked.
 
     chi1 with chi1(b) = e(1/s1) solves one unit combination; the result is
     chi1^(k) with k = (s1 / r) x u, where s2 = v u splits off the primes of
-    r into v and x = u^-1 mod r; both are rows of `character_group(q)`.
-    b must be a unit mod q; it is not validated again.
+    r into v and x = u^-1 mod r.  b must be a unit mod q; it is not
+    validated again.
     """
     v = 1
     for p in r_primes:
@@ -308,8 +316,15 @@ def _pair_constraint_character(q: int, b: int, r: int, s1: int, s2: int,
     group, chars = unit_group_structure(q), character_group(q)
     f = unravel(group.index[b], group.orders)
     h = _solve_unit_combination(s1, [fi * s1 // s for fi, s in zip(f, group.orders)])
-    chi = chars[chars.row(h)] ** (s1 // r * pow(u, -1, r) * u)
-    assert chi.angle_numerator(b) * r == group.exponent  # chi(b) = e(1/r)
+    return chars.power(chars.row(h), s1 // r * pow(u, -1, r) * u)
+
+
+def _pair_constraint_character(q: int, b: int, r: int, s1: int, s2: int,
+                               r_primes) -> DirichletCharacter:
+    """The character in `_pair_constraint_row`, with chi(b) = e(1/r) checked."""
+    chars = character_group(q)
+    chi = chars[_pair_constraint_row(q, b, r, s1, s2, r_primes)]
+    assert chi.angle_numerator(b) * r == chars.exponent  # chi(b) = e(1/r)
     return chi
 
 

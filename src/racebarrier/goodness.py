@@ -39,6 +39,9 @@ def gaps_ok(lo, hi, m: int, allow_special_pairs: bool = True):
     """Integer form of spacing_ok(lo / m, hi / m) for gaps lo <= hi; on int
     arrays lo and hi it tests elementwise and returns a bool array."""
     (a1, b1), (a2, b2) = _WINDOW_RATIOS
+    if type(lo) is int and type(hi) is int:  # a scalar returns at the first test that decides
+        return (b1 * lo > a1 * m and b2 * hi < a2 * m) or (bool(allow_special_pairs) and any(
+            m1 * lo == n1 * m and m2 * hi == n2 * m for n1, m1, n2, m2 in _SPECIAL_RATIOS))
     ok = (b1 * lo > a1 * m) & (b2 * hi < a2 * m)
     if allow_special_pairs:
         for n1, m1, n2, m2 in _SPECIAL_RATIOS:

@@ -48,7 +48,7 @@ from racebarrier.characters import (
     nonprincipal_characters,
 )
 from racebarrier.race_simulator import MainTermConfig, pair_diff_grid, simulate
-from racebarrier.residue_group import unit_group_structure
+from racebarrier.residue_group import multiplicative_order, unit_group_structure
 
 
 class TestRaceTriple:
@@ -371,20 +371,23 @@ class TestFindSpacingCharacter:
     @pytest.mark.parametrize("triple, construction", [
         ((19, 2, 3, 14), "III"),  # every relabeling and both routes fail
         ((23, 2, 3, 4), "II"),
+        ((69, 2, 32, 62), "II"),  # two generators
     ])
     def test_three_ratio_orders_per_triple(self, monkeypatch, triple, construction):
         """ord(x) = ord(1/x), so the six relabelings share three ratio orders,
-        each one order computation on a dlog vector."""
+        each one `_ratio_order` read from the dlog index, and each equal to
+        the multiplicative order of the ratio."""
         from racebarrier import barrier_search
 
         calls = []
-        order = barrier_search.vector_order
+        order = barrier_search._ratio_order
 
-        def counted(vec, orders):
-            calls.append(vec)
-            return order(vec, orders)
+        def counted(group, a, b):
+            calls.append(order(group, a, b))
+            assert calls[-1] == multiplicative_order(group.q, b * pow(a, -1, group.q))
+            return calls[-1]
 
-        monkeypatch.setattr(barrier_search, "vector_order", counted)
+        monkeypatch.setattr(barrier_search, "_ratio_order", counted)
         assert find_barrier(RaceTriple(*triple)).construction == construction
         assert len(calls) == 3
 
@@ -446,11 +449,17 @@ class TestConstructionTwo:
         assert barrier.size == 8
 
     def test_multiplicity_table(self):
-        assert multiplicities_for(Fraction(2, 5), Fraction(2, 5)) == (1, 2)
-        assert multiplicities_for(Fraction(6, 19), Fraction(9, 19)) == (5, 9)
-        assert multiplicities_for(Fraction(12, 37), Fraction(16, 37)) == (3, 5)
+        assert multiplicities_for(2, 5, 2, 5) == (1, 2)
+        assert multiplicities_for(6, 19, 9, 19) == (5, 9)
+        assert multiplicities_for(12, 37, 16, 37) == (3, 5)
+        # unreduced ratios, as the spacing search passes them over the group exponent
+        assert multiplicities_for(4, 10, 4, 10) == (1, 2)
+        assert multiplicities_for(12, 38, 18, 38) == (5, 9)
+        assert multiplicities_for(24, 74, 32, 74) == (3, 5)
         with pytest.raises(ValueError):
-            multiplicities_for(Fraction(1, 5), Fraction(2, 5))
+            multiplicities_for(1, 5, 2, 5)
+        with pytest.raises(ValueError):
+            multiplicities_for(12, 38, 16, 38)  # (6/19, 8/19)
 
     def test_inconsistent_gaps_rejected(self):
         D, sp = _synthetic_spacing(191, 19, 6, 15, 5, 9)

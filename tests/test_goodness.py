@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -35,14 +36,16 @@ class TestSpacingOk:
         assert not spacing_ok(Fraction(2, 5), Fraction(7, 20))  # needs d1 <= d2
 
     def test_integer_form_matches_on_every_gap_pair(self):
-        for n in (*range(1, 40), 57, 74, 76):  # multiples of 19 and 37 reach the special pairs
+        for n, special in itertools.product((*range(1, 40), 57, 74, 76), (True, False)):
+            # multiples of 19 and 37 reach the special pairs
             pairs = [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
-            expected = [spacing_ok(Fraction(lo, n), Fraction(hi, n)) for lo, hi in pairs]
+            expected = [spacing_ok(Fraction(lo, n), Fraction(hi, n), special) for lo, hi in pairs]
             for (lo, hi), want in zip(pairs, expected):
-                assert gaps_ok(lo, hi, n) is want, (lo, hi, n)
+                # the scalar form returns a Python bool
+                assert gaps_ok(lo, hi, n, special) is want, (lo, hi, n, special)
             # the array form, as witness_for calls it
             lo, hi = np.array(pairs, dtype=np.int64).T
-            assert gaps_ok(lo, hi, n).tolist() == expected, n
+            assert gaps_ok(lo, hi, n, special).tolist() == expected, (n, special)
 
 
 class TestWitnessFor:

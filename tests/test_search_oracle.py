@@ -21,6 +21,7 @@ import functools
 import itertools
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -588,6 +589,33 @@ def test_determinant_witnesses_match_the_mpmath_search_up_to_50():
         witnesses[w.chi.index, w.h, w.k] += 1
     assert witnesses == {(1, 1, 2): 888}
     assert not escalations
+
+
+@pytest.mark.parametrize("q, orders, reaching", [
+    (69, (2, 22), 62), (92, (2, 22), 63), (115, (4, 22), 15),
+])
+def test_multi_generator_construction_two_matches_the_fraction_path(q, orders, reaching):
+    """The q <= 50 census reaches construction II only in cyclic groups.  On
+    a fixed sample of 3,000 ordered triples at each of three moduli with two
+    generators, every construction-II triple gets the frozen spacing search's
+    character and the Fraction path's barrier bytes."""
+    group = unit_group_structure(q)
+    assert group.orders == orders
+    rng = random.Random(f"multi-generator II {q}")
+    params = BarrierParams()
+    reached = 0
+    for _ in range(3000):
+        D = RaceTriple(q, *rng.sample(group.units, 3))
+        if find_equal_sum_set(D) is not None:
+            continue
+        spacing = find_spacing_character(D)
+        if spacing is None:
+            continue
+        reached += 1
+        assert repr(spacing) == repr(frozen_spacing_outcome(D)), D
+        assert barrier_bytes(construction_two(D, spacing, params)) == barrier_bytes(
+            frozen_barrier_past_the_equal_sum_search(D, params)), D
+    assert reached == reaching
 
 
 def test_construction_two_rejects_what_the_fraction_path_rejects():

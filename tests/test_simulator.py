@@ -3,7 +3,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -731,3 +733,63 @@ class TestWriteProfile:
         path = tmp_path / "p.csv"
         write_profile(prof, path)
         assert [row.split(",")[3] for row in path.read_text().splitlines()[1:]] == ["tie"] * 5
+
+
+def _transported(barrier):
+    """The barrier for the inverse triple (q; a1^-1, a2^-1, a3^-1): every
+    zero's character conjugated, the triple, its relabeling and the excluded
+    ordering inverted residue by residue."""
+    q = barrier.q
+
+    def inverse(residues):
+        return tuple(pow(a, -1, q) for a in residues)
+
+    return rb.Barrier(
+        triple=rb.RaceTriple(q, *inverse(barrier.triple.residues)),
+        permutation=barrier.permutation,
+        relabeled_triple=inverse(barrier.relabeled_triple),
+        construction=barrier.construction,
+        beta1=barrier.beta1,
+        zeros=tuple(rb.ZeroSpec(z.character.conjugate(), z.sigma, z.gamma, z.multiplicity)
+                    for z in barrier.zeros),
+        excluded_ordering=inverse(barrier.excluded_ordering),
+    )
+
+
+def _transport_sample():
+    """100 construction-II and 100 power-family barriers from a fixed draw
+    of q <= 50 triples, and the two exceptional spacing barriers."""
+    rng = random.Random("conjugation transport")
+    sample = {"II": [], "power": []}
+    while min(map(len, sample.values())) < 100:
+        q = rng.choice(_CENSUS_MODULI)
+        barrier = rb.find_barrier(rb.RaceTriple(q, *rng.sample(unit_group_structure(q).units, 3)))
+        kind = sample.get(barrier.parameters.get("family", barrier.construction))
+        if kind is not None and len(kind) < 100:
+            kind.append(barrier)
+    exceptional = [_census_barrier(t) for t in ((191, 125, 36, 180), (149, 24, 133, 20))]
+    return sample["II"] + sample["power"] + exceptional
+
+
+class TestConjugationTransport:
+    """chi(a^-1) is the conjugate of chi(a), so conjugating every zero's
+    character and inverting the triple carries a barrier to one for the
+    inverse triple whose main terms are the same floats."""
+
+    def test_transported_barriers_simulate_to_the_same_bytes(self):
+        sample = _transport_sample()
+        assert Counter(b.parameters.get("family", b.construction) for b in sample) == {
+            "II": 102, "power": 100}
+        for barrier in sample:
+            q = barrier.q
+            moved = _transported(barrier)
+            want, got = (simulate(b, 2e5, 2.2e5, 20_000) for b in (barrier, moved))
+            assert got.d1.tobytes() == want.d1.tobytes(), barrier.triple
+            assert got.d2.tobytes() == want.d2.tobytes(), barrier.triple
+            assert (repr(got.margin), repr(got.remainder)) == (
+                repr(want.margin), repr(want.remainder)), barrier.triple
+            assert got.ordering_histogram == {
+                tuple(pow(a, -1, q) for a in ordering): count
+                for ordering, count in want.ordering_histogram.items()}, barrier.triple
+            assert (got.ties, got.excluded_raw, got.excluded_robust) == (
+                want.ties, want.excluded_raw, want.excluded_robust), barrier.triple
