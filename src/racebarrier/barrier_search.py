@@ -223,9 +223,10 @@ class EqualSumSet:
 
 
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
-# Every family condition of find_equal_sum_set is symmetric in the first two
-# labels, so of the relabelings (i, j, k) and (j, i, k) only the one that comes
-# first in _PERMS can be the first to succeed.
+# Every family condition of find_equal_sum_set, and find_gsh_characters'
+# condition and score, is symmetric in the first two labels, so of the
+# relabelings (i, j, k) and (j, i, k) only the one that comes first in _PERMS
+# can be the first to succeed or the strictly best.
 _PAIR_PERMS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
@@ -1116,42 +1117,40 @@ def find_gsh_characters(D: RaceTriple, sigma1: float = 0.6, t: float = 1000.0):
     """
     chars = character_group(D.q)
     cols = chars.columns(D.residues)
+    roots = chars.roots
     best = None
     best_score = -1.0
-    for perm in _PERMS:
-        b1, b2, b3 = (D.residues[i] for i in perm)
+    for perm in _PAIR_PERMS:
         c1, c2, c3 = (cols[i] for i in perm)
         for ci in range(1, len(chars)):  # row 0 is the principal character
             if not (c1[ci] == c2[ci] != c3[ci]):
                 continue
-            chi1 = chars[ci]
-            z = chi1.value(b2).conjugate() - chi1.value(b3).conjugate()
+            z = roots[c2[ci]].conjugate() - roots[c3[ci]].conjugate()
             score = _phase_quality(_phase_offset(z, sigma1, t))
             if score > best_score + 1e-12:
-                chi2 = _first_separating_character(D, cols, perm[0], perm[1])
-                best = (perm, (b1, b2, b3), chi1, chi2)
+                best = (perm, ci)
                 best_score = score
-    return best
+    if best is None:
+        return None
+    perm, ci = best
+    chi2 = _first_separating_character(D, cols, perm[0], perm[1])
+    return perm, tuple(D.residues[i] for i in perm), chars[ci], chi2
 
 
 def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshBarrier:
     """Infinite (truncated) barrier: one isolated zero for chi1 and a family
-    of zeros for chi2 whose ordinates are phase-locked through the set H."""
+    of zeros for chi2 whose ordinates are phase-locked through the set H.
+    It chooses chi1, chi2, t and the first member of H in each window
+    [j^2, j^2 + j] (j^2 where the window misses H); _gsh_barrier does the rest."""
     p = params or BarrierParams()
-    sigma1, sigma2, beta = p.gsh_sigma1, p.gsh_sigma2, p.gsh_beta
-    if not 0.5 <= beta < sigma2 < sigma1:
-        raise ConstructionError("need 1/2 <= beta < sigma2 < sigma1")
+    sigma1 = p.gsh_sigma1
     t = max(p.t, 2.0 * p.tau, 1000.0)
     found = find_gsh_characters(D, sigma1=sigma1, t=t)
     if found is None:
         raise ConstructionError(f"no character pair satisfies the phase conditions for {D}")
     perm, triple, chi1, chi2 = found
-    b1, b2, b3 = triple
-    j_max = p.truncation
 
-    z, w, beta_phase = _gsh_coefficients(chi1, chi2, triple)
-    assert abs(z) > 0 and abs(w) > 0
-
+    z, _, beta_phase = _gsh_coefficients(chi1, chi2, triple)
     for _ in range(64):
         alpha = _phase_offset(z, sigma1, t)
         dist = abs(alpha - round(alpha))
@@ -1160,26 +1159,57 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
         t *= 2.0
     else:
         raise ConstructionError("could not place the phase offset away from 0 and 1/2")
+
+    js = np.arange(1, p.truncation + 1, dtype=np.int64)
+    first = _first_h_offsets(alpha, beta_phase, js, _h_lower_bounds(alpha, beta_phase, js))
+    h = js * js + np.maximum(first, 0)
+    return _gsh_barrier(D, perm, triple, chi1, chi2, t, sigma1, p.gsh_sigma2, p.gsh_beta, h)
+
+
+def _gsh_barrier(D: RaceTriple, perm, triple, chi1, chi2, t, sigma1, sigma2, beta,
+                 h) -> GshBarrier:
+    """The GSH barrier fixed by the construction's choices: chi1 and chi2 on
+    the relabeled triple, t, the real parts, and the member h_j of H taken in
+    each window [j^2, j^2 + j] for j = 1..J.  Every other field is derived
+    here, and the construction's checks run here, for construction_gsh and
+    for a loaded file alike.
+
+    in_h is the float test _in_h at each h_j, which is the construction's
+    window outcome: offsets below the certified lower bound are float
+    misses, offset 0 is probed when that bound is 0, and a missed window
+    keeps h_j = j^2.
+    """
+    if not 0.5 <= beta < sigma2 < sigma1:
+        raise ConstructionError("need 1/2 <= beta < sigma2 < sigma1")
+    h_arr = np.asarray(h, dtype=np.int64)
+    j_max = h_arr.size
+    if j_max < 1:
+        raise ConstructionError("the family has no terms; truncation J must be >= 1")
+    z, w, beta_phase = _gsh_coefficients(chi1, chi2, triple)
+    if z == 0 or w == 0:
+        raise ConstructionError(f"phase coefficient z = {z} or w = {w} is zero")
+    alpha = _phase_offset(z, sigma1, t)
     max_gap, bound = _h_max_gap(alpha), int(10.0 * t) + 1
     if max_gap is None or max_gap > bound:
         raise ConstructionError(f"H gaps exceed {bound}: {max_gap}")
 
     js = np.arange(1, j_max + 1, dtype=np.int64)
-    first = _first_h_offsets(alpha, beta_phase, js, _h_lower_bounds(alpha, beta_phase, js))
-    in_h = first >= 0
+    sq = js * js
+    in_h = _in_h(h_arr, alpha, beta_phase)
+    off = (h_arr < sq) | (h_arr > sq + js) | ~(in_h | (h_arr == sq))
+    if off.any():
+        j = int(np.argmax(off))
+        raise ConstructionError(f"h_values[{j}] is not j^2 or a member of H in window {j + 1}")
     missed = np.flatnonzero(~in_h & (js >= 10.0 * t))
     if missed.size:
         # a window of j+1 >= 10t+1 consecutive integers must meet H
         raise ConstructionError(f"window at j={missed[0] + 1} missed H; gap property broken")
-    h_arr = js * js + np.maximum(first, 0)
-    h_values = h_arr.tolist()
-    in_h_flags = in_h.tolist()
 
     deltas, xi = _family_constants(j_max, sigma2, beta)
     gam = 2.0 * t * h_arr + xi
     if np.unique(gam).size != gam.size:
         raise ConstructionError("ordinate collision in the truncated family")
-    gammas = gam.tolist()
+    in_h_flags = in_h.tolist()
 
     # samples below this see non-negligible mass from phase-uncontrolled terms;
     # j <= 2 count as uncontrolled because their ordinate perturbations xi_j
@@ -1190,27 +1220,12 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
             rec_u0 = max(rec_u0, 20.0 / deltas[j - 1])
 
     return GshBarrier(
-        triple=D,
-        permutation=perm,
-        relabeled_triple=triple,
-        chi1=chi1,
-        chi2=chi2,
-        t=t,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        beta=beta,
-        truncation=j_max,
-        h_values=tuple(h_values),
-        in_h=tuple(in_h_flags),
-        gammas=tuple(gammas),
-        deltas=deltas,
-        z=z,
-        w=w,
-        alpha=alpha,
-        beta_phase=beta_phase,
-        excluded_ordering=(b2, b3, b1),
-        parameters={"t": t, "sigma1": sigma1, "sigma2": sigma2, "beta": beta,
-                    "J": j_max},
+        triple=D, permutation=perm, relabeled_triple=triple, chi1=chi1, chi2=chi2, t=t,
+        sigma1=sigma1, sigma2=sigma2, beta=beta, truncation=j_max,
+        h_values=tuple(h_arr.tolist()), in_h=tuple(in_h_flags), gammas=tuple(gam.tolist()),
+        deltas=deltas, z=z, w=w, alpha=alpha, beta_phase=beta_phase,
+        excluded_ordering=(triple[1], triple[2], triple[0]),
+        parameters={"t": t, "sigma1": sigma1, "sigma2": sigma2, "beta": beta, "J": j_max},
         margins={"h_max_gap": max_gap, "h_gap_bound": bound,
                  "alpha_dist": abs(alpha - round(alpha)),
                  "recommended_u0": rec_u0,
@@ -1239,16 +1254,6 @@ def barrier_to_dict(barrier) -> dict:
             "beta": barrier.beta,
             "truncation": barrier.truncation,
             "h_values": list(barrier.h_values),
-            "in_h": [bool(f) for f in barrier.in_h],
-            "gammas": list(barrier.gammas),
-            "deltas": list(barrier.deltas),
-            "z": [barrier.z.real, barrier.z.imag],
-            "w": [barrier.w.real, barrier.w.imag],
-            "alpha": barrier.alpha,
-            "beta_phase": barrier.beta_phase,
-            "excluded_ordering": list(barrier.excluded_ordering),
-            "parameters": barrier.parameters,
-            "margins": barrier.margins,
         }
     return {
         "kind": "finite",
@@ -1286,42 +1291,6 @@ def _relabeling(triple: RaceTriple, data: dict) -> tuple[tuple, tuple]:
     return permutation, relabeled
 
 
-def _check_gsh(barrier: GshBarrier) -> GshBarrier:
-    """A loaded GSH barrier excludes an ordering of its triple, has
-    `truncation` entries in each per-term sequence, z, w, alpha and
-    beta_phase equal what construction_gsh computes from chi1, chi2, t and
-    sigma1 on the relabeled triple, deltas and gammas equal their values
-    from J, sigma2, beta, t and h_values, and each h_j lies in
-    [j^2, j^2 + j], in H where in_h is set and equal to j^2 where not."""
-    if sorted(barrier.excluded_ordering) != sorted(barrier.triple.residues):
-        raise ValueError("excluded ordering is not a permutation of the triple")
-    j_max = barrier.truncation
-    for name in ("h_values", "in_h", "gammas", "deltas"):
-        if len(getattr(barrier, name)) != j_max:
-            raise ValueError(f"{name} has {len(getattr(barrier, name))} entries, "
-                             f"truncation is {j_max}")
-    z, w, beta_phase = _gsh_coefficients(barrier.chi1, barrier.chi2, barrier.relabeled_triple)
-    expected = {"z": z, "w": w, "alpha": _phase_offset(z, barrier.sigma1, barrier.t),
-                "beta_phase": beta_phase}
-    for name, value in expected.items():
-        if getattr(barrier, name) != value:
-            raise ValueError(f"{name} = {getattr(barrier, name)!r} is not {value!r}, its value "
-                             "from chi1, chi2, t and sigma1")
-    deltas, xi = _family_constants(j_max, barrier.sigma2, barrier.beta)
-    gammas = 2.0 * barrier.t * np.asarray(barrier.h_values) + xi  # construction_gsh's gam
-    for name, expected in (("deltas", deltas), ("gammas", gammas)):
-        off = np.flatnonzero(np.asarray(getattr(barrier, name), dtype=float) != expected)
-        if off.size:
-            raise ValueError(f"{name}[{off[0]}] is not {float(expected[off[0]])!r}, its value "
-                             "from J, sigma2, beta, t and h_values")
-    h, js = np.asarray(barrier.h_values), np.arange(1, j_max + 1)
-    ok = np.where(barrier.in_h, _in_h(h, barrier.alpha, barrier.beta_phase), h == js * js)
-    bad = np.flatnonzero(~ok | (h < js * js) | (h > js * js + js))
-    if bad.size:
-        raise ValueError(f"h_values[{bad[0]}] is not in window {bad[0] + 1} of H as in_h says")
-    return barrier
-
-
 def _list(name: str, value) -> tuple:
     """A barrier file's list field, as a tuple."""
     if not isinstance(value, (list, tuple)):
@@ -1329,22 +1298,18 @@ def _list(name: str, value) -> tuple:
     return tuple(value)
 
 
-# numpy dtype kinds each GSH per-term sequence may convert to: one conversion
-# checks its 10^4 entries (a None or a string gives an object or str array)
-_SEQUENCE_KINDS = {"h_values": "iu", "in_h": "b", "gammas": "iuf", "deltas": "iuf"}
-
-
-def _sequence(name: str, values) -> tuple:
-    """A GSH per-term sequence: a flat list whose entries convert to one
-    numpy dtype of the sequence's kinds."""
+def _sequence(name: str, values) -> np.ndarray:
+    """A GSH file's integer sequence: a flat list whose entries convert to
+    one integer array (one conversion checks its 10^4 entries; a None, a
+    float or a string gives an array of another kind)."""
     values = _list(name, values)
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
         arr = np.empty((0, 0))
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in _SEQUENCE_KINDS[name]):
-        raise ValueError(f"{name} holds an entry of the wrong type")
-    return values
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+        raise ValueError(f"{name} holds an entry that is not an integer")
+    return arr
 
 
 def _integer(name: str, value):
@@ -1361,13 +1326,6 @@ def _real(name: str, value):
     return value
 
 
-def _complex(name: str, value) -> complex:
-    """A barrier file's complex number, stored as [real, imag]."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"{name} = {value!r} is not a [real, imag] pair")
-    return complex(_real(name, value[0]), _real(name, value[1]))
-
-
 def _character(q: int, name: str, exponents) -> DirichletCharacter:
     """A barrier file's character: a list of integer exponents."""
     if not isinstance(exponents, (list, tuple)):
@@ -1377,40 +1335,41 @@ def _character(q: int, name: str, exponents) -> DirichletCharacter:
     return DirichletCharacter(q, tuple(exponents))
 
 
+# what construction_gsh derives from its choices; a GSH file states none of it
+_GSH_DERIVED = ("z", "w", "alpha", "beta_phase", "in_h", "gammas", "deltas",
+                "excluded_ordering", "parameters", "margins")
+
+
 def barrier_from_dict(data: dict):
     """The barrier a `barrier_to_dict` dict describes.  Every field's type is
     checked here, where files come in, and a defect raises ValueError (the
-    records' own constructors check values, not types)."""
+    records' own constructors check values, not types).  A GSH file holds
+    the construction's choices only; _gsh_barrier derives the rest and runs
+    the construction's checks on them."""
     if not isinstance(data, dict):
         raise ValueError("a barrier file holds one JSON object")
     q = data["q"]
     triple = RaceTriple(q, *(_integer("triple entry", a) for a in _list("triple", data["triple"])))
     permutation, relabeled = _relabeling(triple, data)
-    excluded = _list("excluded_ordering", data["excluded_ordering"])
     if data.get("kind") == "gsh":
-        return _check_gsh(GshBarrier(
-            triple=triple,
-            permutation=permutation,
-            relabeled_triple=relabeled,
-            chi1=_character(q, "chi1", data["chi1"]),
-            chi2=_character(q, "chi2", data["chi2"]),
-            t=_real("t", data["t"]),
-            sigma1=_real("sigma1", data["sigma1"]),
-            sigma2=_real("sigma2", data["sigma2"]),
-            beta=_real("beta", data["beta"]),
-            truncation=_integer("truncation", data["truncation"]),
-            h_values=_sequence("h_values", data["h_values"]),
-            in_h=_sequence("in_h", data["in_h"]),
-            gammas=_sequence("gammas", data["gammas"]),
-            deltas=_sequence("deltas", data["deltas"]),
-            z=_complex("z", data["z"]),
-            w=_complex("w", data["w"]),
-            alpha=_real("alpha", data["alpha"]),
-            beta_phase=_real("beta_phase", data["beta_phase"]),
-            excluded_ordering=excluded,
-            parameters=data.get("parameters", {}),
-            margins=data.get("margins", {}),
-        ))
+        stated = [key for key in _GSH_DERIVED if key in data]
+        if stated:
+            raise ValueError(f"{stated[0]} is derived from the construction's choices and a "
+                             "GSH file does not state it; rebuild the file with `racebarrier gsh`")
+        if data["construction"] != "GSH":
+            raise ValueError(f"construction {data['construction']!r} of a GSH file is not 'GSH'")
+        j_max = _integer("truncation", data["truncation"])
+        h = _sequence("h_values", data["h_values"])
+        if h.size != j_max:
+            raise ValueError(f"h_values has {h.size} entries, truncation is {j_max}")
+        try:
+            return _gsh_barrier(
+                triple, permutation, relabeled,
+                _character(q, "chi1", data["chi1"]), _character(q, "chi2", data["chi2"]),
+                _real("t", data["t"]), _real("sigma1", data["sigma1"]),
+                _real("sigma2", data["sigma2"]), _real("beta", data["beta"]), h)
+        except (ConstructionError, ArithmeticError) as exc:  # t = 0 or inf, say
+            raise ValueError(str(exc)) from exc
     zeros = []
     for zd in _list("zeros", data["zeros"]):
         if not isinstance(zd, dict):
@@ -1428,7 +1387,7 @@ def barrier_from_dict(data: dict):
         construction=data["construction"],
         beta1=_real("beta1", data["beta1"]),
         zeros=tuple(zeros),
-        excluded_ordering=excluded,
+        excluded_ordering=_list("excluded_ordering", data["excluded_ordering"]),
         parameters=data.get("parameters", {}),
         margins=data.get("margins", {}),
     )

@@ -1,11 +1,12 @@
+import dataclasses
 import itertools
 import json
-import math
 
 import pytest
 
 from racebarrier import barrier_from_dict, find_barrier, RaceTriple
 from racebarrier import barrier_search as bs
+from racebarrier import cli
 from racebarrier.cli import EXIT_VERIFICATION, _sweep_q, main
 
 
@@ -149,9 +150,9 @@ class TestBarrierCommand:
 
 def _labels(barrier_file):
     """Ordering column values a verified profile of the barrier may contain."""
-    data = json.loads(barrier_file.read_text())
-    orders = set(itertools.permutations(data["relabeled_triple"]))
-    orders.remove(tuple(data["excluded_ordering"]))
+    barrier = barrier_from_dict(json.loads(barrier_file.read_text()))
+    orders = set(itertools.permutations(barrier.relabeled_triple))
+    orders.remove(barrier.excluded_ordering)
     return {">".join(map(str, o)) for o in orders} | {"tie"}
 
 
@@ -343,6 +344,15 @@ class TestGshCommand:
         assert {p.name for p in tmp_path.iterdir()} == {"gsh_q7_1_2_5.json",
                                                         "barrier_q7_1_2_5.json"}
 
+    @pytest.mark.parametrize("truncation", ["0", "-5"])
+    def test_family_without_terms_fails(self, capsys, tmp_path, truncation):
+        """It wrote a file with no terms, which simulate or the loader refused."""
+        out_file = tmp_path / "g.json"
+        code, _, err = run(["gsh", "7", "1", "2", "5", "--truncation", truncation,
+                            "--out", str(out_file)], capsys)
+        assert code == 2 and "construction failed" in err and "J must be >= 1" in err
+        assert not out_file.exists()
+
 
 @pytest.fixture(scope="module")
 def gsh_file(tmp_path_factory):
@@ -372,16 +382,20 @@ class TestSimulateGshCommand:
         )
         assert code == 1 and "truncation" in err
 
-    def test_counterexample_has_a_u(self, capsys, gsh_file, tmp_path):
-        """With the ordering it should exclude edited to one that shows, the
-        failure names the first u where it shows."""
-        data = json.loads(gsh_file.read_text())
-        assert data["excluded_ordering"] == [5, 1, 2]
-        data["excluded_ordering"] = [1, 2, 5]
-        path = tmp_path / "shows.json"
-        path.write_text(json.dumps(data))
+    def test_counterexample_has_a_u(self, capsys, gsh_file, monkeypatch):
+        """With the ordering it should exclude replaced by one that shows, the
+        failure names the first u where it shows.  A file cannot state the
+        ordering, so the loaded record is edited."""
+        load = cli.bs.barrier_from_dict
+
+        def shown(data):
+            barrier = load(data)
+            assert barrier.excluded_ordering == (5, 1, 2)
+            return dataclasses.replace(barrier, excluded_ordering=(1, 2, 5))
+
+        monkeypatch.setattr(cli.bs, "barrier_from_dict", shown)
         capsys.readouterr()
-        code, out, err = run(["simulate", str(path), "--u0", "1000", "--u1", "1004",
+        code, out, err = run(["simulate", str(gsh_file), "--u0", "1000", "--u1", "1004",
                               "--samples", "300"], capsys)
         assert code == EXIT_VERIFICATION and "VIOLATED" in out
         u = float(err.split("counterexample near u = ")[1])
@@ -410,10 +424,21 @@ def gsh_file_full(tmp_path_factory):
     return path
 
 
+# a GSH file holds what construction_gsh chose: the header, the characters,
+# t, the real parts, J and the member h_j of H taken in each window
+GSH_KEYS = {"kind", "q", "triple", "permutation", "relabeled_triple", "construction",
+            "chi1", "chi2", "t", "sigma1", "sigma2", "beta", "truncation", "h_values"}
+
+# what the loader derives from them, which older files stored
+DERIVED_KEYS = ("z", "w", "alpha", "beta_phase", "in_h", "gammas", "deltas",
+                "excluded_ordering", "parameters", "margins")
+
+
 class TestGshFileChecks:
-    """A GSH barrier file is checked at load: its per-term sequences have
-    `truncation` entries, and its phase data are recomputed from the
-    characters; either defect exits 1 as a malformed file."""
+    """A GSH barrier file holds the construction's choices; the loader
+    derives every other field and runs the construction's checks on them,
+    so a file that states a derived key or fails a check exits 1 as a
+    malformed file."""
 
     def _simulate(self, capsys, tmp_path, data):
         path = tmp_path / "tampered.json"
@@ -421,96 +446,88 @@ class TestGshFileChecks:
         capsys.readouterr()
         return run(["simulate", str(path), "--samples", "50"], capsys)
 
+    def _rejected(self, capsys, tmp_path, data, message):
+        code, _, err = self._simulate(capsys, tmp_path, data)
+        assert code == 1 and "malformed barrier file" in err and message in err, err
+
     def test_untampered_file_simulates(self, capsys, gsh_file_full, tmp_path):
         data = json.loads(gsh_file_full.read_text())
+        assert set(data) == GSH_KEYS and gsh_file_full.stat().st_size < 120_000
         assert data["truncation"] == 10_000 and len(data["h_values"]) == 10_000
         code, _, err = self._simulate(capsys, tmp_path, data)
         assert code == 0 and "malformed" not in err
 
-    def test_edited_alpha_rejected(self, capsys, gsh_file_full, tmp_path):
+    @pytest.mark.parametrize("key", DERIVED_KEYS)
+    def test_derived_key_rejected(self, capsys, gsh_file_full, tmp_path, key):
+        """A file that states a derived key, as files of older versions do, is
+        refused even when the value is the one the loader derives."""
         data = json.loads(gsh_file_full.read_text())
-        assert data["alpha"] != 0.123
-        data["alpha"] = 0.123
-        code, _, err = self._simulate(capsys, tmp_path, data)
-        assert code == 1 and "malformed barrier file" in err and "alpha" in err
+        value = getattr(barrier_from_dict(data), key)
+        data[key] = [value.real, value.imag] if isinstance(value, complex) else value
+        self._rejected(capsys, tmp_path, data, f"{key} is derived")
 
-    @pytest.mark.parametrize("excluded", [[1, 2, 6], [2, 2, 2], [5, 1]])
-    def test_excluded_ordering_not_of_the_triple_rejected(self, capsys, gsh_file_full, tmp_path,
-                                                          excluded):
-        """It raised KeyError in gsh_simulate."""
-        data = json.loads(gsh_file_full.read_text())
-        data["excluded_ordering"] = excluded
-        code, _, err = self._simulate(capsys, tmp_path, data)
-        assert code == 1 and "malformed barrier file" in err and "excluded ordering" in err
-
-    @pytest.mark.parametrize("field", ["h_values", "in_h", "gammas", "deltas"])
+    @pytest.mark.parametrize("field", ["h_values", "truncation"])
     def test_cut_sequence_rejected(self, capsys, gsh_file_full, tmp_path, field):
         data = json.loads(gsh_file_full.read_text())
-        data[field] = data[field][:10]
-        code, _, err = self._simulate(capsys, tmp_path, data)
-        assert code == 1 and "malformed barrier file" in err and field in err
+        if field == "h_values":
+            data["h_values"] = data["h_values"][:10]
+        else:
+            data["truncation"] = 20_000
+        self._rejected(capsys, tmp_path, data, "h_values has")
 
-    @pytest.mark.parametrize("field, index", [("gammas", 0), ("gammas", 7000), ("deltas", 3)])
-    def test_sequence_entry_moved_by_one_ulp_rejected(self, capsys, gsh_file_full, tmp_path,
-                                                      field, index):
-        """gammas and deltas are recomputed from J, sigma2, beta, t and
-        h_values: the lattice identity gamma_j = 2t h_j + xi_j that the exact
-        phases of gsh_simulate rest on holds entry by entry."""
+    @pytest.mark.parametrize("truncation", [0, -5])
+    def test_family_without_terms_rejected(self, capsys, gsh_file_full, tmp_path, truncation):
         data = json.loads(gsh_file_full.read_text())
-        data[field][index] = math.nextafter(data[field][index], math.inf)
-        code, _, err = self._simulate(capsys, tmp_path, data)
-        assert code == 1 and "malformed barrier file" in err and f"{field}[{index}]" in err
+        data["truncation"], data["h_values"] = truncation, []
+        message = "J must be >= 1" if truncation == 0 else "h_values has 0 entries"
+        self._rejected(capsys, tmp_path, data, message)
 
     def test_shifted_h_value_rejected(self, capsys, gsh_file_full, tmp_path):
         data = json.loads(gsh_file_full.read_text())
-        data["h_values"][100] += 1
-        code, _, err = self._simulate(capsys, tmp_path, data)
-        assert code == 1 and "malformed barrier file" in err and "gammas[100]" in err
+        data["h_values"][100] += 1  # still in window 101, no longer in H
+        self._rejected(capsys, tmp_path, data, "h_values[100]")
 
-    @pytest.mark.parametrize("edit", ["every_in_h_set", "h_beyond_window", "in_h_cleared",
-                                      "h_off_h"])
+    @pytest.mark.parametrize("edit", ["h_beyond_window", "h_below_window", "h_off_h"])
     def test_h_windows_checked(self, capsys, gsh_file_full, tmp_path, edit):
-        """h_j lies in [j^2, j^2 + j], is j^2 where in_h is false, and passes
-        construction_gsh's float membership test where it is true; each edit
-        keeps gammas on the lattice, so only this check can reject it."""
+        """h_j lies in [j^2, j^2 + j] and is j^2 or passes construction_gsh's
+        float membership test."""
         data = json.loads(gsh_file_full.read_text())
-        xi = bs._family_constants(data["truncation"], data["sigma2"], data["beta"])[1]
-
-        def member(h):
-            frac = h * data["alpha"] + data["beta_phase"]
-            return abs(frac - round(frac)) <= 0.2
-
-        def move(j, h):
-            data["h_values"][j] = h
-            data["gammas"][j] = 2.0 * data["t"] * h + float(xi[j])
-
+        barrier = barrier_from_dict(data)
         j = 499  # window 500
-        assert data["in_h"][j] and data["h_values"][j] != 500 ** 2 and not data["in_h"][0]
-        if edit == "every_in_h_set":  # window 1 misses H
-            data["in_h"] = [True] * len(data["in_h"])
-            j = 0
-        elif edit == "h_beyond_window":
-            move(j, 500 ** 2 + 501)
-        elif edit == "in_h_cleared":
-            data["in_h"][j] = False
+        assert barrier.in_h[j] and data["h_values"][j] != 500 ** 2
+        if edit == "h_beyond_window":
+            data["h_values"][j] = 500 ** 2 + 501
+        elif edit == "h_below_window":
+            data["h_values"][j] = 500 ** 2 - 1
         else:
-            move(j, next(h for h in range(500 ** 2, 500 ** 2 + 501) if not member(h)))
-        code, _, err = self._simulate(capsys, tmp_path, data)
-        assert code == 1 and "malformed barrier file" in err and f"h_values[{j}]" in err
+            window = range(500 ** 2 + 1, 500 ** 2 + 501)
+            data["h_values"][j] = next(h for h in window if not bs._in_h(
+                h, barrier.alpha, barrier.beta_phase))
+        self._rejected(capsys, tmp_path, data, f"h_values[{j}]")
 
-    @pytest.mark.parametrize("field, index, factor", [
-        ("z", 0, 1 + 2**-40), ("w", 1, 1 + 2**-40), ("beta_phase", None, 1 + 2**-40),
-        ("t", None, 1.5), ("sigma1", None, 1.1),
-    ], ids=["z", "w", "beta_phase", "t", "sigma1"])
-    def test_edited_phase_data_rejected(self, capsys, gsh_file_full, tmp_path, field, index,
-                                        factor):
+    def test_missed_window_rejected(self, capsys, gsh_file_full, tmp_path):
+        """h_J may be J^2 outside H only where the gap bound 10t + 1 does not
+        force window J to meet H; here J = 10^4 = 10t."""
         data = json.loads(gsh_file_full.read_text())
-        if index is None:
-            data[field] *= factor
-        else:
-            data[field][index] *= factor
-        code, _, err = self._simulate(capsys, tmp_path, data)
-        assert code == 1 and "malformed barrier file" in err
+        barrier = barrier_from_dict(data)
+        assert data["truncation"] >= 10 * barrier.t and barrier.in_h[-1]
+        assert not bs._in_h(10_000 ** 2, barrier.alpha, barrier.beta_phase)
+        data["h_values"][-1] = 10_000 ** 2
+        self._rejected(capsys, tmp_path, data, "window at j=10000 missed H")
+
+    def test_real_parts_out_of_order_rejected(self, capsys, gsh_file_full, tmp_path):
+        data = json.loads(gsh_file_full.read_text())
+        data["sigma2"] = data["sigma1"]
+        self._rejected(capsys, tmp_path, data, "need 1/2 <= beta < sigma2 < sigma1")
+
+    @pytest.mark.parametrize("field, factor", [("t", 1.5), ("sigma1", 1.1)],
+                             ids=["t", "sigma1"])
+    def test_edited_phase_data_rejected(self, capsys, gsh_file_full, tmp_path, field, factor):
+        """An edited t or sigma1 moves alpha and with it H, which the stored
+        h_values then leave."""
+        data = json.loads(gsh_file_full.read_text())
+        data[field] *= factor
+        self._rejected(capsys, tmp_path, data, "h_values[")
 
 
 class TestFieldTypesAtLoad:
@@ -567,18 +584,13 @@ class TestFieldTypesAtLoad:
         (("chi1",), 3),
         (("sigma2",), True),
         (("beta",), [0.5]),
-        (("alpha",), "0.1"),
-        (("beta_phase",), None),
         (("truncation",), 2000.0),
-        (("z",), ["x", 0.0]),
-        (("w",), [1.0]),
         (("h_values", 0), "x"),  # "could not convert string to float" in gsh_simulate
-        (("gammas", 0), None),  # TypeError in gsh_simulate
-        (("in_h",), 7),
-        (("deltas", 0), [0.1]),
+        (("h_values", 0), [1]),
+        (("h_values", 0), None),
     ], ids=["t-str", "sigma1-null", "chi1-float", "chi2-bool", "chi1-int", "sigma2-bool",
-            "beta-list", "alpha-str", "beta_phase-null", "truncation-float", "z-str",
-            "w-short", "h_values-str", "gammas-null", "in_h-int", "deltas-nested"])
+            "beta-list", "truncation-float", "h_values-str", "h_values-nested",
+            "h_values-null"])
     def test_gsh_field_types(self, capsys, tmp_path, gsh_data, path, value):
         code, out, err = self._simulate(capsys, tmp_path, self._edited(gsh_data, path, value))
         assert code == 1 and "malformed barrier file" in err

@@ -7,19 +7,22 @@ still came from a per-call dlog sum, before the integer character table;
 a change to any byte of any of these barriers shows here.  A second digest
 covers one triple at q = 99991, where a cold modulus is costly to build.
 
-The GSH digests cover, per triple, the barrier JSON of `construction_gsh` at
-J = 10^4 and the `gsh_simulate` output over a 10-unit window from the
-recommended u0: the bytes of u, d1, d2 and the ordering codes, the reprs of
-the tail constant and the phase bound, and the controlled counts.  They were
-first recorded while the H-set search ran one window at a time and the phase
-kernel called `np.cos` and `np.sin` separately, and re-recorded when d1's
-phases became exact integer reductions: only the bytes of d1 moved, and
-every count, ordering code, tail constant and phase bound kept its value.
-They were re-recorded again when the gap of H came to be proved from the
-continued fraction of alpha instead of scanned on [0, 10^6]: the barrier
-JSON lost `parameters.gap_check_limit`, and no other byte moved.
+The GSH digests are three per triple, for `construction_gsh` at J = 10^4:
+the record (the repr of every `GshBarrier` field, margins and parameters
+included), the `gsh_simulate` output over a 10-unit window from the
+recommended u0 (the bytes of u, d1, d2 and the ordering codes, the reprs of
+the tail constant and the phase bound, and the controlled counts), and the
+barrier file's JSON.  They began as one digest of the file and the
+simulation, first recorded while the H-set search ran one window at a time
+and the phase kernel called `np.cos` and `np.sin` separately, and
+re-recorded when d1's phases became exact integer reductions (only d1's
+bytes moved) and when the gap of H came to be proved instead of scanned
+(the file lost `parameters.gap_check_limit`).  The record and simulation
+digests were split out when the file came to hold only the construction's
+choices, and recorded before that change; only the file digests moved.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -53,10 +56,26 @@ LARGE_DIGEST = "143bcf5a570e85f3b234c822642a1e4b00dce41c9a8d4d2f9a264c6fcaeabeb9
 
 # 7 1 2 5 drifts fast; 5 1 2 3 and 21 1 2 10 have alpha 2e-4 from an integer
 GSH_DIGESTS = {
-    (7, 1, 2, 5): "588a6dbab6a647800bec7b4237489e0c9d2f58478a488bf617afdba1a44c8e11",
-    (5, 1, 2, 3): "c6478c339739384337eae34f6b500b692e183071c47c64c0c2bb2ec1a1f7831c",
-    (21, 1, 2, 10): "a557e79bd4e2fa5fa29a1435941176e08ebf7278c18a5c12660babb5c1e43a3d",
-    (29, 2, 3, 5): "4e29b7120ab6bfd5794ac11b81687ab7523dfdd603e514dc83fc1ef73a090ff9",
+    (7, 1, 2, 5): {
+        "record": "4540730be8086f836827ee6be447ac7cfa54293bfee874622ccdc95f17fca11c",
+        "simulation": "44b9166549c9fa629bc1d30c02e1ba82e784b4356d4479a4601e88ff1747986d",
+        "file": "48f92bbda8c810f96b83ef76f2916f07ec1ef1f4ce0684d90d64033b73eb282d",
+    },
+    (5, 1, 2, 3): {
+        "record": "4a85c21727f78ebb2cac3482c844740c98f1c9c52b6fe036c44cc91ab66d9caa",
+        "simulation": "0dfc1ba60b659104f6ec7238566d47b182f64b1ee0436afef47c3ce78768f8fe",
+        "file": "246131bbd151a15dd7a8715231c3ba90eaee636d29af8390a7f9fe3f74ff5e94",
+    },
+    (21, 1, 2, 10): {
+        "record": "61775eb0e7baee8bb0971c833150f54a7612b0c679e67a8fcbdd6123b2b97447",
+        "simulation": "387a4f950954b59c87c23bd923444042495345738d78a1d5caf7f0ec925f9300",
+        "file": "66abb85e84ece34323c25d9386a431b95d0e2b9b5ce9e40b6e6733cb56f77c59",
+    },
+    (29, 2, 3, 5): {
+        "record": "551f99c11e84d925d061ae3d65be06fc57e4f2ff6929e586b9fd587e9350d1e0",
+        "simulation": "d29c6760f2856a32c0d6fef20c9d4c9a95b1ac25d68fa6888dcd9263d9c92af5",
+        "file": "d207c2ad41048902c6c894fac6d89cca047a479c8f56140cd4e0c02a574e2279",
+    },
 }
 
 
@@ -93,26 +112,33 @@ def test_barrier_json_digest_at_a_large_modulus():
     assert hashlib.sha256(text).hexdigest() == LARGE_DIGEST
 
 
+def record_digest(gsh):
+    """sha256 of the repr of every GshBarrier field, in field order."""
+    fields = [(f.name, getattr(gsh, f.name)) for f in dataclasses.fields(gsh)]
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("triple", sorted(GSH_DIGESTS))
 def test_gsh_digest(triple):
-    digest = hashlib.sha256()
     gsh = construction_gsh(RaceTriple(*triple), BarrierParams(truncation=10_000))
-    digest.update(json.dumps(barrier_to_dict(gsh), sort_keys=True).encode())
     u0 = max(1000.0, gsh.margins["recommended_u0"])
     prof = gsh_simulate(gsh, u0, u0 + 10.0, 200, max_lock_points=200)
+    simulation = hashlib.sha256()
     for arr in (prof.u, prof.d1, prof.d2, prof.ordering_codes):
-        digest.update(arr.tobytes())
-    digest.update(repr((prof.tail_constant, prof.phase_bound_max)).encode())
-    digest.update(repr((prof.controlled_positive, prof.controlled_total)).encode())
-    assert digest.hexdigest() == GSH_DIGESTS[triple]
+        simulation.update(arr.tobytes())
+    simulation.update(repr((prof.tail_constant, prof.phase_bound_max)).encode())
+    simulation.update(repr((prof.controlled_positive, prof.controlled_total)).encode())
+    text = json.dumps(barrier_to_dict(gsh), sort_keys=True).encode()
+    assert {"record": record_digest(gsh), "simulation": simulation.hexdigest(),
+            "file": hashlib.sha256(text).hexdigest()} == GSH_DIGESTS[triple]
 
 
 @pytest.mark.parametrize("triple", sorted(GSH_DIGESTS))
 def test_gsh_barrier_round_trips(triple):
-    """Every golden GSH barrier passes the load-time checks (sequence
-    lengths, recomputed z, w, alpha and beta_phase) and comes back equal."""
+    """Every golden GSH barrier comes back from its file equal, margins and
+    parameters included, with every field the loader derives."""
     gsh = construction_gsh(RaceTriple(*triple), BarrierParams(truncation=10_000))
     text = json.dumps(barrier_to_dict(gsh), sort_keys=True)
     back = barrier_from_dict(json.loads(text))
-    assert back == gsh
+    assert record_digest(back) == record_digest(gsh)
     assert json.dumps(barrier_to_dict(back), sort_keys=True) == text

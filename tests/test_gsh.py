@@ -849,7 +849,10 @@ class TestGshSerialization:
             barrier_from_dict(data)
 
     def test_character_payload(self, gsh7):
+        """The file holds the construction's choices and nothing derived."""
         data = barrier_to_dict(gsh7)
         assert data["kind"] == "gsh"
         assert data["chi1"] == list(gsh7.chi1.exponents)
-        assert len(data["gammas"]) == gsh7.truncation
+        assert data["chi2"] == list(gsh7.chi2.exponents)
+        assert data["h_values"] == list(gsh7.h_values)
+        assert len(data) == 14 and not {"gammas", "in_h", "z", "alpha"} & set(data)

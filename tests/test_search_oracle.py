@@ -13,9 +13,13 @@ frozen spacing search marks where two values coincide; there the live
 search returns None, and the equal-sum search decides the triple.
 Construction III's witness search is frozen in its float form with 50-digit
 mpmath escalation, and every q <= 50 triple that reaches it gets the same
-witness from the exact real test and the floored imaginary test.
+witness from the exact real test and the floored imaginary test.  The GSH
+character search, which scans three relabelings and reads z from the
+triple's columns, is compared with its six-relabeling form on every ordered
+triple with q <= 20.
 """
 
+import cmath
 import dataclasses
 import functools
 import itertools
@@ -49,6 +53,7 @@ from racebarrier.barrier_search import (
     construction_two,
     find_barrier,
     find_equal_sum_set,
+    find_gsh_characters,
     find_order7_character,
     find_spacing_character,
     verify_crossing_inequality,
@@ -720,6 +725,48 @@ def test_exceptional_spacing_pairs_end_to_end(triple, gaps, multiplicities, size
     gamma = min(z.gamma for z in barrier.zeros)
     profile = sim.simulate(barrier, 2e5, 2e5 + 10 * 2 * math.pi / gamma, 4000)
     assert profile.excluded_robust == 0 and profile.margin > profile.remainder
+
+
+# ---------------------------------------------------------------------------
+# the GSH character search against its six-relabeling scan
+
+
+def frozen_find_gsh_characters(D, sigma1=0.6, t=1000.0):
+    """find_gsh_characters as it scanned all six relabelings, reading z
+    through chi.value and choosing chi2 at each improvement."""
+    chars = character_group(D.q)
+    cols = chars.columns(D.residues)
+    best = None
+    best_score = -1.0
+    for perm, (b1, b2, b3) in _relabelings(D):
+        c1, c2, c3 = (cols[i] for i in perm)
+        for ci in range(1, len(chars)):
+            if not (c1[ci] == c2[ci] != c3[ci]):
+                continue
+            chi1 = chars[ci]
+            z = chi1.value(b2).conjugate() - chi1.value(b3).conjugate()
+            alpha = -(math.atan(sigma1 / t) + cmath.phase(z)) / math.pi
+            score = min(abs(alpha - round(alpha)), abs(2 * alpha - round(2 * alpha)))
+            if score > best_score + 1e-12:
+                chi2 = _first_separating_character(D, cols, perm[0], perm[1])
+                best = (perm, (b1, b2, b3), chi1, chi2)
+                best_score = score
+    return best
+
+
+def test_gsh_characters_match_the_six_relabeling_scan_up_to_20():
+    """The condition chi1(b1) = chi1(b2) != chi1(b3) and the score are
+    symmetric in the first two labels, so three relabelings choose what six
+    did, on every ordered q <= 20 triple."""
+    found = total = 0
+    for q in valid_moduli(20):
+        for triple in itertools.permutations(unit_group_structure(q).units, 3):
+            D = RaceTriple(q, *triple)
+            want = frozen_find_gsh_characters(D)
+            assert find_gsh_characters(D) == want, D
+            found += want is not None
+            total += 1
+    assert (found, total) == (11_328, 11_880)
 
 
 # ---------------------------------------------------------------------------

@@ -780,6 +780,19 @@ class TestConjugationTransport:
         sample = _transport_sample()
         assert Counter(b.parameters.get("family", b.construction) for b in sample) == {
             "II": 102, "power": 100}
+        self._assert_transported(sample)
+
+    def test_construction_three_barriers_transport(self):
+        """Every construction-III triple of q = 19 and q = 37 (19 2 3 14
+        among them): zeros for every character, at several multiplicities."""
+        built = (rb.find_barrier(rb.RaceTriple(q, *t)) for q in (19, 37)
+                 for t in itertools.permutations(unit_group_structure(q).units, 3))
+        sample = [b for b in built if b.construction == "III"]
+        assert len(sample) == 72
+        assert (2, 3, 14) in {b.triple.residues for b in sample if b.q == 19}
+        self._assert_transported(sample)
+
+    def _assert_transported(self, sample):
         for barrier in sample:
             q = barrier.q
             moved = _transported(barrier)
