@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 
@@ -434,6 +435,14 @@ DERIVED_KEYS = ("z", "w", "alpha", "beta_phase", "in_h", "gammas", "deltas",
                 "excluded_ordering", "parameters", "margins")
 
 
+def _stated(data, key):
+    """data with the derived key stated as older versions wrote it: the value
+    the loader derives, complex numbers as [re, im]."""
+    value = getattr(barrier_from_dict(data), key)
+    data[key] = [value.real, value.imag] if isinstance(value, complex) else value
+    return json.loads(json.dumps(data))
+
+
 class TestGshFileChecks:
     """A GSH barrier file holds the construction's choices; the loader
     derives every other field and runs the construction's checks on them,
@@ -461,19 +470,45 @@ class TestGshFileChecks:
     def test_derived_key_rejected(self, capsys, gsh_file_full, tmp_path, key):
         """A file that states a derived key, as files of older versions do, is
         refused even when the value is the one the loader derives."""
-        data = json.loads(gsh_file_full.read_text())
-        value = getattr(barrier_from_dict(data), key)
-        data[key] = [value.real, value.imag] if isinstance(value, complex) else value
+        data = _stated(json.loads(gsh_file_full.read_text()), key)
         self._rejected(capsys, tmp_path, data, f"{key} is derived")
 
-    @pytest.mark.parametrize("field", ["h_values", "truncation"])
+    def test_edited_alpha_rejected(self, capsys, gsh_file_full, tmp_path):
+        data = _stated(json.loads(gsh_file_full.read_text()), "alpha")
+        assert data["alpha"] != 0.123
+        data["alpha"] = 0.123
+        self._rejected(capsys, tmp_path, data, "alpha is derived")
+
+    @pytest.mark.parametrize("excluded", [[1, 2, 6], [2, 2, 2], [5, 1]])
+    def test_excluded_ordering_not_of_the_triple_rejected(self, capsys, gsh_file_full, tmp_path,
+                                                          excluded):
+        """It raised KeyError in gsh_simulate when files stated the ordering;
+        now the loader derives it and refuses a stated one."""
+        data = json.loads(gsh_file_full.read_text())
+        data["excluded_ordering"] = excluded
+        self._rejected(capsys, tmp_path, data, "excluded_ordering is derived")
+
+    @pytest.mark.parametrize("field", ["h_values", "in_h", "gammas", "deltas", "truncation"])
     def test_cut_sequence_rejected(self, capsys, gsh_file_full, tmp_path, field):
         data = json.loads(gsh_file_full.read_text())
-        if field == "h_values":
-            data["h_values"] = data["h_values"][:10]
-        else:
+        if field == "truncation":
             data["truncation"] = 20_000
-        self._rejected(capsys, tmp_path, data, "h_values has")
+        else:
+            data = _stated(data, field)
+            data[field] = data[field][:10]
+        message = "h_values has" if field in ("h_values", "truncation") else f"{field} is derived"
+        self._rejected(capsys, tmp_path, data, message)
+
+    @pytest.mark.parametrize("field, index", [("gammas", 0), ("gammas", 7000), ("deltas", 3)])
+    def test_sequence_entry_moved_by_one_ulp_rejected(self, capsys, gsh_file_full, tmp_path,
+                                                      field, index):
+        """gammas and deltas are derived from J, sigma2, beta, t and h_values,
+        so the lattice identity gamma_j = 2t h_j + xi_j that the exact phases
+        of gsh_simulate rest on holds by construction; a file that states
+        them, even one ulp off, is refused."""
+        data = _stated(json.loads(gsh_file_full.read_text()), field)
+        data[field][index] = math.nextafter(data[field][index], math.inf)
+        self._rejected(capsys, tmp_path, data, f"{field} is derived")
 
     @pytest.mark.parametrize("truncation", [0, -5])
     def test_family_without_terms_rejected(self, capsys, gsh_file_full, tmp_path, truncation):
@@ -487,15 +522,25 @@ class TestGshFileChecks:
         data["h_values"][100] += 1  # still in window 101, no longer in H
         self._rejected(capsys, tmp_path, data, "h_values[100]")
 
-    @pytest.mark.parametrize("edit", ["h_beyond_window", "h_below_window", "h_off_h"])
+    @pytest.mark.parametrize("edit", ["every_in_h_set", "h_beyond_window", "h_below_window",
+                                      "in_h_cleared", "h_off_h"])
     def test_h_windows_checked(self, capsys, gsh_file_full, tmp_path, edit):
         """h_j lies in [j^2, j^2 + j] and is j^2 or passes construction_gsh's
-        float membership test."""
+        float membership test; the in_h flags follow from h_values, so a file
+        that states them, set or cleared, is refused."""
         data = json.loads(gsh_file_full.read_text())
         barrier = barrier_from_dict(data)
         j = 499  # window 500
-        assert barrier.in_h[j] and data["h_values"][j] != 500 ** 2
-        if edit == "h_beyond_window":
+        assert barrier.in_h[j] and data["h_values"][j] != 500 ** 2 and not barrier.in_h[0]
+        message = f"h_values[{j}]"
+        if edit == "every_in_h_set":  # window 1 misses H
+            data["in_h"] = [True] * len(barrier.in_h)
+            message = "in_h is derived"
+        elif edit == "in_h_cleared":
+            data = _stated(data, "in_h")
+            data["in_h"][j] = False
+            message = "in_h is derived"
+        elif edit == "h_beyond_window":
             data["h_values"][j] = 500 ** 2 + 501
         elif edit == "h_below_window":
             data["h_values"][j] = 500 ** 2 - 1
@@ -503,7 +548,7 @@ class TestGshFileChecks:
             window = range(500 ** 2 + 1, 500 ** 2 + 501)
             data["h_values"][j] = next(h for h in window if not bs._in_h(
                 h, barrier.alpha, barrier.beta_phase))
-        self._rejected(capsys, tmp_path, data, f"h_values[{j}]")
+        self._rejected(capsys, tmp_path, data, message)
 
     def test_missed_window_rejected(self, capsys, gsh_file_full, tmp_path):
         """h_J may be J^2 outside H only where the gap bound 10t + 1 does not
@@ -520,14 +565,25 @@ class TestGshFileChecks:
         data["sigma2"] = data["sigma1"]
         self._rejected(capsys, tmp_path, data, "need 1/2 <= beta < sigma2 < sigma1")
 
-    @pytest.mark.parametrize("field, factor", [("t", 1.5), ("sigma1", 1.1)],
-                             ids=["t", "sigma1"])
-    def test_edited_phase_data_rejected(self, capsys, gsh_file_full, tmp_path, field, factor):
+    @pytest.mark.parametrize("field, index, factor", [
+        ("z", 0, 1 + 2**-40), ("w", 1, 1 + 2**-40), ("beta_phase", None, 1 + 2**-40),
+        ("t", None, 1.5), ("sigma1", None, 1.1),
+    ], ids=["z", "w", "beta_phase", "t", "sigma1"])
+    def test_edited_phase_data_rejected(self, capsys, gsh_file_full, tmp_path, field, index,
+                                        factor):
         """An edited t or sigma1 moves alpha and with it H, which the stored
-        h_values then leave."""
+        h_values then leave; z, w and beta_phase are derived, so a file that
+        states them, edited or not, is refused."""
         data = json.loads(gsh_file_full.read_text())
-        data[field] *= factor
-        self._rejected(capsys, tmp_path, data, "h_values[")
+        message = "h_values["
+        if field in DERIVED_KEYS:
+            data = _stated(data, field)
+            message = f"{field} is derived"
+        if index is None:
+            data[field] *= factor
+        else:
+            data[field][index] *= factor
+        self._rejected(capsys, tmp_path, data, message)
 
 
 class TestFieldTypesAtLoad:
@@ -584,16 +640,31 @@ class TestFieldTypesAtLoad:
         (("chi1",), 3),
         (("sigma2",), True),
         (("beta",), [0.5]),
+        (("alpha",), "0.1"),
+        (("beta_phase",), None),
         (("truncation",), 2000.0),
+        (("z",), ["x", 0.0]),
+        (("w",), [1.0]),
         (("h_values", 0), "x"),  # "could not convert string to float" in gsh_simulate
         (("h_values", 0), [1]),
         (("h_values", 0), None),
+        (("gammas", 0), None),  # TypeError in gsh_simulate when files stated gammas
+        (("in_h",), 7),
+        (("deltas", 0), [0.1]),
     ], ids=["t-str", "sigma1-null", "chi1-float", "chi2-bool", "chi1-int", "sigma2-bool",
-            "beta-list", "truncation-float", "h_values-str", "h_values-nested",
-            "h_values-null"])
+            "beta-list", "alpha-str", "beta_phase-null", "truncation-float", "z-str",
+            "w-short", "h_values-str", "h_values-nested", "h_values-null", "gammas-null",
+            "in_h-int", "deltas-nested"])
     def test_gsh_field_types(self, capsys, tmp_path, gsh_data, path, value):
-        code, out, err = self._simulate(capsys, tmp_path, self._edited(gsh_data, path, value))
+        """A derived key of any type is refused by name, before its type is
+        looked at."""
+        data = gsh_data
+        if path[0] in DERIVED_KEYS:
+            data = _stated(dict(gsh_data), path[0])
+        code, out, err = self._simulate(capsys, tmp_path, self._edited(data, path, value))
         assert code == 1 and "malformed barrier file" in err
+        if path[0] in DERIVED_KEYS:
+            assert f"{path[0]} is derived" in err
 
     def test_untouched_files_load(self, finite_data, gsh_data):
         for data in (finite_data, gsh_data):
