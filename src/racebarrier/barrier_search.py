@@ -23,7 +23,8 @@ import cmath
 import itertools
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -97,8 +98,9 @@ class ZeroSpec:
                  multiplicity: int) -> None:
         if not 0.5 < sigma <= 1.0:
             raise ValueError(f"zero real part {sigma} outside (1/2, 1]")
-        if gamma <= 0:
-            raise ValueError("zero ordinate must be positive")
+        if not 0 < gamma < math.inf:
+            raise ValueError("zero ordinate must be positive" if gamma <= 0
+                             else f"zero ordinate {gamma} is not finite")
         if multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
         self.__dict__.update(character=character, sigma=sigma, gamma=gamma,
@@ -186,21 +188,47 @@ class GshBarrier:
         return self.triple.q
 
 
-@dataclass
+@dataclass(frozen=True)
 class BarrierParams:
+    """The parameters every construction reads, each checked once, here."""
     sigma: float = 0.501  # ceiling for zero real parts
     tau: float = 100.0  # floor for zero ordinates
     sigma1: float = 0.501
     sigma2: float = 0.5005
     beta1: float = 0.5
-    t: float = 1000.0
-    gamma: float = 1000.0
+    t: float = 1000.0  # base height, see `height`
     epsilon: float = 1e-3
     q_cap_power10: int = 6  # largest denominator 10^k for rationalization
-    gsh_sigma1: float = 0.6
-    gsh_sigma2: float = 0.55
-    gsh_beta: float = 0.5
     truncation: int = 10_000
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            name, kind, value = f.name, type(f.default), getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (kind, int)):
+                raise ValueError(f"parameter {name!r} must be of type {kind.__name__}, not {value!r}")
+            if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int no float holds
+                raise ValueError(f"parameter {name!r} must be finite, not {value!r}")
+        for name, ok, bound in (
+            ("beta1", 0.5 <= self.beta1, "at least 1/2"),
+            ("sigma2", self.beta1 < self.sigma2, "above beta1"),
+            ("sigma1", self.sigma2 < self.sigma1, "above sigma2"),
+            ("sigma", self.sigma1 <= self.sigma <= 1.0, "in [sigma1, 1]"),
+            ("tau", self.tau >= 0, "at least 0"),
+            ("t", self.t > 0, "positive"),
+            ("epsilon", self.epsilon > 0, "positive"),
+            ("q_cap_power10", self.q_cap_power10 >= 0, "at least 0"),
+            ("truncation", self.truncation >= 1, "at least 1"),
+        ):
+            if not ok:
+                raise ValueError(f"parameter {name!r} must be {bound}, not {getattr(self, name)!r}")
+
+    @property
+    def height(self) -> float:
+        """The base ordinate of every construction (I and GSH may double it)."""
+        return max(self.t, 2.0 * self.tau, 1000.0)
+
+
+DEFAULT_PARAMS = BarrierParams()
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +418,8 @@ def _wrap_pi(x: float) -> float:
 def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -> Barrier:
     """Simple zeros at sigma1 + it for each chi in S and sigma2 + 2it for chi2."""
     p = params
-    if not (0.5 <= p.beta1 < p.sigma2 < p.sigma1 <= min(p.sigma, 0.501)):
-        raise ConstructionError(
-            f"need 1/2 <= beta1 < sigma2 < sigma1 <= min(sigma, 0.501), got "
-            f"{p.beta1}, {p.sigma2}, {p.sigma1}, {p.sigma}"
-        )
+    if p.sigma1 > 0.501:
+        raise ConstructionError(f"construction I needs sigma1 <= 0.501, got {p.sigma1}")
     b1, b2, b3 = found.relabeled_triple
     chars = character_group(D.q)
     roots = chars.roots
@@ -414,7 +439,7 @@ def construction_one(D: RaceTriple, found: EqualSumSet, params: BarrierParams) -
     b_val = (phase_diff / math.pi) % 1.0 - 0.5
     if abs(b_val) < B_SNAP:
         b_val = 0.0
-    t = max(p.t, 2.0 * p.tau, 1000.0)
+    t = p.height
     while b_val != 0.0 and abs(b_val) <= 2.0 / t:
         t *= 2.0
 
@@ -684,10 +709,8 @@ def construction_two(D: RaceTriple, spacing: SpacingCharacter, params: BarrierPa
     if row_sq == 0:
         raise ConstructionError("chi^2 is principal; spacing geometry violated")
     delta, y_worst = sim.envelope_min(d1, d2, spacing.c1, spacing.c2)
-    gamma = max(p.gamma, 2.0 * p.tau, 1000.0)
+    gamma = p.height
     alpha_sigma = p.sigma1
-    if not (0.5 <= p.beta1 < alpha_sigma <= p.sigma):
-        raise ConstructionError("need 1/2 <= beta1 < alpha <= sigma")
     b1, b2, b3 = spacing.relabeled_triple
     zeros = (
         _zero_spec(chi, alpha_sigma, gamma, spacing.c1),
@@ -902,16 +925,13 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
             f"Q <= 10^{p.q_cap_power10}; best errors {errs}"
         )
 
-    gamma = max(p.gamma, 2.0 * p.tau, 1000.0)
-    sigma1 = p.sigma1
-    if not (0.5 <= p.beta1 < sigma1 <= p.sigma):
-        raise ConstructionError("need 1/2 <= beta1 < sigma1 <= sigma")
+    gamma = p.height
     zeros = []
     for kk, nu in ((1, nu1), (2, nu2)):
         for c in chars:
             mult = max(0, round(q_denom * nu[c]))
             if mult > 0:
-                zeros.append(_zero_spec(c, sigma1, kk * gamma, mult))
+                zeros.append(_zero_spec(c, p.sigma1, kk * gamma, mult))
     if not zeros:
         raise ConstructionError("all rationalized multiplicities vanished; raise Q")
 
@@ -924,7 +944,7 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
         zeros=tuple(zeros),
         excluded_ordering=D.residues,
         parameters={
-            "sigma1": sigma1,
+            "sigma1": p.sigma1,
             "gamma": gamma,
             "Q": q_denom,
             "epsilon": p.epsilon,
@@ -947,24 +967,16 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
 # pipeline
 
 
-def find_barrier(D: RaceTriple, params: BarrierParams | None = None) -> Barrier:
+def find_barrier(D: RaceTriple, params: BarrierParams = DEFAULT_PARAMS) -> Barrier:
     """Construction I if the set search succeeds, else II if a spacing
-    character exists, else III."""
-    params = params or BarrierParams()
+    character exists, else III.  Every zero has real part sigma1 or sigma2,
+    both <= sigma, and ordinate >= params.height > tau."""
     found = find_equal_sum_set(D)
     if found is not None:
-        barrier = construction_one(D, found, params)
-    elif (spacing := find_spacing_character(D)) is not None:
-        barrier = construction_two(D, spacing, params)
-    else:
-        barrier = construction_three(D, params)
-    for z in barrier.zeros:
-        if z.sigma > params.sigma or z.gamma <= params.tau:
-            raise ConstructionError(
-                f"zero {z.rho} violates the requested region (sigma <= {params.sigma}, "
-                f"gamma > {params.tau})"
-            )
-    return barrier
+        return construction_one(D, found, params)
+    if (spacing := find_spacing_character(D)) is not None:
+        return construction_two(D, spacing, params)
+    return construction_three(D, params)
 
 
 # ---------------------------------------------------------------------------
@@ -1107,7 +1119,11 @@ def _phase_quality(alpha: float) -> float:
     return min(d1, d2)
 
 
-def find_gsh_characters(D: RaceTriple, sigma1: float = 0.6, t: float = 1000.0):
+# the real parts of the GSH family: chi1's zero, chi2's family and the strip
+GSH_SIGMA1, GSH_SIGMA2, GSH_BETA = 0.6, 0.55, 0.5
+
+
+def find_gsh_characters(D: RaceTriple, sigma1: float = GSH_SIGMA1, t: float = 1000.0):
     """Characters (chi1, chi2) with chi1 equal on the first relabeled pair but
     not the third, and chi2 separating the first pair.
 
@@ -1137,22 +1153,20 @@ def find_gsh_characters(D: RaceTriple, sigma1: float = 0.6, t: float = 1000.0):
     return perm, tuple(D.residues[i] for i in perm), chars[ci], chi2
 
 
-def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshBarrier:
+def construction_gsh(D: RaceTriple, params: BarrierParams = DEFAULT_PARAMS) -> GshBarrier:
     """Infinite (truncated) barrier: one isolated zero for chi1 and a family
     of zeros for chi2 whose ordinates are phase-locked through the set H.
     It chooses chi1, chi2, t and the first member of H in each window
     [j^2, j^2 + j] (j^2 where the window misses H); _gsh_barrier does the rest."""
-    p = params or BarrierParams()
-    sigma1 = p.gsh_sigma1
-    t = max(p.t, 2.0 * p.tau, 1000.0)
-    found = find_gsh_characters(D, sigma1=sigma1, t=t)
+    t = params.height
+    found = find_gsh_characters(D, sigma1=GSH_SIGMA1, t=t)
     if found is None:
         raise ConstructionError(f"no character pair satisfies the phase conditions for {D}")
     perm, triple, chi1, chi2 = found
 
     z, _, beta_phase = _gsh_coefficients(chi1, chi2, triple)
     for _ in range(64):
-        alpha = _phase_offset(z, sigma1, t)
+        alpha = _phase_offset(z, GSH_SIGMA1, t)
         dist = abs(alpha - round(alpha))
         if 1.0 / (10.0 * t) <= dist <= 0.5 - 1.0 / (10.0 * t):
             break
@@ -1160,10 +1174,10 @@ def construction_gsh(D: RaceTriple, params: BarrierParams | None = None) -> GshB
     else:
         raise ConstructionError("could not place the phase offset away from 0 and 1/2")
 
-    js = np.arange(1, p.truncation + 1, dtype=np.int64)
+    js = np.arange(1, params.truncation + 1, dtype=np.int64)
     first = _first_h_offsets(alpha, beta_phase, js, _h_lower_bounds(alpha, beta_phase, js))
     h = js * js + np.maximum(first, 0)
-    return _gsh_barrier(D, perm, triple, chi1, chi2, t, sigma1, p.gsh_sigma2, p.gsh_beta, h)
+    return _gsh_barrier(D, perm, triple, chi1, chi2, t, GSH_SIGMA1, GSH_SIGMA2, GSH_BETA, h)
 
 
 def _gsh_barrier(D: RaceTriple, perm, triple, chi1, chi2, t, sigma1, sigma2, beta,
@@ -1301,13 +1315,14 @@ def _list(name: str, value) -> tuple:
 def _sequence(name: str, values) -> np.ndarray:
     """A GSH file's integer sequence: a flat list whose entries convert to
     one integer array (one conversion checks its 10^4 entries; a None, a
-    float or a string gives an array of another kind)."""
+    float or a string gives an array of another kind) and hold no bool,
+    which numpy would take as 0 or 1."""
     values = _list(name, values)
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
         arr = np.empty((0, 0))
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i") or bool in set(map(type, values)):
         raise ValueError(f"{name} holds an entry that is not an integer")
     return arr
 

@@ -98,16 +98,10 @@ class DirichletCharacter:
         return chars[chars.power(self.index, k)]
 
 
-def angle_to_complex(angle: RationalAngle) -> complex:
-    """e(angle) with the argument reduced exactly before going to floats."""
-    a = angle % 1
-    theta = 2.0 * math.pi * (a.numerator / a.denominator)
-    return complex(math.cos(theta), math.sin(theta))
-
-
 class _RootsOfUnity(dict):
     """roots[k] = e(k / n), 0 <= k < n, computed on first read and kept; k / n
-    rounds like Fraction(k, n), so roots match angle_to_complex bit for bit."""
+    rounds like the reduced Fraction(k, n), so each root is bit for bit
+    e(Fraction(k, n)) taken from the reduced fraction."""
 
     def __init__(self, n: int):
         self.n = n

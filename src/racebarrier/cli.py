@@ -35,17 +35,9 @@ EXIT_VERIFICATION = 3
 # violation can count as robust
 DEFAULT_FINITE_U0 = 2e5
 
-_PARAM_FLAGS = {
-    "sigma1": float,
-    "sigma2": float,
-    "beta1": float,
-    "t": float,
-    "gamma": float,
-    "epsilon": float,
-    "sigma": float,
-    "tau": float,
-    "truncation": int,
-}
+# the BarrierParams fields each building command reads, offered as flags
+_BARRIER_FLAGS = ("sigma", "tau", "sigma1", "sigma2", "beta1", "t", "epsilon")
+_GSH_FLAGS = ("t", "tau", "truncation")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,16 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     gd.add_argument("--full-range", action="store_true", help="search j over [1, m-1]")
     gd.add_argument("--out", help="write certificate records to a file")
 
-    # the triple, output path and parameter flags shared by `barrier` and `gsh`
+    # the triple and output path shared by `barrier` and `gsh`
     build = argparse.ArgumentParser(add_help=False)
     for name in ("q", "a1", "a2", "a3"):
         build.add_argument(name, type=int)
     build.add_argument("--out", help="barrier file path (JSON)")
-    for flag, typ in _PARAM_FLAGS.items():
-        build.add_argument(f"--{flag}", type=typ, default=None)
 
     b = sub.add_parser("barrier", parents=[build], help="synthesize a barrier for a triple")
-    b.add_argument("--construction", choices=["auto", "I", "II", "III", "GSH"], default="auto")
+    b.add_argument("--construction", choices=["auto", "I", "II", "III"], default="auto")
     b.set_defaults(out_prefix="barrier")
 
     s = sub.add_parser("simulate", help="verify a barrier file on a u grid")
@@ -91,34 +81,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gs = sub.add_parser("gsh", parents=[build], help="infinite construction for a triple")
     gs.set_defaults(construction="GSH", out_prefix="gsh")
+    for parser, flags in ((b, _BARRIER_FLAGS), (gs, _GSH_FLAGS)):
+        for flag in flags:
+            parser.add_argument(f"--{flag}", type=type(getattr(bs.DEFAULT_PARAMS, flag)))
     return ap
 
 
 def _load_config(path: str) -> dict:
-    """The JSON object in the file, each key a `BarrierParams` field and each
-    value of that field's type (an int also serves a float field)."""
+    """The JSON object in the file, each key a `BarrierParams` field; the
+    values are checked by building the parameters they give."""
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"expected a JSON object, not {type(config).__name__}")
-    kinds = {f.name: type(f.default) for f in fields(bs.BarrierParams)}
-    for key, value in config.items():
-        if key not in kinds:
+    names = {f.name for f in fields(bs.BarrierParams)}
+    for key in config:
+        if key not in names:
             raise ValueError(f"unknown parameter {key!r}")
-        allowed = (int, float) if kinds[key] is float else int
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ValueError(f"parameter {key!r} must be of type {kinds[key].__name__}, "
-                             f"not {value!r}")
+    bs.BarrierParams(**config)
     return config
 
 
 def _params_from(args, config: dict) -> bs.BarrierParams:
-    params = bs.BarrierParams(**config)
-    for flag in _PARAM_FLAGS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(params, flag, value)
-    return params
+    """The config's parameters, with the command's flags winning."""
+    flags = {name: value for name in {*_BARRIER_FLAGS, *_GSH_FLAGS}
+             if (value := getattr(args, name, None)) is not None}
+    return bs.BarrierParams(**{**config, **flags})
 
 
 def cmd_group(args, config) -> int:
@@ -170,14 +158,13 @@ def cmd_good(args, config) -> int:
 
 
 def cmd_barrier(args, config) -> int:
-    """`barrier`, and `gsh` as `barrier --construction GSH` with its own
-    default file name."""
+    """`barrier`, and `gsh`, whose parser sets the construction to GSH."""
     try:
         triple = bs.RaceTriple(args.q, args.a1, args.a2, args.a3)
     except ValueError as exc:
         print(f"invalid triple: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    params = _params_from(args, config)
+    params = _params_from(args, config)  # a bad value exits 1 through main
     try:
         if args.construction == "auto":
             barrier = bs.find_barrier(triple, params)

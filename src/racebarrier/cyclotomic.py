@@ -61,10 +61,6 @@ def reduce_root_sum(counts: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(rem[:deg])
 
 
-def root_sum_is_zero(counts: Sequence[int], n: int) -> bool:
-    return not any(reduce_root_sum(counts, n))
-
-
 def angles_to_counts(numerators: Sequence[int], n: int) -> list[int]:
     """Coefficient vector of sum_j e(k_j / n) for integer numerators k_j."""
     counts = [0] * n

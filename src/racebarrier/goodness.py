@@ -49,23 +49,6 @@ def gaps_ok(lo, hi, m: int, allow_special_pairs: bool = True):
     return ok
 
 
-def witness_check(m: int, j: int, k: int, allow_special_pairs: bool = True) -> bool:
-    """Does k witness j?  Scalar exact re-evaluation of the three points."""
-    k %= m
-    if k == 0:
-        return False  # all three points coincide
-    r = k * j % m
-    if r == 0 or r == k:
-        return True  # exactly two points coincide (k != 0 rules out all three)
-    t1, t2 = min(k, r), max(k, r)
-    gaps = (t1, t2 - t1, m - t2)
-    for x, y in ((0, 1), (0, 2), (1, 2)):
-        lo, hi = min(gaps[x], gaps[y]), max(gaps[x], gaps[y])
-        if gaps_ok(lo, hi, m, allow_special_pairs):
-            return True
-    return False
-
-
 @lru_cache(maxsize=1024)
 def witness_for(m: int, j: int, allow_special_pairs: bool = True) -> int | None:
     """Smallest k in [1, m-1] witnessing j, or None (memoised: construction II

@@ -76,6 +76,64 @@ class TestZeroSpec:
             ZeroSpec(chi, 0.6, 100.0, 0)
 
 
+_PARAM_NAMES = ("sigma", "tau", "sigma1", "sigma2", "beta1", "t", "epsilon", "q_cap_power10",
+                "truncation")
+
+
+class TestBarrierParams:
+    def test_nine_frozen_fields(self):
+        params = BarrierParams()
+        assert tuple(f.name for f in dataclasses.fields(params)) == _PARAM_NAMES
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.t = 2000.0
+        assert barrier_search.DEFAULT_PARAMS == params
+
+    @pytest.mark.parametrize("changes", [
+        *({name: value} for name in _PARAM_NAMES
+          for value in (math.nan, math.inf, -math.inf, True, "1")),
+        {"beta1": 0.4999},  # 1/2 <= beta1
+        {"sigma2": 0.5},  # beta1 < sigma2
+        {"sigma1": 0.5005},  # sigma2 < sigma1
+        {"sigma": 0.5009},  # sigma1 <= sigma
+        {"sigma": 1.5, "sigma1": 1.2},  # sigma <= 1
+        {"tau": -1.0},
+        {"t": 0.0},
+        {"t": -1000},
+        {"epsilon": 0.0},
+        {"q_cap_power10": -1},
+        {"q_cap_power10": 6.0},
+        {"truncation": 0},
+        {"truncation": 10_000.0},
+        {"t": 2 ** 1024},  # an int no float holds
+        {"truncation": 2 ** 1024},
+    ], ids=lambda changes: ",".join(f"{k}={v!r}"[:24] for k, v in changes.items()))
+    def test_each_bad_value_names_its_field(self, changes):
+        name = next(iter(changes))
+        with pytest.raises(ValueError, match=f"^parameter '{name}' must be "):
+            BarrierParams(**changes)
+
+    def test_ints_serve_float_fields(self):
+        params = BarrierParams(sigma=1, tau=0, t=4000, epsilon=1)
+        assert params.height == 4000 and params.sigma == 1
+
+    @pytest.mark.parametrize("t, tau, height", [(1000.0, 100.0, 1000.0), (4000.0, 100.0, 4000.0),
+                                                (10.0, 3000.0, 6000.0), (10.0, 0.0, 1000.0)])
+    def test_height(self, t, tau, height):
+        assert BarrierParams(t=t, tau=tau).height == height
+
+    def test_default_parameters_are_built_once(self, monkeypatch):
+        """find_barrier and construction_gsh read one shared default; the
+        census calls find_barrier once per triple."""
+        built = []
+        monkeypatch.setattr(BarrierParams, "__post_init__", lambda self: built.append(self))
+        for triple in ((7, 1, 2, 5), (23, 2, 3, 4), (19, 2, 3, 14), (29, 1, 16, 24)):
+            find_barrier(RaceTriple(*triple))
+        rb.construction_gsh(RaceTriple(7, 1, 2, 5))
+        assert built == []
+        BarrierParams()
+        assert len(built) == 1
+
+
 # reprs of find_barrier(RaceTriple(7, 1, 2, 5)) and its equal-sum set,
 # recorded while the records had dataclass-generated __init__s
 _BARRIER_7_REPR = (
@@ -166,6 +224,9 @@ class TestRecordContract:
         ((0.6, -1.0, 1), "zero ordinate must be positive"),
         ((0.6, 0.0, 0), "zero ordinate must be positive"),
         ((0.6, 100.0, 0), "multiplicity must be >= 1"),
+        ((0.6, -math.inf, 1), "zero ordinate must be positive"),
+        ((0.6, math.nan, 1), "zero ordinate nan is not finite"),
+        ((0.6, math.inf, 1), "zero ordinate inf is not finite"),
     ])
     def test_zero_spec_checks(self, args, message):
         with pytest.raises(ValueError) as exc:
@@ -330,6 +391,13 @@ class TestConstructionOne:
             prof = simulate(barrier, 2e5, 2e5 + 8 * 2 * math.pi / t, 30000)
             assert prof.excluded_raw == 0
             assert prof.verified
+
+    def test_sigma1_above_its_limit_fails(self):
+        """Construction I keeps its own limit sigma1 <= 0.501 inside a valid
+        parameter stack."""
+        D = RaceTriple(7, 1, 2, 5)
+        with pytest.raises(ConstructionError, match="construction I needs sigma1 <= 0.501"):
+            construction_one(D, find_equal_sum_set(D), BarrierParams(sigma=0.6, sigma1=0.55))
 
     def test_zero_heights_are_t_and_2t(self):
         D = RaceTriple(7, 1, 2, 5)

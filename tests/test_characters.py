@@ -14,7 +14,6 @@ from racebarrier.barrier_search import RaceTriple, find_barrier
 from racebarrier.characters import (
     CharacterGroup,
     DirichletCharacter,
-    angle_to_complex,
     character_group,
     character_pair_constraint,
     character_sum_reduced,
@@ -29,6 +28,14 @@ from racebarrier.residue_group import (
 )
 
 SMALL_Q = st.one_of(st.just(5), st.integers(min_value=7, max_value=60))
+
+
+def angle_to_complex(angle):
+    """e(angle) with the argument reduced exactly before going to floats (the
+    oracle for the group's roots of unity)."""
+    a = angle % 1
+    theta = 2.0 * math.pi * (a.numerator / a.denominator)
+    return complex(math.cos(theta), math.sin(theta))
 
 
 def units_of(q):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import pytest
 
@@ -257,6 +258,20 @@ class TestSimulateCommand:
         assert code == 1 and "malformed barrier file" in err and "permutation" in err
         assert "VERIFIED" not in out
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_zero_ordinate_rejected(self, capsys, barrier_file, tmp_path, gamma):
+        """A zero ordinate must be positive and finite: NaN loaded and died in
+        the remainder bound with an OverflowError, Infinity loaded and was
+        refused only by the window floor."""
+        data = json.loads(barrier_file.read_text())
+        data["zeros"][0]["gamma"] = gamma
+        bad = tmp_path / "gamma.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(["simulate", str(bad), "--u0", "200000", "--u1", "200000.07"],
+                             capsys)
+        assert code == 1 and err.startswith("malformed barrier file: zero ordinate")
+        assert "Traceback" not in err and not out
+
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "finite", "q": 7}))
@@ -328,16 +343,6 @@ class TestGshCommand:
         code, _, err = run(["gsh", "29", "1", "16", "24"], capsys)
         assert code == 2
 
-    def test_same_build_as_barrier_gsh(self, capsys, tmp_path):
-        """`gsh` is `barrier --construction GSH` with its own default file name:
-        the same JSON bytes, and the same exit on a triple with no GSH pair."""
-        paths = (tmp_path / "gsh.json", tmp_path / "barrier.json")
-        for path, argv in zip(paths, (["gsh"], ["barrier", "--construction", "GSH"])):
-            assert main([*argv, "7", "1", "2", "5", "--truncation", "2000",
-                         "--out", str(path)]) == 0
-            assert run([*argv, "29", "1", "16", "24"], capsys)[0] == 2
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
     def test_default_file_names(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["gsh", "7", "1", "2", "5", "--truncation", "2000"]) == 0
@@ -347,12 +352,104 @@ class TestGshCommand:
 
     @pytest.mark.parametrize("truncation", ["0", "-5"])
     def test_family_without_terms_fails(self, capsys, tmp_path, truncation):
-        """It wrote a file with no terms, which simulate or the loader refused."""
+        """It wrote a file with no terms, which simulate or the loader refused;
+        now the parameters refuse the truncation before anything is built."""
         out_file = tmp_path / "g.json"
         code, _, err = run(["gsh", "7", "1", "2", "5", "--truncation", truncation,
                             "--out", str(out_file)], capsys)
-        assert code == 2 and "construction failed" in err and "J must be >= 1" in err
+        assert code == 1
+        assert err == f"error: parameter 'truncation' must be at least 1, not {truncation}\n"
         assert not out_file.exists()
+
+
+class TestParameters:
+    """Each building command reads the flags of its own parameters, and one
+    checked BarrierParams refuses a bad value with exit 1 before anything is
+    built or written."""
+
+    COMMANDS = {
+        "barrier": ["barrier", "7", "1", "2", "5", "--out"],
+        "gsh": ["gsh", "7", "1", "2", "5", "--truncation", "200", "--out"],
+        "sweep": ["sweep", "13", "--jobs", "1", "--out"],
+    }
+
+    def _refused(self, capsys, tmp_path, argv, message, config=None):
+        out_file = tmp_path / "out"
+        prefix = []
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            prefix = ["--config", str(cfg)]
+        command, *rest = argv
+        code, out, err = run([*prefix, *self.COMMANDS[command], str(out_file), *rest], capsys)
+        assert code == 1 and not out and not out_file.exists()
+        assert message in err and "Traceback" not in err
+
+    BAD_FLAGS = {
+        "barrier --t nan": "parameter 't' must be finite, not nan",
+        "barrier --t inf": "parameter 't' must be finite, not inf",
+        "barrier --sigma1 0.49": "parameter 'sigma1' must be above sigma2, not 0.49",
+        "gsh --t nan": "parameter 't' must be finite, not nan",
+        "gsh --t inf": "parameter 't' must be finite, not inf",
+        "gsh --truncation 0": "parameter 'truncation' must be at least 1, not 0",
+        "gsh --truncation -5": "parameter 'truncation' must be at least 1, not -5",
+    }
+    BAD_CONFIGS = {
+        '{"sigma1": 0.49}': "parameter 'sigma1' must be above sigma2, not 0.49",
+        '{"t": NaN}': "parameter 't' must be finite, not nan",
+        '{"t": Infinity}': "parameter 't' must be finite, not inf",
+        '{"gamma": 5000.0}': "unknown parameter 'gamma'",
+        '{"gsh_sigma1": 0.6}': "unknown parameter 'gsh_sigma1'",
+        '{"gsh_sigma2": 0.55}': "unknown parameter 'gsh_sigma2'",
+        '{"gsh_beta": 0.5}': "unknown parameter 'gsh_beta'",
+    }
+
+    @pytest.mark.parametrize("argv", BAD_FLAGS)
+    def test_bad_flag_exits_1(self, capsys, tmp_path, argv):
+        self._refused(capsys, tmp_path, argv.split(), f"error: {self.BAD_FLAGS[argv]}")
+
+    @pytest.mark.parametrize("command", ["barrier", "gsh", "sweep"])
+    @pytest.mark.parametrize("config", BAD_CONFIGS)
+    def test_bad_config_exits_1(self, capsys, tmp_path, command, config):
+        self._refused(capsys, tmp_path, [command], f"invalid config: {self.BAD_CONFIGS[config]}",
+                      config)
+
+    @pytest.mark.parametrize("argv", [
+        "gsh 7 1 2 5 --sigma1 0.7",
+        "gsh 7 1 2 5 --epsilon 0.01",
+        "barrier 7 1 2 5 --gamma 5000",
+        "barrier 7 1 2 5 --truncation 50",
+        "barrier 7 1 2 5 --construction GSH",
+    ])
+    def test_flags_of_other_commands_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2 and "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("barrier", "--construction --sigma --tau --sigma1 --sigma2 --beta1 --t --epsilon"),
+        ("gsh", "--t --tau --truncation"),
+        ("sweep", "--jobs"),
+    ])
+    def test_help_lists_the_flags_of_the_command(self, capsys, command, flags):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"--[a-z0-9]+", capsys.readouterr().out))
+        assert listed == {"--help", "--out", *flags.split()}
+
+    @pytest.mark.parametrize("triple, construction", [((23, 2, 3, 4), "II"),
+                                                      ((19, 2, 3, 14), "III")])
+    def test_t_sets_the_height_of_constructions_two_and_three(self, capsys, tmp_path, triple,
+                                                               construction):
+        """--t moves every construction's base height; II and III record it as
+        gamma (the flag was ignored there, with the zeros at 1000 and 2000)."""
+        out_file = tmp_path / "b.json"
+        code, _, _ = run(["barrier", *map(str, triple), "--t", "4000", "--out", str(out_file)],
+                         capsys)
+        data = json.loads(out_file.read_text())
+        assert code == 0 and data["construction"] == construction
+        assert data["parameters"]["gamma"] == 4000.0
+        assert {z["gamma"] for z in data["zeros"]} == {4000.0, 8000.0}
 
 
 @pytest.fixture(scope="module")
@@ -648,13 +745,14 @@ class TestFieldTypesAtLoad:
         (("h_values", 0), "x"),  # "could not convert string to float" in gsh_simulate
         (("h_values", 0), [1]),
         (("h_values", 0), None),
+        (("h_values", 0), True),  # numpy took [true, 5, ...] as int64, so h_1 loaded as 1
         (("gammas", 0), None),  # TypeError in gsh_simulate when files stated gammas
         (("in_h",), 7),
         (("deltas", 0), [0.1]),
     ], ids=["t-str", "sigma1-null", "chi1-float", "chi2-bool", "chi1-int", "sigma2-bool",
             "beta-list", "alpha-str", "beta_phase-null", "truncation-float", "z-str",
-            "w-short", "h_values-str", "h_values-nested", "h_values-null", "gammas-null",
-            "in_h-int", "deltas-nested"])
+            "w-short", "h_values-str", "h_values-nested", "h_values-null", "h_values-bool",
+            "gammas-null", "in_h-int", "deltas-nested"])
     def test_gsh_field_types(self, capsys, tmp_path, gsh_data, path, value):
         """A derived key of any type is refused by name, before its type is
         looked at."""
@@ -665,6 +763,8 @@ class TestFieldTypesAtLoad:
         assert code == 1 and "malformed barrier file" in err
         if path[0] in DERIVED_KEYS:
             assert f"{path[0]} is derived" in err
+        if path[0] == "h_values":
+            assert "h_values holds an entry that is not an integer" in err
 
     def test_untouched_files_load(self, finite_data, gsh_data):
         for data in (finite_data, gsh_data):

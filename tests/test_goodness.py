@@ -11,9 +11,27 @@ from racebarrier.goodness import (
     is_good,
     spacing_ok,
     verify_certificate,
-    witness_check,
     witness_for,
 )
+
+
+def witness_check(m, j, k, allow_special_pairs=True):
+    """Does k witness j?  Scalar exact re-evaluation of the three points (the
+    oracle for witness_for's array scan)."""
+    k %= m
+    if k == 0:
+        return False  # all three points coincide
+    r = k * j % m
+    if r == 0 or r == k:
+        return True  # exactly two points coincide (k != 0 rules out all three)
+    t1, t2 = min(k, r), max(k, r)
+    gaps = (t1, t2 - t1, m - t2)
+    for x, y in ((0, 1), (0, 2), (1, 2)):
+        lo, hi = min(gaps[x], gaps[y]), max(gaps[x], gaps[y])
+        if gaps_ok(lo, hi, m, allow_special_pairs):
+            return True
+    return False
+
 
 ODD_M = st.integers(min_value=1, max_value=250).map(lambda k: 2 * k + 1)
 

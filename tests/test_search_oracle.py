@@ -60,7 +60,6 @@ from racebarrier.barrier_search import (
 )
 from racebarrier.characters import (
     DirichletCharacter,
-    angle_to_complex,
     character_group,
     character_pair_constraint,
     _RootsOfUnity,
@@ -74,6 +73,7 @@ from racebarrier.residue_group import (
     multiplicative_order,
     unit_group_structure,
 )
+from test_characters import angle_to_complex
 
 
 def valid_moduli(limit):
@@ -369,7 +369,7 @@ def frozen_construction_two(D, spacing, params):
     if chi_sq.is_principal:
         raise ConstructionError("chi^2 is principal; spacing geometry violated")
     delta, y_worst = sim.envelope_min(spacing.d1, spacing.d2, spacing.c1, spacing.c2)
-    gamma = max(p.gamma, 2.0 * p.tau, 1000.0)
+    gamma = max(p.t, 2.0 * p.tau, 1000.0)
     alpha_sigma = p.sigma1
     if not (0.5 <= p.beta1 < alpha_sigma <= p.sigma):
         raise ConstructionError("need 1/2 <= beta1 < alpha <= sigma")
