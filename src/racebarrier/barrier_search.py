@@ -62,10 +62,11 @@ class ConstructionError(RuntimeError):
 
 
 # The records a barrier search builds on every triple (RaceTriple,
-# EqualSumSet, ZeroSpec, Barrier) stay frozen dataclasses, with the generated
-# __eq__, __hash__ and __repr__, but take a hand-written __init__: it checks
-# the arguments and sets every field with one __dict__ update, where the
-# generated one calls object.__setattr__ once per field.
+# EqualSumSet, Barrier; SpacingCharacter on construction II) stay frozen
+# dataclasses with the generated __eq__, __hash__ and __repr__, but take a
+# hand-written __init__ that checks the arguments and sets every field with one
+# __dict__ update, not one object.__setattr__ per field.  ZeroSpec and
+# CrossingInequality, built only when their cache misses, keep the generated one.
 
 
 @dataclass(frozen=True, init=False)
@@ -87,24 +88,21 @@ class RaceTriple:
         return (self.a1, self.a2, self.a3)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ZeroSpec:
     character: DirichletCharacter
     sigma: float
     gamma: float
     multiplicity: int
 
-    def __init__(self, character: DirichletCharacter, sigma: float, gamma: float,
-                 multiplicity: int) -> None:
-        if not 0.5 < sigma <= 1.0:
-            raise ValueError(f"zero real part {sigma} outside (1/2, 1]")
-        if not 0 < gamma < math.inf:
-            raise ValueError("zero ordinate must be positive" if gamma <= 0
-                             else f"zero ordinate {gamma} is not finite")
-        if multiplicity < 1:
+    def __post_init__(self) -> None:
+        if not 0.5 < self.sigma <= 1.0:
+            raise ValueError(f"zero real part {self.sigma} outside (1/2, 1]")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("zero ordinate must be positive" if self.gamma <= 0
+                             else f"zero ordinate {self.gamma} is not finite")
+        if self.multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
-        self.__dict__.update(character=character, sigma=sigma, gamma=gamma,
-                             multiplicity=multiplicity)
 
     @property
     def rho(self) -> complex:
@@ -643,7 +641,7 @@ def _assemble_spacing(D: RaceTriple, cols, row: int, m: int, k: int):
 # second construction: inequality check and barrier
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CrossingInequality:
     ok: bool
     margin: float
@@ -651,11 +649,6 @@ class CrossingInequality:
     z2: float
     lambda1: float
     lambda2: float
-
-    def __init__(self, ok: bool, margin: float, z1: float, z2: float, lambda1: float,
-                 lambda2: float) -> None:
-        self.__dict__.update(ok=ok, margin=margin, z1=z1, z2=z2, lambda1=lambda1,
-                             lambda2=lambda2)
 
 
 def verify_crossing_inequality(c1: int, c2: int, d1, d2) -> CrossingInequality:
@@ -849,19 +842,10 @@ def solve_lambda_system(
     l3, l4 = _solve_2x2(m_im, (-z1.imag / 2.0, -z2.imag / 2.0))
 
     theta: dict[DirichletCharacter, float] = {c: 0.0 for c in nonprincipal_characters(q)}
-
-    def bump(power, val):
+    for power, val in ((1, l1), (-1, l1), (2, l2), (-2, l2), (h, l3), (-h, -l3), (k, l4),
+                       (-k, -l4)):
         c = chi**power
         theta[c] = theta.get(c, 0.0) + val
-
-    bump(1, l1)
-    bump(-1, l1)
-    bump(2, l2)
-    bump(-2, l2)
-    bump(h, l3)
-    bump(-h, -l3)
-    bump(k, l4)
-    bump(-k, -l4)
 
     y = max(0.0, -min(theta.values()))
     lam = {c: v + y for c, v in theta.items()}
@@ -907,7 +891,7 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
 
     # the first Q = 10^k within epsilon that leaves the verdict margin positive;
     # lambda takes at most nine distinct values (the shift y, and y plus each
-    # bump), and a max over them is the max over all phi - 1
+    # of the eight updates), and a max over them is the max over all phi - 1
     values1, values2 = set(nu1.values()), set(nu2.values())
     q_denom = None
     errs = None
@@ -1123,7 +1107,7 @@ def _phase_quality(alpha: float) -> float:
 GSH_SIGMA1, GSH_SIGMA2, GSH_BETA = 0.6, 0.55, 0.5
 
 
-def find_gsh_characters(D: RaceTriple, sigma1: float = GSH_SIGMA1, t: float = 1000.0):
+def find_gsh_characters(D: RaceTriple, t: float = 1000.0):
     """Characters (chi1, chi2) with chi1 equal on the first relabeled pair but
     not the third, and chi2 separating the first pair.
 
@@ -1142,7 +1126,7 @@ def find_gsh_characters(D: RaceTriple, sigma1: float = GSH_SIGMA1, t: float = 10
             if not (c1[ci] == c2[ci] != c3[ci]):
                 continue
             z = roots[c2[ci]].conjugate() - roots[c3[ci]].conjugate()
-            score = _phase_quality(_phase_offset(z, sigma1, t))
+            score = _phase_quality(_phase_offset(z, GSH_SIGMA1, t))
             if score > best_score + 1e-12:
                 best = (perm, ci)
                 best_score = score
@@ -1159,7 +1143,7 @@ def construction_gsh(D: RaceTriple, params: BarrierParams = DEFAULT_PARAMS) -> G
     It chooses chi1, chi2, t and the first member of H in each window
     [j^2, j^2 + j] (j^2 where the window misses H); _gsh_barrier does the rest."""
     t = params.height
-    found = find_gsh_characters(D, sigma1=GSH_SIGMA1, t=t)
+    found = find_gsh_characters(D, t=t)
     if found is None:
         raise ConstructionError(f"no character pair satisfies the phase conditions for {D}")
     perm, triple, chi1, chi2 = found

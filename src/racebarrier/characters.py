@@ -4,8 +4,8 @@ A character is its exponent vector (h_1..h_t) over the canonical generators:
 chi(g_i) = e(h_i / s_i).  Values on units are exact fractions of a turn;
 complex numbers are materialized only at the simulator boundary.  One object
 per modulus, `character_group(q)`, holds the characters as its rows and reads
-every value as an integer angle numerator: from a residue's cached column, or
-as one row's exponent vector times the residue's dlog vector.
+every value as an integer angle numerator: a single value from the residue's
+dlog vector, and a search's values from the residue's cached column.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ class CharacterGroup(Sequence):
 
     chi(a) = e(k / exponent) with k = sum_i h_i f_i (exponent / s_i) mod
     exponent over chi's exponent vector h and a's dlog vector f.  Nothing
-    phi(q)^2 is stored: one value costs O(t), and one residue's column (its
-    numerators over all rows) O(phi(q) t), built when first asked for and
-    then cached as an int64 `array.array`, the form the searches index.
+    phi(q)^2 is stored: `angle` reads one value from the dlog at O(t), and
+    `columns` builds one residue's numerators over all rows at O(phi(q) t)
+    and caches them as an int64 `array.array`, the form the searches index.
     """
 
     __slots__ = ("q", "orders", "exponent", "roots", "_steps", "_rows", "_columns")
@@ -173,15 +173,8 @@ class CharacterGroup(Sequence):
         return self.row([h * k for h in self[row].exponents])
 
     def angle(self, row: int, a: int) -> int:
-        """Angle numerator of the character in `row` at a.
-
-        Read from a's column when a search has cached it; otherwise the row's
-        exponent vector times the dlog vector of a, so a loop over residues
-        builds no columns.
-        """
-        col = self._columns.get(a % self.q)
-        if col is not None:
-            return col[row]
+        """Angle numerator of the character in `row` at a, read from a's dlog
+        vector; a loop over residues builds no columns."""
         f = map(operator.mul, dlog_vector(self.q, a), self._steps)
         return sum(map(operator.mul, self[row].exponents, f)) % self.exponent
 
@@ -286,7 +279,7 @@ def character_pair_constraint(q: int, b: int, c: int, r: int) -> DirichletCharac
             )
     if r == 1:
         return principal_character(q)
-    chi = _pair_constraint_character(q, b, r, s1, s2, [p for p, _ in factors])
+    chi = character_group(q)[_pair_constraint_row(q, b, r, s1, s2, [p for p, _ in factors])]
     assert chi.evaluate(b) == Fraction(1, r)
     assert (r * chi.evaluate(c)) % 1 == 0
     return chi
@@ -311,15 +304,6 @@ def _pair_constraint_row(q: int, b: int, r: int, s1: int, s2: int, r_primes) -> 
     f = unravel(group.index[b], group.orders)
     h = _solve_unit_combination(s1, [fi * s1 // s for fi, s in zip(f, group.orders)])
     return chars.power(chars.row(h), s1 // r * pow(u, -1, r) * u)
-
-
-def _pair_constraint_character(q: int, b: int, r: int, s1: int, s2: int,
-                               r_primes) -> DirichletCharacter:
-    """The character in `_pair_constraint_row`, with chi(b) = e(1/r) checked."""
-    chars = character_group(q)
-    chi = chars[_pair_constraint_row(q, b, r, s1, s2, r_primes)]
-    assert chi.angle_numerator(b) * r == chars.exponent  # chi(b) = e(1/r)
-    return chi
 
 
 def character_sum_reduced(chars, a: int):

@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
@@ -338,8 +339,15 @@ def main(argv=None) -> int:
             print(f"invalid config: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     try:
-        return _COMMANDS[args.command](args, config)
-    except ValueError as exc:
+        code = _COMMANDS[args.command](args, config)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # standard output closed early (`| head`): as the SIGPIPE note in the
+        # Python docs says, point it at os.devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
+    except (OSError, ValueError) as exc:  # a bad parameter, or an --out path not writable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -41,7 +41,6 @@ from racebarrier.barrier_search import (
 )
 from racebarrier.characters import (
     DirichletCharacter,
-    _pair_constraint_character,
     _RootsOfUnity,
     character_group,
     character_pair_constraint,
@@ -156,10 +155,11 @@ _EQUAL_SUM_7_REPR = (
 
 
 class TestRecordContract:
-    """RaceTriple, EqualSumSet, ZeroSpec, Barrier, SpacingCharacter and
-    CrossingInequality set their fields with one __dict__ update but keep the
-    frozen dataclass contract: no assignment, generated
-    __eq__/__hash__/__repr__, fields/replace and every check."""
+    """RaceTriple, EqualSumSet, Barrier and SpacingCharacter set their fields
+    with one __dict__ update, and ZeroSpec and CrossingInequality with the
+    generated __init__; all six keep the frozen dataclass contract: no
+    assignment, generated __eq__/__hash__/__repr__, fields/replace and every
+    check."""
 
     @pytest.fixture(scope="class")
     def barrier7(self):
@@ -892,9 +892,8 @@ class TestSharedRecords:
             spacing = find_spacing_character(D)
             barrier = construction_two(D, spacing, BarrierParams())
             self.assert_rows([spacing.chi, *(z.character for z in barrier.zeros)])
-        # the route's character, also through the validating public entry
-        chi = _pair_constraint_character(13, 3, 3, 3, 6, [3])
-        self.assert_rows([chi, character_pair_constraint(13, 3, 4, 3)])
+        # the route's character through the validating public entry
+        self.assert_rows([character_pair_constraint(13, 3, 4, 3)])
 
     def test_power_family_members(self):
         for t in ((401, 1, 72, 372), (29, 1, 7, 16)):

@@ -2,7 +2,11 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -450,6 +454,41 @@ class TestParameters:
         assert code == 0 and data["construction"] == construction
         assert data["parameters"]["gamma"] == 4000.0
         assert {z["gamma"] for z in data["zeros"]} == {4000.0, 8000.0}
+
+
+class TestOutputErrors:
+    """An --out path that cannot be written, and a standard output that
+    closes early, each end in exit 1 without a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        "barrier 7 1 2 5",
+        "gsh 7 1 2 5 --truncation 200",
+        "sweep 7 --jobs 1",
+        "simulate {barrier} --samples 100",
+        "good 7",
+    ])
+    def test_unwritable_out_path(self, capsys, tmp_path, argv):
+        barrier = tmp_path / "b.json"
+        if "{barrier}" in argv:
+            assert main(["barrier", "7", "1", "2", "5", "--out", str(barrier)]) == 0
+            capsys.readouterr()
+        out_file = tmp_path / "missing" / "x"
+        code, _, err = run([*argv.format(barrier=barrier).split(), "--out", str(out_file)],
+                           capsys)
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: {str(out_file)!r}\n"
+
+    def test_closed_stdout(self):
+        """`racebarrier chars 10007 | head -1`: the table is far larger than a
+        pipe's buffer, so the process writes on after the reader is gone."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-m", "racebarrier", "chars", "10007"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"q = 10007: 10006 characters")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1 and err == ""
 
 
 @pytest.fixture(scope="module")

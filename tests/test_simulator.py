@@ -735,46 +735,74 @@ class TestWriteProfile:
         assert [row.split(",")[3] for row in path.read_text().splitlines()[1:]] == ["tie"] * 5
 
 
-def _transported(barrier):
-    """The barrier for the inverse triple (q; a1^-1, a2^-1, a3^-1): every
-    zero's character conjugated, the triple, its relabeling and the excluded
-    ordering inverted residue by residue."""
+def _transported(barrier, k=-1):
+    """The barrier for the triple (q; a1^k, a2^k, a3^k), k prime to the group
+    exponent n: every zero's character raised to k^-1 mod n (conjugated for
+    k = -1), the triple, its relabeling and the excluded ordering mapped
+    residue by residue."""
     q = barrier.q
+    k_inv = pow(k, -1, unit_group_structure(q).exponent)
 
-    def inverse(residues):
-        return tuple(pow(a, -1, q) for a in residues)
+    def moved(residues):
+        return tuple(pow(a, k, q) for a in residues)
 
     return rb.Barrier(
-        triple=rb.RaceTriple(q, *inverse(barrier.triple.residues)),
+        triple=rb.RaceTriple(q, *moved(barrier.triple.residues)),
         permutation=barrier.permutation,
-        relabeled_triple=inverse(barrier.relabeled_triple),
+        relabeled_triple=moved(barrier.relabeled_triple),
         construction=barrier.construction,
         beta1=barrier.beta1,
-        zeros=tuple(rb.ZeroSpec(z.character.conjugate(), z.sigma, z.gamma, z.multiplicity)
+        zeros=tuple(rb.ZeroSpec(z.character**k_inv, z.sigma, z.gamma, z.multiplicity)
                     for z in barrier.zeros),
-        excluded_ordering=inverse(barrier.excluded_ordering),
+        excluded_ordering=moved(barrier.excluded_ordering),
     )
+
+
+_EXCEPTIONAL = ((191, 125, 36, 180), (149, 24, 133, 20))
+
+
+def _drawn_barriers(rng, kinds, count):
+    """count barriers of each kind (a construction-I family or construction
+    II) from a draw of q <= 50 triples, and the two exceptional spacing
+    barriers."""
+    sample = {kind: [] for kind in kinds}
+    while min(map(len, sample.values())) < count:
+        q = rng.choice(_CENSUS_MODULI)
+        barrier = rb.find_barrier(rb.RaceTriple(q, *rng.sample(unit_group_structure(q).units, 3)))
+        kind = sample.get(barrier.parameters.get("family", barrier.construction))
+        if kind is not None and len(kind) < count:
+            kind.append(barrier)
+    return [*itertools.chain(*sample.values()), *map(_census_barrier, _EXCEPTIONAL)]
 
 
 def _transport_sample():
     """100 construction-II and 100 power-family barriers from a fixed draw
     of q <= 50 triples, and the two exceptional spacing barriers."""
-    rng = random.Random("conjugation transport")
-    sample = {"II": [], "power": []}
-    while min(map(len, sample.values())) < 100:
-        q = rng.choice(_CENSUS_MODULI)
-        barrier = rb.find_barrier(rb.RaceTriple(q, *rng.sample(unit_group_structure(q).units, 3)))
-        kind = sample.get(barrier.parameters.get("family", barrier.construction))
-        if kind is not None and len(kind) < 100:
-            kind.append(barrier)
-    exceptional = [_census_barrier(t) for t in ((191, 125, 36, 180), (149, 24, 133, 20))]
-    return sample["II"] + sample["power"] + exceptional
+    return _drawn_barriers(random.Random("conjugation transport"), ("II", "power"), 100)
+
+
+def _power_map_sample():
+    """(barrier, k) pairs: 30 barriers of every construction-I family and of
+    construction II from a fixed draw, the two exceptional spacing barriers
+    and the 24 construction-III barriers of q = 19, each with k drawn from
+    the units mod the group exponent n other than 1 (k = 1 where n = 2)."""
+    rng = random.Random("power map transport")
+    barriers = _drawn_barriers(rng, ("primitive-root", "singleton", "conjugate-pair", "power",
+                                     "II"), 30)
+    three = (rb.find_barrier(rb.RaceTriple(19, *t))
+             for t in itertools.permutations(unit_group_structure(19).units, 3))
+    barriers += [b for b in three if b.construction == "III"]
+    units = {n: [k for k in range(2, n) if math.gcd(k, n) == 1] or [1]
+             for n in {unit_group_structure(b.q).exponent for b in barriers}}
+    return [(b, rng.choice(units[unit_group_structure(b.q).exponent])) for b in barriers]
 
 
 class TestConjugationTransport:
     """chi(a^-1) is the conjugate of chi(a), so conjugating every zero's
     character and inverting the triple carries a barrier to one for the
-    inverse triple whose main terms are the same floats."""
+    inverse triple whose main terms are the same floats.  The same holds for
+    every power map a -> a^k with k prime to the group exponent n, each
+    character raised to k^-1 mod n: chi^(k^-1)(a^k) = chi(a)."""
 
     def test_transported_barriers_simulate_to_the_same_bytes(self):
         sample = _transport_sample()
@@ -792,17 +820,28 @@ class TestConjugationTransport:
         assert (2, 3, 14) in {b.triple.residues for b in sample if b.q == 19}
         self._assert_transported(sample)
 
-    def _assert_transported(self, sample):
-        for barrier in sample:
+    def test_power_maps_transport(self):
+        pairs = _power_map_sample()
+        assert Counter(b.parameters.get("family", b.construction) for b, _ in pairs) == {
+            "primitive-root": 30, "singleton": 30, "conjugate-pair": 30, "power": 30, "II": 32,
+            "III": 24}
+        assert set(_EXCEPTIONAL) <= {(b.q, *b.triple.residues) for b, _ in pairs}
+        # most maps are neither the identity nor the conjugation already covered
+        n = {b.q: unit_group_structure(b.q).exponent for b, _ in pairs}
+        assert sum(k % n[b.q] not in (1, n[b.q] - 1) for b, k in pairs) >= 100
+        self._assert_transported(*zip(*pairs))
+
+    def _assert_transported(self, sample, ks=None):
+        for barrier, k in zip(sample, ks or itertools.repeat(-1)):
             q = barrier.q
-            moved = _transported(barrier)
+            moved = _transported(barrier, k)
             want, got = (simulate(b, 2e5, 2.2e5, 20_000) for b in (barrier, moved))
             assert got.d1.tobytes() == want.d1.tobytes(), barrier.triple
             assert got.d2.tobytes() == want.d2.tobytes(), barrier.triple
             assert (repr(got.margin), repr(got.remainder)) == (
                 repr(want.margin), repr(want.remainder)), barrier.triple
             assert got.ordering_histogram == {
-                tuple(pow(a, -1, q) for a in ordering): count
+                tuple(pow(a, k, q) for a in ordering): count
                 for ordering, count in want.ordering_histogram.items()}, barrier.triple
             assert (got.ties, got.excluded_raw, got.excluded_robust) == (
                 want.ties, want.excluded_raw, want.excluded_robust), barrier.triple
