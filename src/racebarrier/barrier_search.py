@@ -104,10 +104,6 @@ class ZeroSpec:
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
 
-    @property
-    def rho(self) -> complex:
-        return complex(self.sigma, self.gamma)
-
 
 # The constructions draw their zeros from this cache: the barriers of one
 # modulus repeat a few (character, sigma, gamma, multiplicity), so each is
@@ -189,14 +185,12 @@ class GshBarrier:
 @dataclass(frozen=True)
 class BarrierParams:
     """The parameters every construction reads, each checked once, here."""
-    sigma: float = 0.501  # ceiling for zero real parts
     tau: float = 100.0  # floor for zero ordinates
     sigma1: float = 0.501
     sigma2: float = 0.5005
     beta1: float = 0.5
     t: float = 1000.0  # base height, see `height`
     epsilon: float = 1e-3
-    q_cap_power10: int = 6  # largest denominator 10^k for rationalization
     truncation: int = 10_000
 
     def __post_init__(self) -> None:
@@ -210,11 +204,10 @@ class BarrierParams:
             ("beta1", 0.5 <= self.beta1, "at least 1/2"),
             ("sigma2", self.beta1 < self.sigma2, "above beta1"),
             ("sigma1", self.sigma2 < self.sigma1, "above sigma2"),
-            ("sigma", self.sigma1 <= self.sigma <= 1.0, "in [sigma1, 1]"),
+            ("sigma1", self.sigma1 <= 1.0, "at most 1"),
             ("tau", self.tau >= 0, "at least 0"),
             ("t", self.t > 0, "positive"),
             ("epsilon", self.epsilon > 0, "positive"),
-            ("q_cap_power10", self.q_cap_power10 >= 0, "at least 0"),
             ("truncation", self.truncation >= 1, "at least 1"),
         ):
             if not ok:
@@ -870,6 +863,9 @@ def _solve_2x2(m, rhs):
     return x, y
 
 
+Q_CAP_POWER10 = 6  # largest denominator 10^k for rationalization
+
+
 def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
     """Zeros of rationalized multiplicities N/Q for every character at two heights."""
     p = params
@@ -895,7 +891,7 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
     values1, values2 = set(nu1.values()), set(nu2.values())
     q_denom = None
     errs = None
-    for power in range(p.q_cap_power10 + 1):
+    for power in range(Q_CAP_POWER10 + 1):
         qq = 10**power
         e1 = max(abs(v - round(qq * v) / qq) for v in values1)
         e2 = max(abs(v - round(qq * v) / qq) for v in values2)
@@ -906,7 +902,7 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
     if q_denom is None:
         raise ConstructionError(
             f"epsilon={p.epsilon} with a positive verdict margin unachievable with "
-            f"Q <= 10^{p.q_cap_power10}; best errors {errs}"
+            f"Q <= 10^{Q_CAP_POWER10}; best errors {errs}"
         )
 
     gamma = p.height
@@ -954,7 +950,7 @@ def construction_three(D: RaceTriple, params: BarrierParams) -> Barrier:
 def find_barrier(D: RaceTriple, params: BarrierParams = DEFAULT_PARAMS) -> Barrier:
     """Construction I if the set search succeeds, else II if a spacing
     character exists, else III.  Every zero has real part sigma1 or sigma2,
-    both <= sigma, and ordinate >= params.height > tau."""
+    and ordinate >= params.height > tau."""
     found = find_equal_sum_set(D)
     if found is not None:
         return construction_one(D, found, params)

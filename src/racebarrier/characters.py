@@ -22,6 +22,7 @@ import numpy as np
 
 from .cyclotomic import angles_to_counts, reduce_root_sum
 from .residue_group import (
+    PER_MODULUS,
     check_modulus,
     check_residue,
     dlog_vector,
@@ -53,10 +54,6 @@ class DirichletCharacter:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        # a pickle carries (q, exponents), not the character group cached below
-        return DirichletCharacter, (self.q, self.exponents)
-
     @property
     def group(self):
         return unit_group_structure(self.q)
@@ -70,31 +67,27 @@ class DirichletCharacter:
         return vector_order(self.exponents, self.group.orders)
 
     @cached_property
-    def _chars(self) -> "CharacterGroup":
-        return character_group(self.q)
-
-    @cached_property
     def index(self) -> int:
         """Canonical position: row-major over the generator orders."""
-        return self._chars.row(self.exponents)
+        return character_group(self.q).row(self.exponents)
 
     def evaluate(self, a: int) -> RationalAngle:
         """Exact angle of chi(a) as a fraction of a turn in [0, 1)."""
-        return Fraction(self.angle_numerator(a), self._chars.exponent)
+        return Fraction(self.angle_numerator(a), character_group(self.q).exponent)
 
     def angle_numerator(self, a: int) -> int:
         """Angle as integer k with chi(a) = e(k / exponent)."""
-        return self._chars.angle(self.index, a)
+        return character_group(self.q).angle(self.index, a)
 
     def value(self, a: int) -> complex:
-        return self._chars.roots[self.angle_numerator(a)]
+        return character_group(self.q).roots[self.angle_numerator(a)]
 
     def conjugate(self) -> "DirichletCharacter":
         return self ** -1
 
     def __pow__(self, k: int) -> "DirichletCharacter":
         """chi**k, the character group's own row object."""
-        chars = self._chars
+        chars = character_group(self.q)
         return chars[chars.power(self.index, k)]
 
 
@@ -156,7 +149,7 @@ class CharacterGroup(Sequence):
     def _build(self, row: int) -> DirichletCharacter:
         row = operator.index(row) % len(self._rows)  # a slice raises TypeError
         chi = self._rows[row] = DirichletCharacter(self.q, unravel(row, self.orders))
-        chi.__dict__.update(index=row, _chars=self)
+        chi.__dict__["index"] = row  # and no reference to the group: a row is a plain value
         return chi
 
     def row(self, exponents) -> int:
@@ -208,8 +201,12 @@ class CharacterGroup(Sequence):
 @lru_cache(maxsize=None)
 def character_group(q: int) -> CharacterGroup:
     """All phi(q) characters in canonical (row-major exponent) order, each
-    built when first read, with their values."""
+    built when first read, with their values; kept, with q's unit group,
+    until the moduli kept pass residue_group.KEPT_UNITS units."""
     return CharacterGroup(unit_group_structure(check_modulus(q)))
+
+
+PER_MODULUS.append(character_group)
 
 
 def principal_character(q: int) -> DirichletCharacter:

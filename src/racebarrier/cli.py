@@ -23,7 +23,7 @@ from . import barrier_search as bs
 from . import goodness as good_mod
 from . import race_simulator as sim
 from .characters import character_group
-from .residue_group import check_modulus, unit_group_structure
+from .residue_group import unit_group_structure
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -37,7 +37,7 @@ EXIT_VERIFICATION = 3
 DEFAULT_FINITE_U0 = 2e5
 
 # the BarrierParams fields each building command reads, offered as flags
-_BARRIER_FLAGS = ("sigma", "tau", "sigma1", "sigma2", "beta1", "t", "epsilon")
+_BARRIER_FLAGS = ("tau", "sigma1", "sigma2", "beta1", "t", "epsilon")
 _GSH_FLAGS = ("t", "tau", "truncation")
 
 
@@ -111,9 +111,8 @@ def _params_from(args, config: dict) -> bs.BarrierParams:
 
 
 def cmd_group(args, config) -> int:
-    q = check_modulus(args.q)
-    g = unit_group_structure(q)
-    print(f"q = {q}: phi(q) = {g.phi}, exponent = {g.exponent}")
+    g = unit_group_structure(args.q)  # a bad modulus exits 1 through main
+    print(f"q = {g.q}: phi(q) = {g.phi}, exponent = {g.exponent}")
     cyclic = "cyclic" if len(g.generators) <= 1 else f"{len(g.generators)} generators"
     print(f"structure: {cyclic}")
     for gen, order in zip(g.generators, g.orders):
@@ -123,9 +122,8 @@ def cmd_group(args, config) -> int:
 
 
 def cmd_chars(args, config) -> int:
-    q = check_modulus(args.q)
-    chars = character_group(q)
-    print(f"q = {q}: {len(chars)} characters (index: exponents, order)")
+    chars = character_group(args.q)  # a bad modulus exits 1 through main
+    print(f"q = {chars.q}: {len(chars)} characters (index: exponents, order)")
     for chi in chars:
         tag = " principal" if chi.is_principal else ""
         print(f"  {chi.index:3d}: {list(chi.exponents)} order {chi.order}{tag}")
@@ -141,9 +139,6 @@ def cmd_good(args, config) -> int:
         print(f"odd m in [3, {args.max}]: {len(good)} good, {len(bad)} not good")
         print(f"not good: {bad}")
         return EXIT_OK
-    if args.m < 3 or args.m % 2 == 0:
-        print("m must be odd and >= 3", file=sys.stderr)
-        return EXIT_VALIDATION
     cert = good_mod.is_good(args.m, full_range=args.full_range)
     verdict = "GOOD" if cert.good else f"NOT GOOD, failing j: {sorted(cert.failing_j)}"
     print(f"m = {cert.m}: {verdict}")
@@ -160,12 +155,8 @@ def cmd_good(args, config) -> int:
 
 def cmd_barrier(args, config) -> int:
     """`barrier`, and `gsh`, whose parser sets the construction to GSH."""
-    try:
-        triple = bs.RaceTriple(args.q, args.a1, args.a2, args.a3)
-    except ValueError as exc:
-        print(f"invalid triple: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    params = _params_from(args, config)  # a bad value exits 1 through main
+    triple = bs.RaceTriple(args.q, args.a1, args.a2, args.a3)  # ValueError: exit 1 in main
+    params = _params_from(args, config)  # so does a bad parameter
     try:
         if args.construction == "auto":
             barrier = bs.find_barrier(triple, params)

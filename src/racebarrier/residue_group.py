@@ -20,6 +20,13 @@ import numpy as np
 # Discrete logs are built from full power tables; keep q at desk scale.
 Q_CAP = 10**6
 
+# Per-modulus state is kept for moduli of at most this many units in all (two
+# near Q_CAP): the modulus that would pass it first empties every cache in
+# PER_MODULUS, the lru_caches themselves (a tracer may rebind their names to
+# wrappers), so a modulus's group, characters, columns and roots go together.
+KEPT_UNITS = 2**21
+_kept_units = 0
+
 
 def check_modulus(q: int) -> int:
     """Validate a modulus: q = 5 or q >= 7 (and below the table cap)."""
@@ -115,7 +122,14 @@ def unravel(flat: int, orders: tuple[int, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def unit_group_structure(q: int) -> UnitGroupStructure:
     """Canonical generator basis of (Z/qZ)* (triangular CRT, see module doc)."""
+    global _kept_units
     q = check_modulus(q)
+    phi = euler_phi(q)
+    if _kept_units + phi > KEPT_UNITS:
+        for cache in PER_MODULUS:
+            cache.cache_clear()
+        _kept_units = 0
+    _kept_units += phi
     factors = factorize(q)
     gens: list[int] = []
     orders: list[int] = []
@@ -161,10 +175,12 @@ def unit_group_structure(q: int) -> UnitGroupStructure:
     index = array("i", [-1]) * q
     flat = np.frombuffer(index, dtype=np.int32)
     flat[units] = np.arange(len(units), dtype=np.int32)
-    phi = euler_phi(q)
     if np.count_nonzero(flat >= 0) != phi:
         raise ArithmeticError(f"generator basis for q={q} does not cover the group")
     return UnitGroupStructure(q, tuple(gens), tuple(orders), lcm(*orders), phi, index)
+
+
+PER_MODULUS = [unit_group_structure]  # characters.py adds character_group
 
 
 def vector_order(vec: tuple[int, ...], orders: tuple[int, ...]) -> int:

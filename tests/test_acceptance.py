@@ -24,6 +24,7 @@ from racebarrier.race_simulator import (
     v_lambda,
 )
 from racebarrier.residue_group import unit_group_structure
+from test_simulator import assert_transported, power_maps
 
 SWEEP_QS = [5] + list(range(7, 51))
 
@@ -168,6 +169,18 @@ def test_criterion_6_sweep(sweep_rows):
         f"{len(sweep_rows)} triples all received barriers "
         f"({by_construction}); |B| <= 3 fraction {frac:.3%} (reported, not asserted)",
     )
+
+
+def test_census_construction_three_barriers_transport(sweep_rows):
+    """Every construction-III barrier of the q <= 50 census, carried by a
+    power map a -> a^k and a relabeling, each drawn at random, simulates to
+    the same bytes (zeros for every character, at several multiplicities)."""
+    rng = random.Random("census construction III transport")
+    perms = list(itertools.permutations(range(3)))
+    sample = [find_barrier(RaceTriple(*row[:4])) for row in sweep_rows if row[4] == "III"]
+    assert len(sample) == 888 and {b.construction for b in sample} == {"III"}
+    ks = [rng.choice(power_maps(b.q)) for b in sample]
+    assert_transported(sample, ks, [rng.choice(perms) for _ in sample])
 
 
 # ---------------------------------------------------------------------------

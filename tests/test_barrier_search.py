@@ -75,12 +75,11 @@ class TestZeroSpec:
             ZeroSpec(chi, 0.6, 100.0, 0)
 
 
-_PARAM_NAMES = ("sigma", "tau", "sigma1", "sigma2", "beta1", "t", "epsilon", "q_cap_power10",
-                "truncation")
+_PARAM_NAMES = ("tau", "sigma1", "sigma2", "beta1", "t", "epsilon", "truncation")
 
 
 class TestBarrierParams:
-    def test_nine_frozen_fields(self):
+    def test_seven_frozen_fields(self):
         params = BarrierParams()
         assert tuple(f.name for f in dataclasses.fields(params)) == _PARAM_NAMES
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -93,14 +92,11 @@ class TestBarrierParams:
         {"beta1": 0.4999},  # 1/2 <= beta1
         {"sigma2": 0.5},  # beta1 < sigma2
         {"sigma1": 0.5005},  # sigma2 < sigma1
-        {"sigma": 0.5009},  # sigma1 <= sigma
-        {"sigma": 1.5, "sigma1": 1.2},  # sigma <= 1
+        {"sigma1": 1.2},  # sigma1 <= 1
         {"tau": -1.0},
         {"t": 0.0},
         {"t": -1000},
         {"epsilon": 0.0},
-        {"q_cap_power10": -1},
-        {"q_cap_power10": 6.0},
         {"truncation": 0},
         {"truncation": 10_000.0},
         {"t": 2 ** 1024},  # an int no float holds
@@ -112,8 +108,8 @@ class TestBarrierParams:
             BarrierParams(**changes)
 
     def test_ints_serve_float_fields(self):
-        params = BarrierParams(sigma=1, tau=0, t=4000, epsilon=1)
-        assert params.height == 4000 and params.sigma == 1
+        params = BarrierParams(sigma1=1, tau=0, t=4000, epsilon=1)
+        assert params.height == 4000 and params.sigma1 == 1
 
     @pytest.mark.parametrize("t, tau, height", [(1000.0, 100.0, 1000.0), (4000.0, 100.0, 4000.0),
                                                 (10.0, 3000.0, 6000.0), (10.0, 0.0, 1000.0)])
@@ -397,7 +393,7 @@ class TestConstructionOne:
         parameter stack."""
         D = RaceTriple(7, 1, 2, 5)
         with pytest.raises(ConstructionError, match="construction I needs sigma1 <= 0.501"):
-            construction_one(D, find_equal_sum_set(D), BarrierParams(sigma=0.6, sigma1=0.55))
+            construction_one(D, find_equal_sum_set(D), BarrierParams(sigma1=0.55))
 
     def test_zero_heights_are_t_and_2t(self):
         D = RaceTriple(7, 1, 2, 5)
@@ -778,8 +774,9 @@ class TestConstructionThree:
         assert barrier.parameters["Q"] > first_q
         assert barrier.margins["verdict_margin"] > 0 > barrier.margins["envelope_bound"]
         assert max(barrier.margins["err_nu1"], barrier.margins["err_nu2"]) < epsilon
-        with pytest.raises(ConstructionError, match="positive verdict margin"):
-            construction_three(D, BarrierParams(epsilon=epsilon, q_cap_power10=1))
+        # below any rounding error at Q = 10^6, so no Q <= 10^Q_CAP_POWER10 is within it
+        with pytest.raises(ConstructionError, match=r"positive verdict margin .* Q <= 10\^6;"):
+            construction_three(D, BarrierParams(epsilon=1e-12))
 
     def test_post_hoc_rationalization_errors(self):
         D = RaceTriple(19, 2, 3, 14)
@@ -826,10 +823,10 @@ class TestFindBarrier:
         assert find_barrier(RaceTriple(29, 1, 16, 24)).construction == "I"
 
     def test_region_constraints(self):
-        params = BarrierParams(sigma=0.75, tau=3000.0)
+        params = BarrierParams(sigma1=0.501, tau=3000.0)
         barrier = find_barrier(RaceTriple(7, 1, 2, 5), params)
         for z in barrier.zeros:
-            assert z.sigma <= params.sigma and z.gamma > params.tau
+            assert z.sigma <= params.sigma1 and z.gamma > params.tau
 
     def test_barrier_strip_invariant(self):
         for q, triple in [(7, (1, 2, 5)), (23, (2, 3, 4)), (19, (2, 3, 14))]:

@@ -1,8 +1,12 @@
 import cmath
+import gc
 import itertools
 import math
+import pickle
 import random
+import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racebarrier import characters, residue_group
 from racebarrier.barrier_search import RaceTriple, find_barrier
 from racebarrier.characters import (
     CharacterGroup,
@@ -24,6 +29,7 @@ from racebarrier.cyclotomic import angles_to_counts, reduce_root_sum
 from racebarrier.residue_group import (
     check_modulus,
     dlog_vector,
+    euler_phi,
     unit_group_structure,
 )
 
@@ -332,3 +338,66 @@ class TestCharacterPairConstraint:
 def test_angle_to_complex_reduces_first():
     big = Fraction(10**12 + 1, 4)  # reduces to 1/4 exactly
     assert abs(angle_to_complex(big) - 1j) < 1e-15
+
+
+CENSUS_MODULI = (5, *range(7, 51))
+
+
+class TestPerModulusLifetime:
+    """A modulus's unit group and character group live in two caches that
+    are emptied together once the moduli kept would pass KEPT_UNITS units; a
+    character is a plain value that looks its group up."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """Empty caches and a zero unit count, as in a new process."""
+        unit_group_structure.cache_clear()
+        character_group.cache_clear()
+        monkeypatch.setattr(residue_group, "_kept_units", 0)
+
+    def test_census_moduli_are_built_once(self, fresh):
+        assert sum(map(euler_phi, CENSUS_MODULI)) == 766 <= residue_group.KEPT_UNITS
+        passes = []
+        for _ in range(2):
+            for q in CENSUS_MODULI:
+                find_barrier(RaceTriple(q, *units_of(q)[:3]))
+            passes.append([character_group(q) for q in CENSUS_MODULI])
+        assert all(a is b for a, b in zip(*passes))
+        assert unit_group_structure.cache_info().currsize == len(CENSUS_MODULI)
+        for chars in passes[0]:
+            for chi in chars:
+                assert chars not in vars(chi).values() and "_chars" not in vars(chi)
+
+    def test_crossing_the_constant_drops_every_modulus(self, fresh, monkeypatch):
+        monkeypatch.setattr(residue_group, "KEPT_UNITS", 100)
+        find_barrier(RaceTriple(101, 2, 3, 5))  # phi = 100: kept
+        chi = character_group(101)[5]
+        k = chi.angle_numerator(2)
+        units = weakref.ref(unit_group_structure(101))
+        assert character_group.cache_info().currsize == 1
+        gc.disable()  # the evicted modulus must go by reference counting alone
+        try:
+            unit_group_structure(7)  # 100 + 6 units: both caches emptied first
+            assert units() is None
+        finally:
+            gc.enable()
+        assert unit_group_structure.cache_info().currsize == 1
+        assert character_group.cache_info().currsize == 0
+        # a row of the dropped modulus still reads its values, from a new group
+        assert chi.angle_numerator(2) == k and character_group(101)[5] == chi
+        assert pickle.loads(pickle.dumps(chi)) == chi
+        assert b"CharacterGroup" not in pickle.dumps(chi)
+
+    def test_eviction_survives_rebound_names(self, fresh, monkeypatch):
+        """A tracer rebinds both cached functions, in every module global
+        that holds them, to wrappers that have no cache_clear; crossing the
+        constant must still empty the caches themselves."""
+        originals = (characters.character_group, residue_group.unit_group_structure)
+        for module in [m for name, m in sys.modules.items() if name.startswith("racebarrier")]:
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, attr, lambda q, fn=value: fn(q))
+        monkeypatch.setattr(residue_group, "KEPT_UNITS", 100)
+        for q in (101, 7, 103, 11):  # each crosses the constant
+            assert find_barrier(RaceTriple(q, 2, 3, 5)).q == q
+            assert [fn.cache_info().currsize for fn in originals] == [1, 1]

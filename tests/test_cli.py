@@ -44,6 +44,10 @@ class TestChars:
         assert code == 0 and "principal" in out
         assert out.count("order") >= 6
 
+    def test_invalid_q(self, capsys):
+        code, out, err = run(["chars", "6"], capsys)
+        assert (code, out, err) == (1, "", "error: modulus must be 5 or >= 7, got 6\n")
+
 
 class TestGood:
     def test_not_good_3(self, capsys):
@@ -64,7 +68,7 @@ class TestGood:
 
     def test_even_rejected(self, capsys):
         code, _, err = run(["good", "6"], capsys)
-        assert code == 1
+        assert code == 1 and err == "error: m must be odd and >= 3, got 6\n"
 
     def test_sweep_mode(self, capsys):
         code, out, _ = run(["good", "3", "--max", "30"], capsys)
@@ -80,6 +84,12 @@ class TestGood:
 
 
 class TestBarrierCommand:
+    def test_repeated_residue_is_one_error_line(self, capsys, tmp_path):
+        out_file = tmp_path / "b.json"
+        code, out, err = run(["barrier", "7", "1", "8", "5", "--out", str(out_file)], capsys)
+        assert (code, out) == (1, "") and not out_file.exists()
+        assert err == "error: residues [1, 1, 5] are not pairwise distinct mod 7\n"
+
     def test_q7(self, capsys, tmp_path):
         out_file = tmp_path / "b.json"
         code, out, _ = run(["barrier", "7", "1", "2", "5", "--out", str(out_file)], capsys)
@@ -406,6 +416,7 @@ class TestParameters:
         '{"gsh_sigma1": 0.6}': "unknown parameter 'gsh_sigma1'",
         '{"gsh_sigma2": 0.55}': "unknown parameter 'gsh_sigma2'",
         '{"gsh_beta": 0.5}': "unknown parameter 'gsh_beta'",
+        '{"sigma": 0.6}': "unknown parameter 'sigma'",
     }
 
     @pytest.mark.parametrize("argv", BAD_FLAGS)
@@ -424,6 +435,7 @@ class TestParameters:
         "barrier 7 1 2 5 --gamma 5000",
         "barrier 7 1 2 5 --truncation 50",
         "barrier 7 1 2 5 --construction GSH",
+        "barrier 7 1 2 5 --sigma 0.6",
     ])
     def test_flags_of_other_commands_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -431,7 +443,7 @@ class TestParameters:
         assert exc.value.code == 2 and "usage:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flags", [
-        ("barrier", "--construction --sigma --tau --sigma1 --sigma2 --beta1 --t --epsilon"),
+        ("barrier", "--construction --sigma1 --sigma2 --tau --beta1 --t --epsilon"),
         ("gsh", "--t --tau --truncation"),
         ("sweep", "--jobs"),
     ])

@@ -371,8 +371,8 @@ def frozen_construction_two(D, spacing, params):
     delta, y_worst = sim.envelope_min(spacing.d1, spacing.d2, spacing.c1, spacing.c2)
     gamma = max(p.t, 2.0 * p.tau, 1000.0)
     alpha_sigma = p.sigma1
-    if not (0.5 <= p.beta1 < alpha_sigma <= p.sigma):
-        raise ConstructionError("need 1/2 <= beta1 < alpha <= sigma")
+    if not (0.5 <= p.beta1 < alpha_sigma <= 1.0):
+        raise ConstructionError("need 1/2 <= beta1 < alpha <= 1")
     b1, b2, b3 = spacing.relabeled_triple
     zeros = (
         ZeroSpec(chi, alpha_sigma, gamma, spacing.c1),

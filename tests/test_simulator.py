@@ -27,6 +27,7 @@ from racebarrier.race_simulator import (
     classify_orderings,
     envelope3_max,
     envelope_min,
+    gsh_simulate,
     pair_diff_grid,
     pair_diff_grids,
     remainder_sup,
@@ -735,27 +736,73 @@ class TestWriteProfile:
         assert [row.split(",")[3] for row in path.read_text().splitlines()[1:]] == ["tie"] * 5
 
 
-def _transported(barrier, k=-1):
+def _power_map(q, k, residues):
+    return tuple(pow(a, k, q) for a in residues)
+
+
+def _transported(barrier, k=-1, relabel=(0, 1, 2)):
     """The barrier for the triple (q; a1^k, a2^k, a3^k), k prime to the group
-    exponent n: every zero's character raised to k^-1 mod n (conjugated for
-    k = -1), the triple, its relabeling and the excluded ordering mapped
-    residue by residue."""
+    exponent n, listed in the order `relabel`: every zero's character raised
+    to k^-1 mod n (conjugated for k = -1), the relabeled triple and the
+    excluded ordering mapped residue by residue, and the permutation carried
+    to the new listing."""
     q = barrier.q
     k_inv = pow(k, -1, unit_group_structure(q).exponent)
-
-    def moved(residues):
-        return tuple(pow(a, k, q) for a in residues)
-
+    triple = _power_map(q, k, barrier.triple.residues)
     return rb.Barrier(
-        triple=rb.RaceTriple(q, *moved(barrier.triple.residues)),
-        permutation=barrier.permutation,
-        relabeled_triple=moved(barrier.relabeled_triple),
+        triple=rb.RaceTriple(q, *(triple[p] for p in relabel)),
+        # old position p is position relabel.index(p) of the new listing
+        permutation=tuple(relabel.index(p) for p in barrier.permutation),
+        relabeled_triple=_power_map(q, k, barrier.relabeled_triple),
         construction=barrier.construction,
         beta1=barrier.beta1,
         zeros=tuple(rb.ZeroSpec(z.character**k_inv, z.sigma, z.gamma, z.multiplicity)
                     for z in barrier.zeros),
-        excluded_ordering=moved(barrier.excluded_ordering),
+        excluded_ordering=_power_map(q, k, barrier.excluded_ordering),
     )
+
+
+def _transported_file(gsh, k, relabel):
+    """A GSH barrier's file with the same map applied: the triple, the
+    relabeled triple and the permutation as in `_transported`, chi1 and chi2
+    raised to k^-1 mod n; the loader derives everything else."""
+    group = unit_group_structure(gsh.q)
+    k_inv = pow(k, -1, group.exponent)
+    data = rb.barrier_to_dict(gsh)
+    triple = _power_map(gsh.q, k, data["triple"])
+    data.update(
+        triple=[triple[p] for p in relabel],
+        permutation=[relabel.index(p) for p in data["permutation"]],
+        relabeled_triple=list(_power_map(gsh.q, k, data["relabeled_triple"])),
+        **{name: [h * k_inv % s for h, s in zip(data[name], group.orders)]
+           for name in ("chi1", "chi2")},
+    )
+    return data
+
+
+def assert_transported(sample, ks=None, relabels=None):
+    """Each barrier and its transport, read back from its file, simulate to
+    the same d1, d2, margin and remainder bytes, with the histogram mapped."""
+    for barrier, k, relabel in zip(sample, ks or itertools.repeat(-1),
+                                   relabels or itertools.repeat((0, 1, 2))):
+        q = barrier.q
+        moved = rb.barrier_from_dict(rb.barrier_to_dict(_transported(barrier, k, relabel)))
+        want, got = (simulate(b, 2e5, 2.2e5, 20_000) for b in (barrier, moved))
+        assert got.d1.tobytes() == want.d1.tobytes(), barrier.triple
+        assert got.d2.tobytes() == want.d2.tobytes(), barrier.triple
+        assert (repr(got.margin), repr(got.remainder)) == (
+            repr(want.margin), repr(want.remainder)), barrier.triple
+        assert got.ordering_histogram == {
+            _power_map(q, k, ordering): count
+            for ordering, count in want.ordering_histogram.items()}, barrier.triple
+        assert (got.ties, got.excluded_raw, got.excluded_robust) == (
+            want.ties, want.excluded_raw, want.excluded_robust), barrier.triple
+
+
+def power_maps(q):
+    """The units mod the group exponent n other than 1 (1 alone where n = 2)."""
+    n = unit_group_structure(q).exponent
+    return [k for k in range(2, n) if math.gcd(k, n) == 1] or [1]
 
 
 _EXCEPTIONAL = ((191, 125, 36, 180), (149, 24, 133, 20))
@@ -782,19 +829,21 @@ def _transport_sample():
 
 
 def _power_map_sample():
-    """(barrier, k) pairs: 30 barriers of every construction-I family and of
-    construction II from a fixed draw, the two exceptional spacing barriers
-    and the 24 construction-III barriers of q = 19, each with k drawn from
-    the units mod the group exponent n other than 1 (k = 1 where n = 2)."""
+    """(barrier, k, relabeling) triples: 30 barriers of every construction-I
+    family and of construction II from a fixed draw, the two exceptional
+    spacing barriers and the 24 construction-III barriers of q = 19, each
+    with k drawn from the units mod the group exponent n other than 1 (k = 1
+    where n = 2) and a relabeling drawn from a second generator."""
     rng = random.Random("power map transport")
     barriers = _drawn_barriers(rng, ("primitive-root", "singleton", "conjugate-pair", "power",
                                      "II"), 30)
     three = (rb.find_barrier(rb.RaceTriple(19, *t))
              for t in itertools.permutations(unit_group_structure(19).units, 3))
     barriers += [b for b in three if b.construction == "III"]
-    units = {n: [k for k in range(2, n) if math.gcd(k, n) == 1] or [1]
-             for n in {unit_group_structure(b.q).exponent for b in barriers}}
-    return [(b, rng.choice(units[unit_group_structure(b.q).exponent])) for b in barriers]
+    ks = [rng.choice(power_maps(b.q)) for b in barriers]
+    relabel = random.Random("relabeling transport")
+    perms = list(itertools.permutations(range(3)))
+    return [(b, k, relabel.choice(perms)) for b, k in zip(barriers, ks)]
 
 
 class TestConjugationTransport:
@@ -808,7 +857,7 @@ class TestConjugationTransport:
         sample = _transport_sample()
         assert Counter(b.parameters.get("family", b.construction) for b in sample) == {
             "II": 102, "power": 100}
-        self._assert_transported(sample)
+        assert_transported(sample)
 
     def test_construction_three_barriers_transport(self):
         """Every construction-III triple of q = 19 and q = 37 (19 2 3 14
@@ -818,30 +867,43 @@ class TestConjugationTransport:
         sample = [b for b in built if b.construction == "III"]
         assert len(sample) == 72
         assert (2, 3, 14) in {b.triple.residues for b in sample if b.q == 19}
-        self._assert_transported(sample)
+        assert_transported(sample)
 
     def test_power_maps_transport(self):
-        pairs = _power_map_sample()
-        assert Counter(b.parameters.get("family", b.construction) for b, _ in pairs) == {
+        sample = _power_map_sample()
+        assert Counter(b.parameters.get("family", b.construction) for b, _, _ in sample) == {
             "primitive-root": 30, "singleton": 30, "conjugate-pair": 30, "power": 30, "II": 32,
             "III": 24}
-        assert set(_EXCEPTIONAL) <= {(b.q, *b.triple.residues) for b, _ in pairs}
+        assert set(_EXCEPTIONAL) <= {(b.q, *b.triple.residues) for b, _, _ in sample}
         # most maps are neither the identity nor the conjugation already covered
-        n = {b.q: unit_group_structure(b.q).exponent for b, _ in pairs}
-        assert sum(k % n[b.q] not in (1, n[b.q] - 1) for b, k in pairs) >= 100
-        self._assert_transported(*zip(*pairs))
+        n = {b.q: unit_group_structure(b.q).exponent for b, _, _ in sample}
+        assert sum(k % n[b.q] not in (1, n[b.q] - 1) for b, k, _ in sample) >= 100
+        # every relabeling occurs, most of them not the identity
+        relabels = Counter(relabel for _, _, relabel in sample)
+        assert len(relabels) == 6 and relabels[(0, 1, 2)] < 60
+        assert_transported(*zip(*sample))
 
-    def _assert_transported(self, sample, ks=None):
-        for barrier, k in zip(sample, ks or itertools.repeat(-1)):
-            q = barrier.q
-            moved = _transported(barrier, k)
-            want, got = (simulate(b, 2e5, 2.2e5, 20_000) for b in (barrier, moved))
-            assert got.d1.tobytes() == want.d1.tobytes(), barrier.triple
-            assert got.d2.tobytes() == want.d2.tobytes(), barrier.triple
-            assert (repr(got.margin), repr(got.remainder)) == (
-                repr(want.margin), repr(want.remainder)), barrier.triple
+    @pytest.mark.parametrize("triple", [(7, 1, 2, 5), (29, 2, 3, 5), (13, 7, 5, 2)],
+                             ids=lambda triple: " ".join(map(str, triple)))
+    def test_gsh_barriers_transport(self, triple):
+        """Every power map of the triple, each under one of the relabelings in
+        turn: the file loads to a barrier whose family sum and isolated term
+        are the same floats."""
+        gsh = rb.construction_gsh(rb.RaceTriple(*triple), rb.BarrierParams(truncation=500))
+        u0 = max(1000.0, gsh.margins["recommended_u0"])
+        want = gsh_simulate(gsh, u0, u0 + 5.0, 200, max_lock_points=100)
+        q = gsh.q
+        ks = [1, *power_maps(q)]
+        perms = itertools.cycle(itertools.permutations(range(3)))
+        for k, relabel in zip(ks, perms):
+            moved = rb.barrier_from_dict(_transported_file(gsh, k, relabel))
+            triple = _power_map(q, k, gsh.triple.residues)
+            assert moved.triple.residues == tuple(triple[p] for p in relabel)
+            assert moved.excluded_ordering == _power_map(q, k, gsh.excluded_ordering)
+            got = gsh_simulate(moved, u0, u0 + 5.0, 200, max_lock_points=100)
+            assert got.d1.tobytes() == want.d1.tobytes(), (q, k)
+            assert got.d2.tobytes() == want.d2.tobytes(), (q, k)
             assert got.ordering_histogram == {
-                tuple(pow(a, k, q) for a in ordering): count
-                for ordering, count in want.ordering_histogram.items()}, barrier.triple
-            assert (got.ties, got.excluded_raw, got.excluded_robust) == (
-                want.ties, want.excluded_raw, want.excluded_robust), barrier.triple
+                _power_map(q, k, ordering): count
+                for ordering, count in want.ordering_histogram.items()}, (q, k)
+
