@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,8 +190,6 @@ class TestEnvelope:
             assert v_lambda(lam) < math.pi * d
 
     def test_envelope_min_is_upper_bound(self):
-        from fractions import Fraction
-
         delta, y_at = envelope_min(Fraction(2, 5), Fraction(2, 5), 1, 2)
         assert delta > 0
         shift = math.pi * (0.8)
@@ -207,6 +206,88 @@ class TestEnvelope:
         # attained at pi/2 as well: the grid point nearest pi/2 is within 1e-9
         i = int(np.argmin(np.abs(us - math.pi / 2)))
         assert abs(vals[i] + 1.0) < 1e-9
+
+
+def _full_grid_envelope_min(n1, m1, n2, m2, c1, c2):
+    """The envelope search with every grid point of every pass evaluated:
+    the oracle for the pruned passes of `race_simulator._envelope_min`."""
+    d1f, d2f = n1 / m1, n2 / m2
+    shift = math.pi * (d1f + d2f)
+
+    def g(dj, y):
+        return c1 * math.sin(math.pi * dj) * np.cos(y) + 0.5 * c2 * math.sin(
+            2.0 * math.pi * dj
+        ) * np.cos(2.0 * y)
+
+    lo, hi = 0.0, 2.0 * math.pi
+    best_y = 0.0
+    points = 1 << 16
+    for _ in range(4):
+        ys = np.linspace(lo, hi, points)
+        m = np.minimum(g(d1f, ys), g(d2f, ys - shift))
+        i = int(np.argmax(m))
+        best_y = float(ys[i])
+        width = (hi - lo) / points * 4.0
+        lo, hi = best_y - width, best_y + width
+    worst = min(
+        c1 * math.sin(math.pi * d1f) * math.cos(best_y)
+        + 0.5 * c2 * math.sin(2 * math.pi * d1f) * math.cos(2 * best_y),
+        c1 * math.sin(math.pi * d2f) * math.cos(best_y - shift)
+        + 0.5 * c2 * math.sin(2 * math.pi * d2f) * math.cos(2 * (best_y - shift)),
+    )
+    return -worst, best_y
+
+
+def _seeded_gap_pairs(count, seed=33):
+    """`count` distinct gap pairs d1 <= d2 with d1 > 1/3 and d1 + d2 < 1, each
+    gap as the integer ratio `envelope_min` passes on, drawn from Random(seed);
+    about half have d1 = d2, where m is symmetric about shift / 2."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < count:
+        m = rng.randrange(7, 400)
+        n1 = rng.randrange(m // 3 + 1, (m + 1) // 2)
+        n2 = n1 if len(pairs) % 2 else rng.randrange(n1, m - n1)
+        pairs.add(Fraction(n1, m).as_integer_ratio() + Fraction(n2, m).as_integer_ratio())
+    return sorted(pairs)
+
+
+class TestEnvelopePruning:
+    """The pruned passes return the full grid's (delta, best_y), byte for byte."""
+
+    REACHED = [(4, 11, 4, 11), (4, 11, 5, 11), (5, 11, 5, 11), (8, 23, 8, 23), (8, 23, 9, 23),
+               (8, 23, 10, 23), (8, 23, 11, 23), (9, 23, 10, 23), (9, 23, 11, 23),
+               (10, 23, 11, 23), (11, 23, 11, 23)]
+
+    @pytest.mark.parametrize("key", [k + (1, 2) for k in REACHED]
+                             + [(6, 19, 9, 19, 5, 9), (12, 37, 16, 37, 3, 5)],
+                             ids=lambda k: "%d/%d-%d/%d-c%d,%d" % k)
+    def test_reached_keys(self, key):
+        got = race_simulator._envelope_min.__wrapped__(*key)
+        assert repr(got) == repr(_full_grid_envelope_min(*key))
+
+    # keys outside the admissible set on which m has two or more maxima of
+    # (nearly) equal height, from a seeded search over random keys: on the
+    # first four the full grid's peak is not the coarse maximum's, so only
+    # the L h / 2 term keeps its cells; on the last four the maximum ties
+    # across runs of kept cells, and only the first run's point is argmax's
+    @pytest.mark.parametrize("key", [(9, 11, 2, 11, 8, 4), (1, 4, 3, 4, 1, 6),
+                                     (41, 42, 27, 28, 1, 4), (27, 37, 8, 37, 1, 6),
+                                     (1, 24, 6, 25, 3, 2), (1, 19, 5, 18, 7, 1),
+                                     (32, 37, 3, 4, 4, 1), (4, 59, 2, 13, 7, 2)],
+                             ids=lambda k: "%d/%d-%d/%d-c%d,%d" % k)
+    def test_tied_maxima(self, key):
+        got = race_simulator._envelope_min.__wrapped__(*key)
+        assert repr(got) == repr(_full_grid_envelope_min(*key))
+
+    def test_seeded_admissible_pairs(self):
+        pairs = _seeded_gap_pairs(60)
+        assert all(1 / 3 < Fraction(n1, m1) <= Fraction(n2, m2) < 1 - Fraction(n1, m1)
+                   for n1, m1, n2, m2 in pairs)
+        for key in pairs:
+            key += (1, 2)
+            got = race_simulator._envelope_min.__wrapped__(*key)
+            assert repr(got) == repr(_full_grid_envelope_min(*key)), key
 
 
 @pytest.fixture(scope="module")
