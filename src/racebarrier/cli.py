@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 from . import barrier_search as bs
@@ -242,6 +240,7 @@ def cmd_simulate(args, config) -> int:
     print(f"excluded ordering pi({x}) > pi({y}) > pi({z}):")
     print(f"  raw occurrences: {profile.excluded_raw}")
     print(f"  robust occurrences (above remainder): {profile.excluded_robust}")
+    print(f"  ties: {profile.ties} of {len(profile.u)} samples")
     print(f"  avoidance margin: {profile.margin:.6g}")
     rem = "none" if profile.remainder is None else f"{profile.remainder:.6g}"
     print(f"  remainder bound: {rem}")
@@ -273,6 +272,9 @@ def _sweep_q(task) -> list[tuple]:
 
 
 def cmd_sweep(args, config) -> int:
+    import csv  # imported here, as is the pool: no other command needs them
+    from concurrent.futures import ProcessPoolExecutor
+
     if args.qmax < 5:
         print("qmax must be >= 5", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,12 +1,13 @@
-"""The GSH family's first main term and its regime-2 positivity certificate.
+"""The GSH family: its construction, which `construction_gsh` and a GSH
+file load share, its first main term and its regime-2 positivity
+certificate.
 
 `family_tasks` sums the truncated family at every sample in tiles on a
 thread pool.  From each tile's damping factors e^(-delta_j u) it also forms
 three weighted sums per sample, and `Certificate.controlled` turns them into
 an interval around the certificate's lower bound.  Only a sample that the
 interval cannot decide runs the certificate's per-term expression, so every
-decision is the one that expression makes.  Only `gsh_simulate` imports this
-module, so no finite-barrier caller compiles it.
+decision is the one that expression makes.
 """
 
 from __future__ import annotations
@@ -14,13 +15,192 @@ from __future__ import annotations
 import math
 import os
 import threading
-from functools import partial
+from fractions import Fraction
+from functools import lru_cache, partial
 
 import numpy as np
 
+from .barrier_search import TWO_PI, ConstructionError, GshBarrier, _gsh_coefficients, _phase_offset
 from .gsh_phases import rotation
 
-TWO_PI_ = 2.0 * math.pi
+
+def nearest_int_dist(x):
+    return np.abs(x - np.round(x))
+
+
+# the first-hit search probes H in blocks of at most 2^13 integers: 64 KiB
+# per int64 or float64 temporary, under glibc's 128 KiB mmap threshold, so
+# it reuses heap memory rather than faulting in fresh pages
+_H_BLOCK = 1 << 13
+
+
+def _first_n_primes(n: int) -> list[int]:
+    # n-th prime < n (ln n + ln ln n) for n >= 6
+    limit = 14 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 10
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    primes = np.flatnonzero(sieve)
+    return primes[:n].tolist()
+
+
+def _h_lower_bounds(alpha: float, beta_phase: float, js: np.ndarray) -> np.ndarray:
+    """Per window [j^2, j^2 + j], an offset lo_j with no member of H at
+    j^2 + k for k < lo_j; lo_j > j certifies that the window misses H.
+
+    Mod 1, x_k = (j^2 + k) alpha + beta_phase equals x_0 + k eps with
+    eps = alpha - round(alpha), |eps| <= 1/2.  The line x_0 + s eps is
+    continuous in s, so a step k can land in the band ||x|| <= 0.2 only after
+    the line has entered it: lo_j is the ceiling of that entry point.  The
+    band is widened by the rounding of x_0 and of the float membership test
+    (two roundings of magnitude up to h |alpha| + |beta_phase| each), so the
+    bound holds for the float decisions, for either sign of eps.  eps is
+    not 0: construction_gsh places t so that |eps| >= 1/(10t).
+    """
+    eps = alpha - round(alpha)
+    h_max = float(js[-1]) * float(js[-1] + 1) if js.size else 0.0
+    w = 0.2 + 1e-6 + 2.0**-50 * (h_max * abs(alpha) + abs(beta_phase) + 1.0)
+    frac = js * js * alpha + beta_phase
+    x0 = frac - np.floor(frac)
+    in_band = (x0 <= w) | (x0 >= 1.0 - w)
+    # distance along the line to the near edge of the next band
+    travel = 1.0 - w - x0 if eps > 0.0 else x0 - w
+    lo = np.minimum(np.ceil(travel / abs(eps)), js + 1.0)
+    return np.where(in_band, 0, lo.astype(np.int64))
+
+
+def _in_h(hs: np.ndarray, alpha: float, beta_phase: float) -> np.ndarray:
+    """Float membership of each h in H = {h : ||h alpha + beta_phase|| <= 1/5},
+    the one test that construction_gsh and the load check both use."""
+    return nearest_int_dist(hs * alpha + beta_phase) <= 0.2
+
+
+def _first_h_offsets(alpha: float, beta_phase: float, js: np.ndarray,
+                     lo: np.ndarray) -> np.ndarray:
+    """Offset k of the first member j^2 + k of H in each window [j^2, j^2 + j],
+    -1 where the window misses H.
+
+    Each window is probed from its certified lower bound lo_j: offsets
+    [lo_j + pos, lo_j + pos + width) of every window with no hit yet at once,
+    doubling the width each round, in blocks of at most _H_BLOCK elements.
+    _in_h alone decides membership.
+    """
+    first = np.full(js.size, -1, dtype=np.int64)
+    unresolved = np.flatnonzero(lo <= js)
+    pos, width = 0, 8
+    while unresolved.size:
+        offsets = np.arange(pos, pos + width, dtype=np.int64)
+        rows = max(1, _H_BLOCK // width)
+        for s in range(0, unresolved.size, rows):
+            idx = unresolved[s:s + rows]
+            jj = js[idx, None]
+            ks = lo[idx, None] + offsets
+            hits = _in_h(jj * jj + ks, alpha, beta_phase) & (ks <= jj)
+            hit = hits.any(axis=1)
+            first[idx[hit]] = lo[idx[hit]] + pos + hits[hit].argmax(axis=1)
+        pos += width
+        width = min(2 * width, _H_BLOCK)
+        unresolved = unresolved[(first[unresolved] < 0) & (lo[unresolved] + pos <= js[unresolved])]
+    return first
+
+
+def _h_max_gap(alpha: float) -> int | None:
+    """Least N such that any N consecutive h meet H = {h : ||h alpha + b||
+    <= 1/5} for all b (None: no N).  Three-distance theorem (Sos 1958;
+    Slater 1967): N = m q_k + q_{k-1} multiples of alpha, p_k/q_k its
+    convergents, 1 <= m <= a_{k+1}, leave a largest gap
+    eta_{k-1} - (m-1) eta_k, eta_k = |q_k alpha - p_k|; H's band is 2/5."""
+    q_prev, q, eta_prev, eta = 0, 1, Fraction(1), Fraction(alpha) % 1
+    while eta:
+        a = eta_prev // eta
+        m = max(1, math.ceil((eta_prev - Fraction(2, 5)) / eta) + 1)
+        if m <= a:
+            return m * q + q_prev
+        q_prev, q, eta_prev, eta = q, a * q + q_prev, eta, eta_prev - a * eta
+    return None
+
+
+@lru_cache(maxsize=8)
+def _family_constants(j_max: int, sigma2: float, beta: float):
+    """Decay exponents delta_j, of order j^-3 and clipped inside the allowed
+    strip, and ordinate perturbations xi_j = frac(sqrt(p_j)) j^-10, for
+    j = 1..J (xi read-only)."""
+    c_delta = 8.0 * (sigma2 - beta)
+    cap = 0.95 * (sigma2 - beta)
+    deltas = tuple(min(cap, c_delta / (j * j * j)) for j in range(1, j_max + 1))
+    primes = _first_n_primes(j_max)
+    xi = np.array([(math.sqrt(pr) % 1.0) * j ** -10.0 for j, pr in enumerate(primes, start=1)])
+    xi.flags.writeable = False
+    return deltas, xi
+
+
+def _gsh_barrier(D, perm, triple, chi1, chi2, t, sigma1, sigma2, beta, h) -> GshBarrier:
+    """The GSH barrier fixed by the construction's choices: chi1 and chi2 on
+    the relabeled triple, t, the real parts, and the member h_j of H taken in
+    each window [j^2, j^2 + j] for j = 1..J.  Every other field is derived
+    here, and the construction's checks run here, for construction_gsh and
+    for a loaded file alike.
+
+    in_h is the float test _in_h at each h_j, which is the construction's
+    window outcome: offsets below the certified lower bound are float
+    misses, offset 0 is probed when that bound is 0, and a missed window
+    keeps h_j = j^2.
+    """
+    if not 0.5 <= beta < sigma2 < sigma1:
+        raise ConstructionError("need 1/2 <= beta < sigma2 < sigma1")
+    h_arr = np.asarray(h, dtype=np.int64)
+    j_max = h_arr.size
+    if j_max < 1:
+        raise ConstructionError("the family has no terms; truncation J must be >= 1")
+    z, w, beta_phase = _gsh_coefficients(chi1, chi2, triple)
+    if z == 0 or w == 0:
+        raise ConstructionError(f"phase coefficient z = {z} or w = {w} is zero")
+    alpha = _phase_offset(z, sigma1, t)
+    max_gap, bound = _h_max_gap(alpha), int(10.0 * t) + 1
+    if max_gap is None or max_gap > bound:
+        raise ConstructionError(f"H gaps exceed {bound}: {max_gap}")
+
+    js = np.arange(1, j_max + 1, dtype=np.int64)
+    sq = js * js
+    in_h = _in_h(h_arr, alpha, beta_phase)
+    off = (h_arr < sq) | (h_arr > sq + js) | ~(in_h | (h_arr == sq))
+    if off.any():
+        j = int(np.argmax(off))
+        raise ConstructionError(f"h_values[{j}] is not j^2 or a member of H in window {j + 1}")
+    missed = np.flatnonzero(~in_h & (js >= 10.0 * t))
+    if missed.size:
+        # a window of j+1 >= 10t+1 consecutive integers must meet H
+        raise ConstructionError(f"window at j={missed[0] + 1} missed H; gap property broken")
+
+    deltas, xi = _family_constants(j_max, sigma2, beta)
+    gam = 2.0 * t * h_arr + xi
+    if np.unique(gam).size != gam.size:
+        raise ConstructionError("ordinate collision in the truncated family")
+    in_h_flags = in_h.tolist()
+
+    # samples below this see non-negligible mass from phase-uncontrolled terms;
+    # j <= 2 count as uncontrolled because their ordinate perturbations xi_j
+    # rotate the phase at moderate heights
+    rec_u0 = 1000.0
+    for j, flag in enumerate(in_h_flags[:50], start=1):
+        if not flag or j <= 2:
+            rec_u0 = max(rec_u0, 20.0 / deltas[j - 1])
+
+    return GshBarrier(
+        triple=D, permutation=perm, relabeled_triple=triple, chi1=chi1, chi2=chi2, t=t,
+        sigma1=sigma1, sigma2=sigma2, beta=beta, truncation=j_max,
+        h_values=tuple(h_arr.tolist()), in_h=tuple(in_h_flags), gammas=tuple(gam.tolist()),
+        deltas=deltas, z=z, w=w, alpha=alpha, beta_phase=beta_phase,
+        excluded_ordering=(triple[1], triple[2], triple[0]),
+        parameters={"t": t, "sigma1": sigma1, "sigma2": sigma2, "beta": beta, "J": j_max},
+        margins={"h_max_gap": max_gap, "h_gap_bound": bound,
+                 "alpha_dist": abs(alpha - round(alpha)),
+                 "recommended_u0": rec_u0,
+                 "uncontrolled_j": (np.flatnonzero(~in_h)[:20] + 1).tolist()},
+    )
+
 
 # the phase tile: 64 samples by 512 terms, 2^15 terms, so each thread's five
 # tile arrays (float64, two also used as uint64 views) take 256 KiB each and
@@ -40,10 +220,6 @@ _COS_CAP = math.cos(0.4 * math.pi)
 _MARGIN = 2.0 ** -30
 
 
-def nearest_int_dist(x):
-    return np.abs(x - np.round(x))
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     try:
@@ -55,10 +231,8 @@ def _cpu_count() -> int:
 def run_pooled(tasks) -> None:
     """Run the callables on one thread per CPU (at most one per task), in
     submission order, and re-raise the first failure after all have ended."""
-    if not tasks:
-        return
     # imported here: concurrent.futures pulls in logging, about 5 ms of
-    # start-up that no finite-barrier caller needs
+    # start-up that a GSH build or load does not need
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(tasks))) as pool:
@@ -187,12 +361,12 @@ class Certificate:
             m_c[k], h_c[k] = mag.sum(), mag @ h[:n]
         o = self.xi_cols
         budget = 0.2 + np.multiply.outer(d, self.h[o])
-        budget += np.multiply.outer(u, self.xi_at_cols) / TWO_PI_
+        budget += np.multiply.outer(u, self.xi_at_cols) / TWO_PI
         mag = self.abs_w * np.exp(-np.multiply.outer(u, self.del_[o])) / self.gam[o]
         certified = self.in_h[o] & (budget < 0.24)
-        x = np.where(certified, mag * (np.cos(TWO_PI_ * budget) + 1.0), 0.0).sum(axis=1)
+        x = np.where(certified, mag * (np.cos(TWO_PI * budget) + 1.0), 0.0).sum(axis=1)
         hi = (_COS_CAP + 1.0) * m_c + x - total
-        lo = hi - TWO_PI_ * d * h_c
+        lo = hi - TWO_PI * d * h_c
         slack = _MARGIN * (total + x + 2.0 * m_c)
         controlled = lo > slack
         for k in np.flatnonzero(~controlled & ~(hi < -slack)).tolist():
@@ -205,9 +379,9 @@ class Certificate:
         rho_corr = mag * (self.sigma2 / self.gam)  # 1/rho_j vs 1/(i gamma_j) drift
         # rigorous per-term phase budget: H membership (0.2) plus the drift
         # from the sample's offset and the ordinate perturbation
-        budget = 0.2 + self.h * dist + self._xi() * u / TWO_PI_
+        budget = 0.2 + self.h * dist + self._xi() * u / TWO_PI
         certified = self.in_h & (budget < 0.24)
-        lower = (mag[certified] * np.cos(TWO_PI_ * budget[certified])).sum()
+        lower = (mag[certified] * np.cos(TWO_PI * budget[certified])).sum()
         lower -= mag[~certified].sum() + rho_corr.sum()
         return lower
 
@@ -221,5 +395,5 @@ class Certificate:
             if j_hi >= j_lo:
                 js = np.arange(j_lo - 1, j_hi)
                 bj = self.w * np.exp((-self.del_[js] + 1j * self.gam[js]) * u) / (1j * self.gam[js])
-                bound = max(bound, float(nearest_int_dist(np.angle(bj) / TWO_PI_).max()))
+                bound = max(bound, float(nearest_int_dist(np.angle(bj) / TWO_PI).max()))
         return bound

@@ -373,8 +373,6 @@ def simulate(barrier, u0: float, u1: float, n: int) -> RaceProfile:
     same window; at sigma = sigma_max the amplitude is the scalar -2.0.
     """
     config = MainTermConfig.from_zeros(barrier.q, list(barrier.zeros), beta1=barrier.beta1)
-    if not config.zeros:
-        raise SimulationInputError("empty zero configuration")
     _check_window(u0, u1, n, config.max_gamma())
     u0, u1 = float(u0), float(u1)  # the cached arrays' grid is built from the same floats
     triple = tuple(barrier.relabeled_triple)

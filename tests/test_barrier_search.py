@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -28,6 +29,7 @@ from racebarrier.barrier_search import (
     _zero_spec,
     barrier_from_dict,
     barrier_to_dict,
+    construction_gsh,
     construction_one,
     construction_three,
     construction_two,
@@ -855,24 +857,50 @@ def test_cold_large_modulus_stays_small():
     assert peak < 40 * 2**20, peak
 
 
+def _fresh_modules(script: str, stdin: str = "") -> set[str]:
+    """The racebarrier modules, and csv, that ``script`` leaves loaded in a
+    fresh interpreter."""
+    script += ("import sys\n"
+               "print(' '.join(m for m in sys.modules if m.startswith('racebarrier.') or m == 'csv'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(Path(rb.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
+    return set(subprocess.run([sys.executable, "-c", script], env=env, check=True, input=stdin,
+                              capture_output=True, text=True, timeout=300).stdout.split())
+
+
 def test_finite_query_imports_no_gsh_module():
     """A finite find_barrier, run in a fresh interpreter, compiles none of the
     GSH modules and imports no csv; 23 2 3 4 is construction II, so the
-    envelope search runs there too."""
-    script = (
-        "import sys\n"
-        "from racebarrier.barrier_search import RaceTriple, find_barrier\n"
+    envelope search runs there too.  Round-tripping the three barriers
+    through their files and simulating one loads none either."""
+    loaded = _fresh_modules(
+        "from racebarrier.barrier_search import (RaceTriple, barrier_from_dict,\n"
+        "                                        barrier_to_dict, find_barrier)\n"
+        "from racebarrier.race_simulator import simulate\n"
         "for t in ((7, 1, 2, 5), (23, 2, 3, 4), (19, 2, 3, 14)):\n"
-        "    find_barrier(RaceTriple(*t))\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('racebarrier.') or m == 'csv')))\n"
+        "    b = find_barrier(RaceTriple(*t))\n"
+        "    assert barrier_from_dict(barrier_to_dict(b)) == b\n"
+        "simulate(b, 2e5, 2e5 + 1.0, 64)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
-        str(Path(rb.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True, timeout=300).stdout
-    loaded = out.split()
     assert "racebarrier.barrier_search" in loaded
-    assert not {"racebarrier.gsh_phases", "racebarrier.gsh_family", "csv"} & set(loaded), loaded
+    assert not {"racebarrier.gsh_phases", "racebarrier.gsh_family", "csv"} & loaded, loaded
+
+
+@pytest.mark.parametrize("entry", ["construction_gsh", "barrier_from_dict"])
+def test_gsh_build_and_load_import_the_gsh_module(entry):
+    """The converse: a fresh construction_gsh call, or a GSH file load, loads
+    the module that holds the GSH construction."""
+    stdin = ""
+    if entry == "construction_gsh":
+        script = ("from racebarrier.barrier_search import BarrierParams, RaceTriple, construction_gsh\n"
+                  "construction_gsh(RaceTriple(7, 1, 2, 5), BarrierParams(truncation=100))\n")
+    else:
+        gsh = construction_gsh(RaceTriple(7, 1, 2, 5), BarrierParams(truncation=100))
+        stdin = json.dumps(barrier_to_dict(gsh))
+        script = ("import json, sys\n"
+                  "from racebarrier.barrier_search import barrier_from_dict\n"
+                  "assert barrier_from_dict(json.load(sys.stdin)).truncation == 100\n")
+    assert "racebarrier.gsh_family" in _fresh_modules(script, stdin)
 
 
 class TestSharedRecords:

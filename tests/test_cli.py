@@ -12,7 +12,7 @@ import pytest
 
 from racebarrier import barrier_from_dict, find_barrier, RaceTriple
 from racebarrier import barrier_search as bs
-from racebarrier import cli
+from racebarrier import cli, gsh_family
 from racebarrier.cli import EXIT_VERIFICATION, _sweep_q, main
 
 
@@ -550,6 +550,17 @@ class TestSimulateGshCommand:
         u = float(err.split("counterexample near u = ")[1])
         assert 1000.0 <= u <= 1004.0
 
+    def test_all_tie_profile_shows_its_ties(self, capsys, tmp_path):
+        """13 7 5 2 at J = 500 from its recommended u0 (4,259,200): every
+        sample is a tie, since gsh_simulate's d1 rescaling underflows to 0
+        at this u, and the tie line shows it next to the empty counts."""
+        path = tmp_path / "g13.json"
+        assert main(["gsh", "13", "7", "5", "2", "--truncation", "500", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, out, _ = run(["simulate", str(path), "--u1", "4259201", "--samples", "50"], capsys)
+        assert code == 0 and "samples: 369 on [4259199.999999996, 4259201.0]" in out
+        assert "  raw occurrences: 0\n" in out and "  ties: 369 of 369 samples\n" in out
+
     def test_profile_ordering_column(self, capsys, gsh_file, tmp_path):
         capsys.readouterr()
         prof = tmp_path / "profile.csv"
@@ -694,7 +705,7 @@ class TestGshFileChecks:
             data["h_values"][j] = 500 ** 2 - 1
         else:
             window = range(500 ** 2 + 1, 500 ** 2 + 501)
-            data["h_values"][j] = next(h for h in window if not bs._in_h(
+            data["h_values"][j] = next(h for h in window if not gsh_family._in_h(
                 h, barrier.alpha, barrier.beta_phase))
         self._rejected(capsys, tmp_path, data, message)
 
@@ -704,7 +715,7 @@ class TestGshFileChecks:
         data = json.loads(gsh_file_full.read_text())
         barrier = barrier_from_dict(data)
         assert data["truncation"] >= 10 * barrier.t and barrier.in_h[-1]
-        assert not bs._in_h(10_000 ** 2, barrier.alpha, barrier.beta_phase)
+        assert not gsh_family._in_h(10_000 ** 2, barrier.alpha, barrier.beta_phase)
         data["h_values"][-1] = 10_000 ** 2
         self._rejected(capsys, tmp_path, data, "window at j=10000 missed H")
 
@@ -773,8 +784,9 @@ class TestFieldTypesAtLoad:
         (("triple",), ["1", 2, 5]),
         (("triple",), 5),  # TypeError: 'int' object is not iterable
         (("zeros",), [[1]]),  # TypeError: list indices must be integers
+        (("zeros",), []),  # a barrier needs at least one zero
     ], ids=["exponent-3.5", "exponent-bool", "sigma-str", "gamma-null", "multiplicity-float",
-            "beta1-str", "triple-str", "triple-int", "zeros-list"])
+            "beta1-str", "triple-str", "triple-int", "zeros-list", "zeros-empty"])
     def test_finite_field_types(self, capsys, tmp_path, finite_data, path, value):
         code, out, err = self._simulate(capsys, tmp_path, self._edited(finite_data, path, value))
         assert code == 1 and "malformed barrier file" in err

@@ -19,24 +19,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import racebarrier as rb
-from racebarrier import barrier_search, gsh_family
+from racebarrier import gsh_family
 from racebarrier.barrier_search import (
+    TWO_PI,
     BarrierParams,
     ConstructionError,
     RaceTriple,
     barrier_from_dict,
     barrier_to_dict,
-    _first_h_offsets,
-    _h_lower_bounds,
-    _h_max_gap,
-    _in_h,
     construction_gsh,
     find_gsh_characters,
 )
 from racebarrier.characters import nonprincipal_characters
 from racebarrier.gsh_family import (
-    TWO_PI_,
     Certificate,
+    _first_h_offsets,
+    _h_lower_bounds,
+    _h_max_gap,
+    _in_h,
     family_tasks,
     nearest_int_dist,
     run_pooled,
@@ -315,7 +315,7 @@ class TestGapProof:
 
     @pytest.mark.parametrize("proved", [None, 10**9])
     def test_unbounded_gap_is_a_construction_error(self, proved, monkeypatch):
-        monkeypatch.setattr(barrier_search, "_h_max_gap", lambda alpha: proved)
+        monkeypatch.setattr(gsh_family, "_h_max_gap", lambda alpha: proved)
         with pytest.raises(ConstructionError, match="H gaps exceed 10001"):
             construction_gsh(RaceTriple(7, 1, 2, 5), BarrierParams(truncation=100))
 
@@ -498,9 +498,9 @@ def serial_certificate(gsh, us, d1):
         u = us[i]
         mag = abs_w * np.exp(-del_ * u) / gam
         rho_corr = mag * (sigma2 / gam)
-        budget = 0.2 + h_arr * dist[i] + xi_arr * u / TWO_PI_
+        budget = 0.2 + h_arr * dist[i] + xi_arr * u / TWO_PI
         certified = in_h_arr & (budget < 0.24)
-        lower = (mag[certified] * np.cos(TWO_PI_ * budget[certified])).sum()
+        lower = (mag[certified] * np.cos(TWO_PI * budget[certified])).sum()
         lower -= mag[~certified].sum() + rho_corr.sum()
         if lower <= 0.0:
             continue
@@ -511,7 +511,7 @@ def serial_certificate(gsh, us, d1):
         if j_hi >= j_lo:
             js = np.arange(j_lo - 1, j_hi)
             bj = w * np.exp((-del_[js] + 1j * gam[js]) * u) / (1j * gam[js])
-            pb = nearest_int_dist(np.angle(bj) / TWO_PI_)
+            pb = nearest_int_dist(np.angle(bj) / TWO_PI)
             phase_bound_max = max(phase_bound_max, float(pb.max()))
         if d1[i] > 0:
             ctrl_pos += 1

@@ -305,10 +305,6 @@ class _EmptyBarrier:
 
 
 class TestSimulate:
-    def test_rejects_empty(self, barrier7):
-        with pytest.raises(SimulationInputError):
-            simulate(_EmptyBarrier(barrier7), 50.0, 51.0, 100)
-
     def test_u0_floor(self, barrier7):
         with pytest.raises(SimulationInputError):
             simulate(barrier7, 5.0, 6.0, 10)
